@@ -21,6 +21,11 @@ from fouriermoments.truncated import (
 from helpers import counter_condition
 
 
+def _grid_pairs(M, N, p):
+    return itertools.product(itertools.product(range(M), repeat=p),
+                             itertools.product(range(N), repeat=p))
+
+
 def test_counting_condition_trivial_families():
     # equal i indices, constant a, or constant b always satisfy the condition
     for a in itertools.product(range(3), repeat=3):
@@ -42,6 +47,28 @@ def test_counting_condition_matches_counter_oracle():
                 for b in itertools.product(range(N), repeat=2):
                     assert counting_condition(i, a, b, M, N) == \
                         counter_condition(i, a, b, M, N)
+
+
+def test_solution_set_is_subgroup():
+    # the shifts that solve a pair are closed under addition mod M
+    for M, N, p in itertools.product(range(1, 7), range(1, 4), range(1, 5)):
+        if (M * N)**p > 2 * 10**5:
+            continue
+        for a, b in _grid_pairs(M, N, p):
+            shifts = solution_set(a, b, M, N)
+            assert {(s + t) % M for s in shifts for t in shifts} == shifts, (a, b)
+
+
+def test_counting_condition_is_difference_rule():
+    # the condition holds iff every cyclic difference i_x - i_{x+1} solves (a, b)
+    for M, N, p, r in ((2, 2, 3, 3), (3, 2, 3, 2), (4, 2, 2, 3), (4, 3, 2, 2),
+                       (6, 2, 2, 2)):
+        for a, b in _grid_pairs(M, N, p):
+            shifts = solution_set(a, b, M, N)
+            for i in itertools.product(range(M), repeat=r):
+                rule = all((i[x] - i[(x + 1) % r]) % M in shifts for x in range(r))
+                assert counting_condition(i, a, b, M, N) == rule, (i, a, b)
+                assert counter_condition(i, a, b, M, N) == rule, (i, a, b)
 
 
 def test_counting_condition_validation():
@@ -144,6 +171,22 @@ def test_d42_closed_form():
         assert d42_closed(2, N) == beta(2, N, 4, 2, delta_partition(2, N, 4))
     for M, N in itertools.product((2, 3, 4), (2, 3)):
         assert d42_closed(M, N) == count_d(M, N, 4, 2)
+
+
+def test_beta_exact_for_prime_M():
+    for M, N, p, r in itertools.product((2, 3, 5), (2, 3), (4, 5), (2, 3, 4)):
+        assert beta(M, N, p, r, delta_partition(M, N, p)) == count_d(M, N, p, r), \
+            (M, N, p, r)
+
+
+def test_even_M_excess_is_order_two_class():
+    # the excess of d_4^r over beta_4^r comes from pairs whose solution set
+    # is {0, M/2}: it scales as (2^(r-1) - 1) / M^(r-1) in r
+    for M, N in itertools.product((4, 6), (2, 3)):
+        delta = delta_partition(M, N, 4)
+        excess = [count_d(M, N, 4, r) - beta(M, N, 4, r, delta) for r in (2, 3)]
+        assert excess[0] > 0
+        assert excess[1] == Fraction(3, M) * excess[0], (M, N)
 
 
 def test_base_condition_and_solution_set():
