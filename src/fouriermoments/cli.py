@@ -122,11 +122,15 @@ class Cache:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
-        if doc.get("engine_version") != __version__:
+        if not isinstance(doc, dict) or doc.get("engine_version") != __version__:
             return None
-        num, den = doc["value"].split("/")
+        try:
+            num, den = doc["value"].split("/")
+            value = Fraction(int(num), int(den))
+        except (KeyError, AttributeError, ValueError, ZeroDivisionError):
+            return None  # a malformed entry is a miss; the store rewrites it
         print(f"# cache hit: {key}", file=sys.stderr)
-        return Fraction(int(num), int(den))
+        return value
 
     def store(self, key: tuple, value: Fraction) -> None:
         if not self.directory:
@@ -176,8 +180,7 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
         if method == "direct":
             value, ms = _timed(lambda: _cached(
                 cache, ("d:direct", args.M, args.N, args.p, args.r),
-                lambda: count_d(args.M, args.N, args.p, args.r, args.budget,
-                                threads=args.threads)))
+                lambda: count_d(args.M, args.N, args.p, args.r, args.budget)))
         elif method == "alpha":
             value, ms = _timed(lambda: alpha(args.M, args.N, args.p, args.r))
         elif method == "beta":
@@ -262,8 +265,7 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     for r in range(1, args.r_max + 1):
         start = time.perf_counter()
         d = _cached(cache, ("d:direct", args.M, args.N, args.p, r),
-                    lambda: count_d(args.M, args.N, args.p, r, args.budget,
-                                    threads=args.threads))
+                    lambda: count_d(args.M, args.N, args.p, r, args.budget))
         b = beta(args.M, args.N, args.p, r, delta)
         ms = int(round((time.perf_counter() - start) * 1000))
         common = dict(M=args.M, N=args.N, p=args.p, r=r, runtime_ms=ms)
@@ -285,7 +287,7 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
             exact = c_from_d(
                 _cached(cache, ("d:direct", args.M, args.N, args.p, args.r),
                         lambda: count_d(args.M, args.N, args.p, args.r,
-                                        args.budget, threads=args.threads)),
+                                        args.budget)),
                 args.M, args.N, args.p)
         record = RunRecord("mc", "mc-model", M=args.M, N=args.N, p=args.p,
                            r=args.r, value_float=est.mean,
@@ -341,8 +343,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"cache directory (default ${CACHE_ENV_VAR})")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="operation budget for enumerations")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for large enumerations")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored; counting runs in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .partitions import TRIANGLE_CAP, stirling_number, triangle_pair_counts
-from .truncated import DEFAULT_BUDGET, _check_budget, _validate_mn, _validate_pos
+from .truncated import (DEFAULT_BUDGET, _check_budget, _order_histogram, _validate_mn,
+                        _validate_pos)
 
 # Exact binomial-route evaluation is refused above this p; the floating
 # evaluator covers the large-p regime instead.
@@ -37,21 +37,14 @@ def _falling(n: int, k: int) -> int:
 
 def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact fraction of (a, b) index pairs satisfying the base multiset
-    condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, by direct enumeration."""
+    condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, by direct enumeration:
+    the pairs whose solution set is all of Z_M."""
     _validate_mn(M, N)
     _validate_pos(p=p)
     _check_budget(f"delta_{p}({M},{N}) enumeration", (M * N)**p, budget)
-    # The condition is translation invariant in a and in b separately, so
-    # enumerate with a_1 = b_1 = 0 pinned and scale by M*N.
-    hits = 0
-    for a_rest in product(range(M), repeat=p - 1):
-        enc = [0] + [x * N for x in a_rest]
-        for b_rest in product(range(N), repeat=p - 1):
-            b = (0,) + b_rest
-            left = sorted(enc[y] + b[y] for y in range(p))
-            right = sorted(enc[y] + b[(y + 1) % p] for y in range(p))
-            if left == right:
-                hits += 1
+    # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
+    # translation invariant in a and in b separately, so scale by M*N.
+    hits = _order_histogram(M, N, p).get(M, 0)
     return Fraction(hits * M * N, (M * N)**p)
 
 

@@ -1,20 +1,25 @@
-"""Exact truncated character moments d_p^r(M, N) by brute-force multiset
-counting, together with the closed-form bounds alpha/beta, the (p=4, r=2)
-closed form, and the per-pair solution-set machinery.
+"""Exact truncated character moments d_p^r(M, N) by counting index
+configurations, together with the closed-form bounds alpha/beta, the
+(p=4, r=2) closed form, and the per-pair solution-set machinery.
 
 Counting conventions: index x+1 is cyclic mod r, y+1 cyclic mod p, and all
-first components are reduced mod M. Multisets are compared by sorting
-pair-encoded integers a*N + b. Everything returns `fractions.Fraction` in
-lowest terms; counting is pure and parallelizes over disjoint chunks of the
-(a, b) space with exact integer accumulation.
+first components are reduced mod M. Every count goes through one kernel, the
+difference table of an (a, b) pair,
+f(m, n) = #{y : a_y = m, b_y = n} - #{y : a_y = m, b_{y+1} = n}.
+The pair's solution set is the set of periods of f in m, a subgroup H of
+Z_M; the matching condition holds at position x exactly when
+i_x - i_{x+1} lies in H, so M * |H|^(r-1) i-tuples pass. The moments thus
+follow from the histogram of |H| over the (a, b) pairs, which numpy builds
+block by block. Everything returns `fractions.Fraction` in lowest terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .errors import BudgetError, ParameterError
 
@@ -22,17 +27,25 @@ from .errors import BudgetError, ParameterError
 # exceeds this many elements.
 DEFAULT_BUDGET = 10**9
 
+# Difference-table cells the period kernel holds per block of pairs, so its
+# peak memory does not grow with the number of pairs.
+_BLOCK_CELLS = 1 << 12
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
 
 def _validate_mn(M: int, N: int) -> None:
-    if not (isinstance(M, int) and M >= 1):
+    if not _is_count(M):
         raise ParameterError(f"M must be a positive integer, got {M!r}")
-    if not (isinstance(N, int) and N >= 1):
+    if not _is_count(N):
         raise ParameterError(f"N must be a positive integer, got {N!r}")
 
 
 def _validate_pos(**kwargs: int) -> None:
     for name, value in kwargs.items():
-        if not (isinstance(value, int) and value >= 1):
+        if not _is_count(value):
             raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -44,67 +57,80 @@ def _check_budget(what: str, cost: int, budget: int) -> None:
             estimated_ops=cost, budget=budget)
 
 
+def _difference_tables(a: np.ndarray, b: np.ndarray, M: int, N: int) -> np.ndarray:
+    """The tables f(m, n) of a block of pairs, one (a, b) per row of the 2-d
+    integer arrays `a`, `b`; shape (rows, M, N)."""
+    rows = a.shape[0]
+    cell = (a % M) * N + np.arange(0, rows * M * N, M * N)[:, None]
+    b = b % N
+    same = np.bincount((cell + b).ravel(), minlength=rows * M * N)
+    b_next = np.concatenate((b[:, 1:], b[:, :1]), axis=1)
+    same -= np.bincount((cell + b_next).ravel(), minlength=rows * M * N)
+    return same.reshape(rows, M, N)
+
+
+def _periods(f: np.ndarray) -> np.ndarray:
+    """Boolean mask, shape (rows, M): whether each table f[k] is periodic in
+    m under the shift s."""
+    rows, M, N = f.shape
+    flat = f.reshape(rows, M * N)
+    # Shifting m by s rolls the flattened table by s*N cells, a window of
+    # the table written twice.
+    twice = np.concatenate((flat, flat), axis=1)
+    periodic = np.ones((rows, M), dtype=bool)
+    for s in range(1, M):
+        periodic[:, s] = (flat == twice[:, s * N:(s + M) * N]).all(axis=1)
+    return periodic
+
+
+def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> np.ndarray:
+    f = _difference_tables(np.array([a], dtype=np.int64),
+                           np.array([b], dtype=np.int64), M, N)
+    return _periods(f)[0]
+
+
 def counting_condition(i: Sequence[int], a: Sequence[int], b: Sequence[int],
                        M: int, N: int) -> bool:
     """The per-configuration matching condition behind the truncated moment
     count: for every x (cyclic), the 2p-element multiset
     {(i_x+a_y, b_y), (i_{x+1}+a_y, b_{y+1})}_y equals
-    {(i_x+a_y, b_{y+1}), (i_{x+1}+a_y, b_y)}_y."""
+    {(i_x+a_y, b_{y+1}), (i_{x+1}+a_y, b_y)}_y, that is, every
+    i_x - i_{x+1} mod M lies in solution_set(a, b, M, N)."""
     _validate_mn(M, N)
     r, p = len(i), len(a)
     if len(b) != p:
         raise ParameterError("a and b must have identical length")
     if r < 1 or p < 1:
         raise ParameterError("index tuples must be nonempty")
-    for x in range(r):
-        ix, ix1 = i[x], i[(x + 1) % r]
-        left = []
-        right = []
-        for y in range(p):
-            ay, by, by1 = a[y], b[y], b[(y + 1) % p]
-            u = ((ix + ay) % M) * N
-            v = ((ix1 + ay) % M) * N
-            left.append(u + by)
-            left.append(v + by1)
-            right.append(u + by1)
-            right.append(v + by)
-        if sorted(left) != sorted(right):
-            return False
-    return True
+    periodic = _pair_periods(a, b, M, N)
+    return all(periodic[(i[x] - i[(x + 1) % r]) % M] for x in range(r))
 
 
 def base_condition(a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff the multisets {(a_y, b_y)}_y and {(a_y, b_{y+1})}_y agree
-    (the condition whose probability is the limiting moment)."""
+    (the condition whose probability is the limiting moment), that is, the
+    difference table vanishes."""
     p = len(a)
     if len(b) != p or p < 1:
         raise ParameterError("a and b must be nonempty of identical length")
-    left = sorted(zip(a, b))
-    right = sorted((a[y], b[(y + 1) % p]) for y in range(p))
-    return left == right
+    # Without M and N, number the labels that occur on each side.
+    a_codes = {label: code for code, label in enumerate(set(a))}
+    b_codes = {label: code for code, label in enumerate(set(b))}
+    f = _difference_tables(np.array([[a_codes[v] for v in a]]),
+                           np.array([[b_codes[v] for v in b]]),
+                           len(a_codes), len(b_codes))
+    return not f.any()
 
 
 def solution_set(a: Sequence[int], b: Sequence[int], M: int, N: int) -> set[int]:
     """All shifts i with {(i+a_y, b_y)}_y + {(a_y, b_{y+1})}_y equal to
-    {(i+a_y, b_{y+1})}_y + {(a_y, b_y)}_y as multisets. Always contains 0;
-    equals all of Z_M exactly when base_condition(a, b) holds."""
+    {(i+a_y, b_{y+1})}_y + {(a_y, b_y)}_y as multisets: the periods in m of
+    the pair's difference table. Always contains 0; equals all of Z_M
+    exactly when base_condition(a, b) holds."""
     _validate_mn(M, N)
-    p = len(a)
-    out = set()
-    enc_a = [(a[y] % M) * N for y in range(p)]
-    for i in range(M):
-        left = []
-        right = []
-        for y in range(p):
-            shifted = ((i + a[y]) % M) * N
-            by, by1 = b[y], b[(y + 1) % p]
-            left.append(shifted + by)
-            left.append(enc_a[y] + by1)
-            right.append(shifted + by1)
-            right.append(enc_a[y] + by)
-        if sorted(left) == sorted(right):
-            out.add(i)
-    return out
+    if len(b) != len(a):
+        raise ParameterError("a and b must have identical length")
+    return set(np.flatnonzero(_pair_periods(a, b, M, N)).tolist())
 
 
 def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int,
@@ -119,85 +145,42 @@ def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int,
     return Fraction(hits, M**r)
 
 
-_HISTOGRAM_CACHE: dict[tuple[int, int, int], tuple] = {}
-
-# Below this many pinned (a, b) pairs, forking workers costs more than the scan.
-_PARALLEL_THRESHOLD = 1 << 15
+_HISTOGRAM_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
 
 
-def _histogram_chunk(M: int, N: int, p: int,
-                     second: int) -> dict[tuple[int, ...], int]:
-    """Solution-set histogram over the pinned (a, b) pairs with a_2 = second."""
-    counts: dict[tuple[int, ...], int] = {}
-    for a_tail in product(range(M), repeat=p - 2):
-        a = (0, second) + a_tail
-        for b_rest in product(range(N), repeat=p - 1):
-            b = (0,) + b_rest
-            key = tuple(sorted(solution_set(a, b, M, N)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _pinned_digits(index: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Rows (0, d_1, ..., d_width) holding the base-`base` digits of `index`."""
+    out = np.zeros((index.size, width + 1), dtype=np.int64)
+    for j in range(width, 0, -1):
+        index, out[:, j] = np.divmod(index, base)
+    return out
 
 
-def _solution_histogram(M: int, N: int, p: int,
-                        threads: int = 1) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Histogram of solution sets over the (a, b) space with a_1 = b_1 = 0.
+def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
+    """{|H|: number of (a, b) pairs with a_1 = b_1 = 0 whose solution set
+    has order |H|}, cached per (M, N, p).
 
     The counting condition is invariant under translating all of a (or all
     of b) by a constant, so the full space is M*N translated copies of this
-    pinned one. With threads > 1 the a-space is split into disjoint chunks
-    whose nonnegative counts are summed, so the result does not depend on
-    scheduling.
+    pinned one. The pairs are numbered a-row by a-row and handled in blocks
+    of consecutive numbers.
     """
     key = (M, N, p)
     cached = _HISTOGRAM_CACHE.get(key)
     if cached is not None:
         return cached
-    pairs = M**(p - 1) * N**(p - 1)
-    if threads > 1 and p >= 2 and M >= 2 and pairs >= _PARALLEL_THRESHOLD:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-        counts: dict[tuple[int, ...], int] = {}
-        with ProcessPoolExecutor(max_workers=min(threads, M)) as pool:
-            for chunk in pool.map(partial(_histogram_chunk, M, N, p), range(M)):
-                for skey, mult in chunk.items():
-                    counts[skey] = counts.get(skey, 0) + mult
-    else:
-        counts = {}
-        for a_rest in product(range(M), repeat=p - 1):
-            a = (0,) + a_rest
-            for b_rest in product(range(N), repeat=p - 1):
-                b = (0,) + b_rest
-                skey = tuple(sorted(solution_set(a, b, M, N)))
-                counts[skey] = counts.get(skey, 0) + 1
-    result = tuple(sorted(counts.items()))
-    _HISTOGRAM_CACHE[key] = result
-    return result
-
-
-@lru_cache(maxsize=None)
-def _pinned_i_count(shifts: tuple[int, ...], r: int, M: int) -> int:
-    """Number of i-tuples with i_1 = 0 whose consecutive cyclic differences
-    all lie in `shifts`.
-
-    The condition at position x depends on (i_x, i_{x+1}) only through
-    i_x - i_{x+1} mod M (translate both by -i_{x+1}), so tuples are counted
-    by a walk over partial sums mod M.
-    """
-    if r == 1:
-        return 1  # the empty walk; 0 is always a valid shift
-    allowed = set(shifts)
-    if len(allowed) == M:
-        return M**(r - 1)
-    ways = [0] * M
-    ways[0] = 1
-    for _ in range(r - 1):
-        nxt = [0] * M
-        for m, w in enumerate(ways):
-            if w:
-                for s in shifts:
-                    nxt[(m + s) % M] += w
-        ways = nxt
-    return sum(w for m, w in enumerate(ways) if (-m) % M in allowed)
+    b_rows = N**(p - 1)
+    pairs = M**(p - 1) * b_rows
+    block = max(1, _BLOCK_CELLS // (M * N))
+    counts = np.zeros(M + 1, dtype=np.int64)
+    for start in range(0, pairs, block):
+        a_index, b_index = np.divmod(np.arange(start, min(start + block, pairs)), b_rows)
+        f = _difference_tables(_pinned_digits(a_index, M, p - 1),
+                               _pinned_digits(b_index, N, p - 1), M, N)
+        counts += np.bincount(_periods(f).sum(axis=1), minlength=M + 1)
+    histogram = {h: int(mult) for h, mult in enumerate(counts) if mult}
+    _HISTOGRAM_CACHE[key] = histogram
+    return histogram
 
 
 def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
@@ -206,14 +189,13 @@ def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
     configurations (i, a, b) satisfying counting_condition, divided by
     M^(p+r) * N^p.
 
-    Equals 1 whenever M = 1, N = 1, p = 1 or r = 1.
+    Equals 1 whenever M = 1, N = 1, p = 1 or r = 1. `threads` is accepted
+    and ignored: the count is vectorised in one process.
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
     _check_budget(f"d_{p}^{r}({M},{N}) enumeration", M**(p + r) * N**p, budget)
-    total = 0
-    for shifts, mult in _solution_histogram(M, N, p, threads):
-        total += mult * _pinned_i_count(shifts, r, M)
+    total = sum(mult * h**(r - 1) for h, mult in _order_histogram(M, N, p).items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.
     return Fraction(total * M * M * N, M**(p + r) * N**p)
 
@@ -251,7 +233,8 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
 
 def d42_closed(M: int, N: int, delta_4: Fraction | None = None) -> Fraction:
     """Closed form for d_4^2(M, N): beta_4^2 plus, for even M, a correction
-    (M-2)(N-1) / (M^4 N^3)."""
+    (M-2)(N-1) / (M^4 N^3), the excess of the pairs whose solution set is
+    the order-two subgroup {0, M/2}."""
     _validate_mn(M, N)
     if delta_4 is None:
         from .limits import delta_partition

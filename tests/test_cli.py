@@ -210,3 +210,28 @@ def test_cache_ignores_stale_version(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "__version__", "0.0.0-test")
     _, _, err = run_cli(argv, capsys)
     assert "cache hit" not in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: ["not", "a", "dict"],
+    lambda doc: {k: v for k, v in doc.items() if k != "value"},
+    lambda doc: dict(doc, value="oops"),
+    lambda doc: dict(doc, value="5"),
+    lambda doc: dict(doc, value="5/x"),
+    lambda doc: dict(doc, value="5/0"),
+    lambda doc: dict(doc, value=5),
+], ids=["not-a-dict", "no-value", "word", "no-slash", "non-integer",
+        "zero-denominator", "not-a-string"])
+def test_cache_malformed_entry_is_miss(tmp_path, capsys, corrupt):
+    cache_dir = tmp_path / "cache"
+    argv = ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "direct",
+            "--cache", str(cache_dir)]
+    run_cli(argv, capsys)
+    (entry,) = cache_dir.iterdir()
+    entry.write_text(json.dumps(corrupt(json.loads(entry.read_text()))))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and "cache hit" not in err
+    assert parse_csv(out)[0]["value"] == "5/8"
+    assert json.loads(entry.read_text())["value"] == "5/8"
+    _, _, err = run_cli(argv, capsys)
+    assert "cache hit" in err

@@ -76,6 +76,8 @@ def test_counting_condition_validation():
         counting_condition((0,), (0, 1), (0,), 2, 2)
     with pytest.raises(ParameterError):
         counting_condition((), (0,), (0,), 2, 2)
+    with pytest.raises(ParameterError):
+        solution_set((0, 1), (0,), 2, 2)
 
 
 def test_count_d_trivial_values():
@@ -231,3 +233,6 @@ def test_parameter_validation():
         count_d(2, 2, 2, 0)
     with pytest.raises(ParameterError):
         alpha(2, 2, 2, -1)
+    for args in ((True, 2, 2, 2), (2, True, 2, 2), (2, 2, True, 2), (2, 2, 2, True)):
+        with pytest.raises(ParameterError):
+            count_d(*args)
