@@ -1,8 +1,9 @@
 """Command-line front end: exact/Monte-Carlo moment computations, CSV/JSON
 serialization, result caching, and the cross-method verification drivers.
 
-Exit codes: 0 success, 2 parameter error, 3 budget error, 4 cross-check
-failure (two exact methods disagreeing aborts with both records printed).
+Exit codes: 0 success, 2 parameter error or unusable output/cache path,
+3 budget error, 4 cross-check failure (two exact methods disagreeing aborts
+with both records printed).
 """
 
 from __future__ import annotations
@@ -282,13 +283,14 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
             raise ParameterError("mc --kind model requires --r")
         est, ms = _timed(lambda: mc_estimate_c(
             args.M, args.N, args.p, args.r, args.samples, args.seed, args.budget))
-        exact = None
-        if args.M**(args.p + args.r) * args.N**args.p <= args.budget:
+        try:
             exact = c_from_d(
                 _cached(cache, ("d:direct", args.M, args.N, args.p, args.r),
                         lambda: count_d(args.M, args.N, args.p, args.r,
                                         args.budget)),
                 args.M, args.N, args.p)
+        except BudgetError:
+            exact = None  # estimate stands alone, no z column
         record = RunRecord("mc", "mc-model", M=args.M, N=args.N, p=args.p,
                            r=args.r, value_float=est.mean,
                            std_error=est.std_error, runtime_ms=ms,
@@ -313,8 +315,7 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_asymptotic(args, cache: Cache) -> list[RunRecord]:
-    n_values = [int(x) for x in args.N.split(",")]
-    report, ms = _timed(lambda: regime_check(Fraction(args.t), args.p, n_values))
+    report, ms = _timed(lambda: regime_check(args.t, args.p, args.N))
     records = []
     for row in report.rows:
         records.append(RunRecord("asymptotic", "ladder", M=row.M, N=row.N,
@@ -336,13 +337,29 @@ def cmd_estimate(args, cache: Cache) -> list[RunRecord]:
                       runtime_ms=ms)]
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of integers: {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--cache", default=None,
                         help=f"cache directory (default ${CACHE_ENV_VAR})")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="operation budget for enumerations")
+                        help="refuse exact work estimated above this many operations")
     parser.add_argument("--threads", type=int, default=1,
                         help="ignored; counting runs in one process")
 
@@ -395,9 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=cmd_mc)
 
     asym = sub.add_parser("asymptotic", help="proportional-regime ladders")
-    asym.add_argument("--t", required=True, help="ratio M/N (rational, e.g. 2 or 1/2)")
+    asym.add_argument("--t", type=_rational, required=True,
+                      help="ratio M/N (rational, e.g. 2 or 1/2)")
     asym.add_argument("--p", type=int, required=True)
-    asym.add_argument("--N", required=True, help="comma list of N values")
+    asym.add_argument("--N", type=_int_list, required=True,
+                      help="comma list of N values")
     _add_common(asym)
     asym.set_defaults(func=cmd_asymptotic)
 
@@ -419,10 +438,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("estimate --kind decay requires --p")
         if args.kind == "rs" and args.k is None:
             parser.error("estimate --kind rs requires --k")
-    cache = Cache(args.cache or os.environ.get(CACHE_ENV_VAR))
     try:
+        cache = Cache(args.cache or os.environ.get(CACHE_ENV_VAR))
         records = args.func(args, cache)
-    except ParameterError as exc:
+        _emit(records, args.format, args.out)
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
@@ -431,7 +451,6 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 4
-    _emit(records, args.format, args.out)
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +40,9 @@ def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fracti
     the pairs whose solution set is all of Z_M."""
     _validate_mn(M, N)
     _validate_pos(p=p)
-    _check_budget(f"delta_{p}({M},{N}) enumeration", (M * N)**p, budget)
     # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
     # translation invariant in a and in b separately, so scale by M*N.
-    hits = _order_histogram(M, N, p).get(M, 0)
+    hits = _order_histogram(M, N, p, budget).get(M, 0)
     return Fraction(hits * M * N, (M * N)**p)
 
 
@@ -134,58 +132,32 @@ def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
         return Fraction(1)
     if N == 2:
         return Fraction(math.comb(2 * k, k), 4**k)
-    return Fraction(_squared_multinomial_sum(N, k, budget), N**(2 * k))
+    return Fraction(_squared_multinomial_row(N, k, budget)[k], N**(2 * k))
 
 
-def _squared_multinomial_sum(N: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
-    if N <= 4 and math.comb(k + N - 1, N - 1) <= 20_000:
-        total = 0
-        for parts in _compositions(k, N):
-            total += _multinomial(k, parts)**2
-        return total
+def _squared_multinomial_row(N: int, k: int, budget: int) -> list[int]:
+    """A_N(m) for m = 0..k: the sum over compositions of m into N parts of
+    the squared multinomial coefficient."""
     _check_budget("squared-multinomial dynamic program", N * (k + 1)**2, budget)
-    return _squared_multinomial_dp(N, k)[k]
-
-
-def _compositions(k, parts):
-    if parts == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(k, parts):
-    out = 1
-    remaining = k
-    for part in parts[:-1]:
-        out *= math.comb(remaining, part)
-        remaining -= part
-    return out
-
-
-@lru_cache(maxsize=None)
-def _squared_multinomial_dp(N: int, k: int) -> tuple[int, ...]:
-    # Peeling the last part: A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i).
-    if N == 1:
-        return tuple([1] * (k + 1))
-    prev = _squared_multinomial_dp(N - 1, k)
-    row = []
-    for m in range(k + 1):
-        row.append(sum(math.comb(m, i)**2 * prev[m - i] for i in range(m + 1)))
-    return tuple(row)
+    # A_1(m) = 1 and A_2(m) = C(2m, m); peeling the last part gives
+    # A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i).
+    row = [math.comb(2 * m, m) if N > 1 else 1 for m in range(k + 1)]
+    for _ in range(N - 2):
+        row = [sum(math.comb(m, i)**2 * row[m - i] for i in range(m + 1))
+               for m in range(k + 1)]
+    return row
 
 
 def delta_m2(N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact limiting moment at M = 2 through the binomial route:
     2^(1-p) * sum_k C(p, 2k) * moment_integral(N, k)."""
     _validate_pos(N=N, p=p)
-    _check_budget("binomial-route evaluation", N * (p // 2 + 1)**2, budget)
-    total = Fraction(0)
-    for k in range(p // 2 + 1):
-        total += math.comb(p, 2 * k) * moment_integral(N, k, budget)
-    return Fraction(1, 2**(p - 1)) * total
+    kmax = p // 2
+    row = _squared_multinomial_row(N, kmax, budget)
+    # moment_integral(N, k) = row[k] / N^(2k), over the common denominator.
+    total = sum(math.comb(p, 2 * k) * row[k] * N**(2 * (kmax - k))
+                for k in range(kmax + 1))
+    return Fraction(total, 2**(p - 1) * N**(2 * kmax))
 
 
 def delta_m2_float(N: int, p: int) -> float:
@@ -242,19 +214,19 @@ def delta_upper_bound(M: int, N: int, p: int) -> Fraction:
 def delta_exact(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """The limiting moment by the cheapest exact route available: the
     partition sum when p is within the pair-scan cap, direct enumeration
-    when it fits the budget, else the binomial route when a side equals 2."""
+    when its period histogram fits the budget, else the binomial route when
+    a side equals 2."""
     _validate_mn(M, N)
     _validate_pos(p=p)
     if p <= TRIANGLE_CAP:
         return delta_partition(M, N, p)
-    if (M * N)**p <= budget:
+    try:
         return delta_direct(M, N, p, budget)
-    # The pair-compatibility problem is symmetric in the two sides, so a
-    # two-row N works the same as a two-row M.
-    if M == 2:
-        return delta_m2(N, p, budget)
-    if N == 2:
-        return delta_m2(M, p, budget)
-    raise BudgetError(
-        f"no exact route for delta_{p}({M},{N}) within budget",
-        estimated_ops=(M * N)**p, budget=budget)
+    except BudgetError:
+        # The pair-compatibility problem is symmetric in the two sides, so a
+        # two-row N works the same as a two-row M.
+        if M == 2:
+            return delta_m2(N, p, budget)
+        if N == 2:
+            return delta_m2(M, p, budget)
+        raise

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
-from .truncated import DEFAULT_BUDGET, _validate_mn, _validate_pos
+from .errors import ValidationError
+from .truncated import DEFAULT_BUDGET, _check_budget, _validate_mn, _validate_pos
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -163,10 +163,7 @@ def transfer_fiber(U: MagicUnitary, p: int,
     """
     _validate_pos(p=p)
     K = U.K
-    if K**(2 * p) > budget // 8:
-        raise BudgetError(
-            f"transfer matrix has K^(2p) = {K**(2*p):.3e} entries, over budget",
-            estimated_ops=K**(2 * p), budget=budget // 8)
+    _check_budget(f"transfer matrix at K={K}, p={p}", 8 * K**(2 * p), budget)
     gram = _pair_gram(U.quotients).reshape(K * K, K * K)
     letters = "abcdefghijklmnop"[:p]
     if p == 1:
@@ -245,27 +242,26 @@ def _torus_trace(grams: list[np.ndarray], K: int, p: int) -> complex:
     p-th power.
     """
     r = len(grams)
+    # The normalisation K^(-r(p+1)) is applied factor by factor, so the
+    # products stay near the moment's size instead of overflowing.
+    # Multiplying by a real reciprocal is cheaper than a complex division.
     if r <= p:
         # Factor x couples row components (x, x+1): exactly grams[x].
-        step = _slice_operator(grams, r, K)
-        mats = [step] * p
-    else:
-        # Transfer matrix of fiber x: rows are the x-th slice, columns the
-        # (x+1)-th; position y couples (row_y, col_y) to (row_{y+1}, col_{y+1}),
-        # so the slice-operator factor at y is gram[x] with axes reordered to
-        # (row_y, row_{y+1}, col_y, col_{y+1}).
-        mats = [_slice_operator([g.transpose(0, 2, 1, 3)] * p, p, K)
-                for g in grams]
-    return _trace_of_product(mats) / K**(r * (p + 1))
+        step = _slice_operator(grams, r, K) * K**-r
+        return _trace_of_product([step] * p) * K**-r
+    # Transfer matrix of fiber x: rows are the x-th slice, columns the
+    # (x+1)-th; position y couples (row_y, col_y) to (row_{y+1}, col_{y+1}),
+    # so the slice-operator factor at y is gram[x] with axes reordered to
+    # (row_y, row_{y+1}, col_y, col_{y+1}).
+    mats = [_slice_operator([g.transpose(0, 2, 1, 3)] * p, p, K) * K**-(p + 1)
+            for g in grams]
+    return _trace_of_product(mats)
 
 
 def _check_torus_budget(K: int, p: int, r: int, budget: int) -> None:
     n, q = min(p, r), max(p, r)
     cost = K**(3 * n) * max(1, q - 2) + K**(2 * n) * p * r
-    if cost > budget:
-        raise BudgetError(
-            f"trace statistic needs ~{cost:.3e} operations per sample, over budget",
-            estimated_ops=cost, budget=budget)
+    _check_budget("trace statistic per sample", cost, budget)
 
 
 def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
@@ -310,5 +306,7 @@ def _mean_and_error(values: np.ndarray) -> McEstimate:
     mean = float(values.mean())
     if n < 2:
         return McEstimate(mean, 0.0)
-    spread = float(values.std(ddof=1))
+    # Scale to at most 1 first, so that squaring large moments cannot overflow.
+    scale = float(np.abs(values).max()) or 1.0
+    spread = float((values / scale).std(ddof=1)) * scale
     return McEstimate(mean, spread / math.sqrt(n))

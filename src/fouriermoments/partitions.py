@@ -8,6 +8,7 @@ single-consumer but independent streams may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -276,14 +277,11 @@ def bell_number(p: int) -> int:
     return sum(_stirling_row(p))
 
 
-@lru_cache(maxsize=None)
 def _narayana_profile(p: int) -> tuple[int, ...]:
-    # Block-count profile of NC(p), computed by direct enumeration.
+    # Block-count profile of NC(p): the Narayana numbers C(p, k) C(p, k-1) / p.
     _check_p(p)
-    profile = [0] * (p + 1)
-    for part in noncrossing_partitions(p):
-        profile[part.num_blocks] += 1
-    return tuple(profile)
+    return (0,) + tuple(math.comb(p, k) * math.comb(p, k - 1) // p
+                        for k in range(1, p + 1))
 
 
 def partition_stats(p: int) -> PartitionStats:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 
-# Refuse enumerations whose definitional configuration space M^(p+r) * N^p
-# exceeds this many elements.
+# Each exact kernel estimates its own work (the period histogram's estimate
+# is in _order_histogram) and refuses it above this many elementary operations.
 DEFAULT_BUDGET = 10**9
 
 # Difference-table cells the period kernel holds per block of pairs, so its
@@ -156,14 +156,16 @@ def _pinned_digits(index: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
+def _order_histogram(M: int, N: int, p: int,
+                     budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """{|H|: number of (a, b) pairs with a_1 = b_1 = 0 whose solution set
     has order |H|}, cached per (M, N, p).
 
     The counting condition is invariant under translating all of a (or all
     of b) by a constant, so the full space is M*N translated copies of this
     pinned one. The pairs are numbered a-row by a-row and handled in blocks
-    of consecutive numbers.
+    of consecutive numbers. A cached histogram is never refused; building
+    one costs 2p bincount inputs and M^2 N compared cells per pinned pair.
     """
     key = (M, N, p)
     cached = _HISTOGRAM_CACHE.get(key)
@@ -171,6 +173,8 @@ def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
         return cached
     b_rows = N**(p - 1)
     pairs = M**(p - 1) * b_rows
+    _check_budget(f"period histogram of ({M},{N},{p})",
+                  pairs * (2 * p + M * M * N), budget)
     block = max(1, _BLOCK_CELLS // (M * N))
     counts = np.zeros(M + 1, dtype=np.int64)
     for start in range(0, pairs, block):
@@ -189,13 +193,14 @@ def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
     configurations (i, a, b) satisfying counting_condition, divided by
     M^(p+r) * N^p.
 
-    Equals 1 whenever M = 1, N = 1, p = 1 or r = 1. `threads` is accepted
+    Equals 1 whenever M = 1, N = 1, p = 1 or r = 1. The budget applies to
+    the period histogram, so it does not depend on r. `threads` is accepted
     and ignored: the count is vectorised in one process.
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
-    _check_budget(f"d_{p}^{r}({M},{N}) enumeration", M**(p + r) * N**p, budget)
-    total = sum(mult * h**(r - 1) for h, mult in _order_histogram(M, N, p).items())
+    histogram = _order_histogram(M, N, p, budget)
+    total = sum(mult * h**(r - 1) for h, mult in histogram.items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.
     return Fraction(total * M * M * N, M**(p + r) * N**p)
 
@@ -223,7 +228,8 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
     base condition holds: delta_p + (1 - delta_p) / M^(r-1).
 
     Takes the exact limiting moment delta_p as input; equals d_p^r(M, N)
-    when M = 1, N = 1, r = 1 or p <= 3.
+    when M = 1, N = 1, r = 1 or p <= 3, and for every p when M is prime,
+    because Z_M then has only the trivial subgroups.
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)

@@ -38,6 +38,19 @@ def narayana(p: int, k: int) -> int:
     return math.comb(p, k) * math.comb(p, k - 1) // p
 
 
+def squared_multinomial_scan(N: int, k: int) -> int:
+    """Sum of the squared multinomial coefficients k! / (k_1! ... k_N!) over
+    every composition (k_1, ..., k_N) of k, by scanning the compositions."""
+    total = 0
+    for parts in product(range(k + 1), repeat=N):
+        if sum(parts) == k:
+            coefficient = math.factorial(k)
+            for part in parts:
+                coefficient //= math.factorial(part)
+            total += coefficient**2
+    return total
+
+
 def crossing_by_quadruples(blocks, p: int) -> bool:
     """O(p^4) literal scan for a crossing quadruple."""
     owner = {}

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,10 +48,10 @@ def test_truncated_golden_row(capsys):
 
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(
-        ["truncated", "--M", "4", "--N", "4", "--p", "6", "--r", "6"], capsys)
+        ["truncated", "--M", "4", "--N", "4", "--p", "7", "--r", "2"], capsys)
     assert code == 3
     assert "budget" in err
-    assert "6.872e+10" in err  # the estimated operation count is named
+    assert "1.309e+09" in err  # the estimated operation count is named
 
 
 def test_parameter_exit_code(capsys):
@@ -59,6 +60,35 @@ def test_parameter_exit_code(capsys):
          "--method", "nonsense"], capsys)
     assert code == 2
     assert "unknown truncated method" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotic", "--t", "abc", "--p", "3", "--N", "4"],
+    ["asymptotic", "--t", "1/0", "--p", "3", "--N", "4"],
+    ["asymptotic", "--t", "1", "--p", "3", "--N", "4,x"],
+], ids=["t-not-rational", "t-zero-denominator", "N-not-integer"])
+def test_malformed_asymptotic_arguments_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["limit", "--M", "2", "--N", "2", "--p", "2",
+         "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_cache_path_is_a_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "file"
+    target.write_text("not a directory")
+    code, _, err = run_cli(
+        ["limit", "--M", "2", "--N", "2", "--p", "2", "--cache", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_argparse_error_exit_code(capsys):
@@ -109,6 +139,15 @@ def test_limit_bound_not_cross_checked(capsys):
     assert Fraction(rows[0]["value"]) <= Fraction(rows[1]["value"])
 
 
+def test_converge_large_r_max(capsys):
+    code, out, _ = run_cli(
+        ["converge", "--M", "2", "--N", "2", "--p", "10", "--r-max", "30"], capsys)
+    assert code == 0
+    direct = {int(r["r"]): Fraction(r["value"]) for r in parse_csv(out)
+              if r["method"] == "direct"}
+    assert sorted(direct) == list(range(1, 31))
+
+
 def test_converge_gap_column(capsys):
     code, out, _ = run_cli(
         ["converge", "--M", "2", "--N", "2", "--p", "4", "--r-max", "8"], capsys)
@@ -132,6 +171,19 @@ def test_mc_records_deterministic(capsys):
     assert row["method"] == "mc-model" and row["seed"] == "7"
     assert abs(float(row["z"])) < 6
     assert float(row["std_error"]) > 0
+
+
+def test_mc_model_beyond_count_budget(capsys):
+    # no exact count fits the budget: the estimate stands alone, and it is
+    # finite although the moment is about 4^299
+    code, out, _ = run_cli(
+        ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "300", "--r", "2",
+         "--samples", "2", "--seed", "1"], capsys)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["z"] == ""
+    assert math.isfinite(float(row["value_float"]))
+    assert math.isfinite(float(row["std_error"]))
 
 
 def test_mc_gram_z_column(capsys):

@@ -7,8 +7,7 @@ import pytest
 
 from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import (
-    _squared_multinomial_dp,
-    _squared_multinomial_sum,
+    _squared_multinomial_row,
     decompose,
     delta_direct,
     delta_exact,
@@ -20,7 +19,7 @@ from fouriermoments.limits import (
     moment_integral,
 )
 
-from helpers import counter_delta, counter_delta_back_shift
+from helpers import counter_delta, counter_delta_back_shift, squared_multinomial_scan
 
 
 def test_delta_small_values():
@@ -100,9 +99,10 @@ def test_moment_integral_values():
 def test_moment_integral_paths_agree():
     # composition scan and dynamic program compute the same big integers
     for N in (3, 4):
+        row = _squared_multinomial_row(N, 8, budget=10**6)
         for k in range(9):
-            scan = _squared_multinomial_sum(N, k)
-            assert scan == _squared_multinomial_dp(N, k)[k]
+            scan = squared_multinomial_scan(N, k)
+            assert scan == row[k]
             assert moment_integral(N, k) == Fraction(scan, N**(2 * k))
 
 
@@ -160,3 +160,10 @@ def test_delta_exact_routes():
     assert delta_exact(3, 2, 40, budget=10**6) == delta_m2(3, 40)
     with pytest.raises(BudgetError):
         delta_exact(3, 3, 40, budget=10**6)
+
+
+def test_delta_exact_falls_back_when_histogram_refused():
+    with pytest.raises(BudgetError) as info:
+        delta_direct(2, 2, 14)
+    assert info.value.estimated_ops == 4**13 * (2 * 14 + 2 * 2 * 2)
+    assert delta_exact(2, 2, 14) == delta_m2(2, 14)

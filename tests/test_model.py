@@ -21,7 +21,7 @@ from fouriermoments.model import (
     random_phase_matrix,
     transfer_fiber,
 )
-from fouriermoments.truncated import c_from_d, count_d
+from fouriermoments.truncated import alpha, c_from_d, count_d
 
 
 def test_fourier_matrix_small():
@@ -117,6 +117,15 @@ def test_transfer_budget():
         transfer_fiber(unit, 8)
 
 
+def test_transfer_budget_limit():
+    # 8 * K^(2p) operations: K = 4, p = 2 fits a budget of 2048 exactly
+    unit = magic_unitary(dita_deform(flat_phase_matrix(2, 2)))
+    assert transfer_fiber(unit, 2, budget=2048).entries.shape == (16, 16)
+    with pytest.raises(BudgetError) as info:
+        transfer_fiber(unit, 2, budget=2047)
+    assert info.value.estimated_ops == 2048
+
+
 def test_torus_trace_matches_transfer_products():
     rng = np.random.default_rng(23)
     for M, N, p, r in itertools.product((2, 3), (2,), (1, 2, 3), (1, 2, 3)):
@@ -162,6 +171,21 @@ def test_mc_estimate_c_smoke_z():
     assert abs(est.mean - exact) <= 5 * est.std_error
 
 
+def test_mc_estimate_c_long_r_is_finite():
+    # c_2^200(2, 2) = 3 exactly; the products of 200 transfer matrices must
+    # not overflow on the way there
+    exact = float(c_from_d(alpha(2, 2, 2, 200), 2, 2, 2))
+    assert exact == 3
+    est = mc_estimate_c(2, 2, 2, 200, samples=20, seed=5)
+    assert abs(est.mean - exact) <= max(3 * est.std_error, 1e-9 * exact)
+
+
+def test_mc_estimate_c_long_p_is_finite():
+    est = mc_estimate_c(2, 2, 200, 2, samples=20, seed=5)
+    assert np.isfinite(est.mean) and est.mean > 0
+    assert np.isfinite(est.std_error)
+
+
 def test_mc_estimate_delta_smoke():
     est = mc_estimate_delta(2, 3, 3, samples=1500, seed=21)
     exact = float(delta_partition(2, 3, 3))
@@ -171,6 +195,14 @@ def test_mc_estimate_delta_smoke():
     flat = mc_estimate_delta(3, 2, 1, samples=30, seed=4)
     assert abs(flat.mean - 1) < 1e-12
     assert flat.std_error < 1e-12
+
+
+def test_torus_budget_limit():
+    # K = 4, p = 3, r = 2: K^6 * 1 + K^4 * 6 = 5632 operations per sample
+    mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=5632)
+    with pytest.raises(BudgetError) as info:
+        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=5631)
+    assert info.value.estimated_ops == 5632
 
 
 def test_mc_budget_and_validation():

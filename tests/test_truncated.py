@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fouriermoments.errors import BudgetError, ParameterError
-from fouriermoments.limits import delta_partition
+from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
     _HISTOGRAM_CACHE,
+    _order_histogram,
     alpha,
     base_condition,
     beta,
@@ -114,9 +115,36 @@ def test_count_d_thread_invariance():
 
 
 def test_count_d_budget_guard():
+    # the period histogram's work: (MN)^(p-1) pinned pairs times (2p + M^2 N)
     with pytest.raises(BudgetError) as info:
-        count_d(4, 4, 6, 6)
-    assert info.value.estimated_ops == 4**12 * 4**6
+        count_d(4, 4, 7, 2)
+    assert info.value.estimated_ops == 16**6 * (2 * 7 + 4 * 4 * 4)
+
+
+def test_count_d_budget_does_not_depend_on_r():
+    refused = []
+    for r in (2, 50):
+        with pytest.raises(BudgetError) as info:
+            count_d(4, 4, 7, r)
+        refused.append(info.value.estimated_ops)
+    assert refused[0] == refused[1]
+
+
+def test_count_d_large_r_from_histogram():
+    _HISTOGRAM_CACHE.clear()
+    histogram = _order_histogram(2, 2, 10)
+    total = sum(mult * h**29 for h, mult in histogram.items())
+    assert count_d(2, 2, 10, 30) == Fraction(total * 2 * 2 * 2, 2**40 * 2**10)
+
+
+def test_cached_histogram_is_never_refused():
+    _HISTOGRAM_CACHE.clear()
+    warm = count_d(2, 2, 10, 2)
+    assert count_d(2, 2, 10, 2, budget=1) == warm
+    assert delta_direct(2, 2, 10, budget=1) == delta_direct(2, 2, 10)
+    _HISTOGRAM_CACHE.clear()
+    with pytest.raises(BudgetError):
+        count_d(2, 2, 10, 2, budget=1)
 
 
 def test_c_from_d():
