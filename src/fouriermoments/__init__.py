@@ -28,6 +28,7 @@ from .truncated import (
     alpha,
     beta,
     d42_closed,
+    closed_form_is_exact,
     solution_set,
     base_condition,
     i_tuple_probability,
@@ -37,6 +38,7 @@ from .limits import (
     delta_direct,
     delta_partition,
     delta_exact,
+    delta_binomial,
     epsilon,
     decompose,
     moment_integral,

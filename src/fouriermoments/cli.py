@@ -24,16 +24,17 @@ from .asymptotics import delta_decay_estimate, regime_check, richmond_shallit
 from .errors import BudgetError, CrossCheckError, ParameterError
 from .limits import (
     decompose,
+    delta_binomial,
     delta_direct,
     delta_exact,
-    delta_m2,
     delta_m2_float,
     delta_partition,
     delta_upper_bound,
     moment_integral,
 )
 from .model import mc_estimate_c, mc_estimate_delta
-from .truncated import DEFAULT_BUDGET, alpha, beta, c_from_d, count_d, d42_closed
+from .truncated import (DEFAULT_BUDGET, alpha, beta, c_from_d, closed_form_is_exact,
+                        count_d, d42_closed)
 
 CACHE_ENV_VAR = "FOURIERMOMENTS_CACHE"
 
@@ -174,89 +175,61 @@ def _delta_for(M: int, N: int, p: int, budget: int, cache: Cache) -> Fraction:
                    lambda: delta_exact(M, N, p, budget))
 
 
-def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
-    methods = args.method.split(",")
+def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
+    """One timed record per method of the comma list `args.method`; each
+    route is a thunk, so it looks its functions up when it runs."""
     records = []
-    for method in methods:
-        if method == "direct":
-            value, ms = _timed(lambda: _cached(
-                cache, ("d:direct", args.M, args.N, args.p, args.r),
-                lambda: count_d(args.M, args.N, args.p, args.r, args.budget)))
-        elif method == "alpha":
-            value, ms = _timed(lambda: alpha(args.M, args.N, args.p, args.r))
-        elif method == "beta":
-            value, ms = _timed(lambda: beta(
-                args.M, args.N, args.p, args.r,
-                _delta_for(args.M, args.N, args.p, args.budget, cache)))
-        elif method == "d42":
-            if (args.p, args.r) != (4, 2):
-                raise ParameterError("method d42 requires --p 4 --r 2")
-            value, ms = _timed(lambda: d42_closed(
-                args.M, args.N, _delta_for(args.M, args.N, 4, args.budget, cache)))
-        else:
-            raise ParameterError(f"unknown truncated method {method!r}")
-        records.append(RunRecord("truncated", method, M=args.M, N=args.N,
-                                 p=args.p, r=args.r, value_exact=value,
-                                 runtime_ms=ms))
-    _check_truncated_agreement(args, records)
+    for method in args.method.split(","):
+        if method not in routes:
+            raise ParameterError(f"unknown {command} method {method!r}")
+        value, ms = _timed(routes[method])
+        records.append(RunRecord(command, method, M=args.M, N=args.N, p=args.p,
+                                 value_exact=value, runtime_ms=ms, **fields))
     return records
 
 
-def _check_truncated_agreement(args, records: list[RunRecord]) -> None:
-    # alpha/beta/d42 are guaranteed to reproduce the direct count only in
-    # their exactness regimes; compare only there.
-    by_method = {r.method: r for r in records}
-    direct = by_method.get("direct")
-    if direct is None:
-        return
-    equal_regimes = {
-        "alpha": args.M == 1 or args.N == 1 or args.r == 1 or args.p <= 2,
-        "beta": args.M == 1 or args.N == 1 or args.r == 1 or args.p <= 3,
-        "d42": (args.p, args.r) == (4, 2),
-    }
-    for method, rec in by_method.items():
-        if method != "direct" and equal_regimes.get(method):
-            _cross_check([direct, rec])
+def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
+    M, N, p, r, budget = args.M, args.N, args.p, args.r, args.budget
+
+    def d42():
+        if (p, r) != (4, 2):
+            raise ParameterError("method d42 requires --p 4 --r 2")
+        return d42_closed(M, N, _delta_for(M, N, 4, budget, cache))
+
+    records = _run_methods("truncated", {
+        "direct": lambda: _cached(cache, ("d:direct", M, N, p, r),
+                                  lambda: count_d(M, N, p, r, budget)),
+        "alpha": lambda: alpha(M, N, p, r),
+        "beta": lambda: beta(M, N, p, r, _delta_for(M, N, p, budget, cache)),
+        "d42": d42,
+    }, args, r=r)
+    # A closed form reproduces the direct count only where it is exact.
+    _cross_check([rec for rec in records if rec.method == "direct"
+                  or closed_form_is_exact(rec.method, M, N, p, r)])
+    return records
 
 
 def cmd_limit(args, cache: Cache) -> list[RunRecord]:
-    records = []
-    for method in args.method.split(","):
-        if method == "direct":
-            value, ms = _timed(lambda: _cached(
-                cache, ("delta:direct", args.M, args.N, args.p, None),
-                lambda: delta_direct(args.M, args.N, args.p, args.budget)))
-        elif method == "partition":
-            value, ms = _timed(lambda: _cached(
-                cache, ("delta:partition", args.M, args.N, args.p, None),
-                lambda: delta_partition(args.M, args.N, args.p)))
-        elif method == "binomial":
-            if args.M == 2:
-                rows = args.N
-            elif args.N == 2:
-                rows = args.M
-            else:
-                raise ParameterError("method binomial requires M = 2 or N = 2")
-            value, ms = _timed(lambda: _cached(
-                cache, ("delta:binomial", args.M, args.N, args.p, None),
-                lambda: delta_m2(rows, args.p, args.budget)))
-        elif method == "bound":
-            value, ms = _timed(lambda: delta_upper_bound(args.M, args.N, args.p))
-        else:
-            raise ParameterError(f"unknown limit method {method!r}")
-        records.append(RunRecord("limit", method, M=args.M, N=args.N,
-                                 p=args.p, value_exact=value, runtime_ms=ms))
+    M, N, p, budget = args.M, args.N, args.p, args.budget
+
+    def cached(method, compute):
+        return lambda: _cached(cache, (f"delta:{method}", M, N, p, None), compute)
+
+    records = _run_methods("limit", {
+        "direct": cached("direct", lambda: delta_direct(M, N, p, budget)),
+        "partition": cached("partition", lambda: delta_partition(M, N, p)),
+        "binomial": cached("binomial", lambda: delta_binomial(M, N, p, budget)),
+        "bound": lambda: delta_upper_bound(M, N, p),
+    }, args)
     # The bound method is an upper estimate, not another route to the value.
     _cross_check([r for r in records if r.method != "bound"])
     if args.report == "decomposition":
-        report, ms = _timed(lambda: decompose(args.M, args.N, args.p))
+        report, ms = _timed(lambda: decompose(M, N, p))
         for (s, t), contribution in sorted(report.contributions.items()):
-            records.append(RunRecord("limit", f"st[{s},{t}]", M=args.M,
-                                     N=args.N, p=args.p,
+            records.append(RunRecord("limit", f"st[{s},{t}]", M=M, N=N, p=p,
                                      value_exact=contribution, runtime_ms=ms))
-        records.append(RunRecord("limit", "st-total", M=args.M, N=args.N,
-                                 p=args.p, value_exact=report.total,
-                                 runtime_ms=ms))
+        records.append(RunRecord("limit", "st-total", M=M, N=N, p=p,
+                                 value_exact=report.total, runtime_ms=ms))
     return records
 
 
@@ -278,39 +251,30 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_mc(args, cache: Cache) -> list[RunRecord]:
+    M, N, p, budget = args.M, args.N, args.p, args.budget
     if args.kind == "model":
-        if args.r is None:
+        r = args.r
+        if r is None:
             raise ParameterError("mc --kind model requires --r")
-        est, ms = _timed(lambda: mc_estimate_c(
-            args.M, args.N, args.p, args.r, args.samples, args.seed, args.budget))
-        try:
-            exact = c_from_d(
-                _cached(cache, ("d:direct", args.M, args.N, args.p, args.r),
-                        lambda: count_d(args.M, args.N, args.p, args.r,
-                                        args.budget)),
-                args.M, args.N, args.p)
-        except BudgetError:
-            exact = None  # estimate stands alone, no z column
-        record = RunRecord("mc", "mc-model", M=args.M, N=args.N, p=args.p,
-                           r=args.r, value_float=est.mean,
-                           std_error=est.std_error, runtime_ms=ms,
-                           seed=args.seed)
+        estimate = lambda: mc_estimate_c(M, N, p, r, args.samples, args.seed, budget)
+        exact = lambda: c_from_d(_cached(cache, ("d:direct", M, N, p, r),
+                                         lambda: count_d(M, N, p, r, budget)), M, N, p)
     else:
-        est, ms = _timed(lambda: mc_estimate_delta(
-            args.M, args.N, args.p, args.samples, args.seed))
-        try:
-            exact = _delta_for(args.M, args.N, args.p, args.budget, cache)
-        except (BudgetError, ParameterError):
-            exact = None  # estimate stands alone, no z column
-        record = RunRecord("mc", "mc-gram", M=args.M, N=args.N, p=args.p,
-                           value_float=est.mean, std_error=est.std_error,
-                           runtime_ms=ms, seed=args.seed)
-    if exact is not None:
-        gap = record.value_float - float(exact)
-        if record.std_error == 0:
-            record.z = 0.0 if abs(gap) < 1e-9 else float("inf")
-        else:
-            record.z = gap / record.std_error
+        r = None
+        estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed)
+        exact = lambda: _delta_for(M, N, p, budget, cache)
+    est, ms = _timed(estimate)
+    record = RunRecord("mc", f"mc-{args.kind}", M=M, N=N, p=p, r=r,
+                       value_float=est.mean, std_error=est.std_error,
+                       runtime_ms=ms, seed=args.seed)
+    try:
+        gap = record.value_float - float(exact())
+    except (BudgetError, ParameterError):
+        return [record]  # estimate stands alone, no z column
+    if record.std_error == 0:
+        record.z = 0.0 if abs(gap) < 1e-9 else float("inf")
+    else:
+        record.z = gap / record.std_error
     return [record]
 
 
@@ -353,6 +317,11 @@ def _int_list(text: str) -> list[int]:
             f"not a comma list of integers: {text!r}") from None
 
 
+def _add_mnp(parser: argparse.ArgumentParser) -> None:
+    for name in ("--M", "--N", "--p"):
+        parser.add_argument(name, type=int, required=True)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -373,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("truncated", help="truncated moments d_p^r and bounds")
-    tr.add_argument("--M", type=int, required=True)
-    tr.add_argument("--N", type=int, required=True)
-    tr.add_argument("--p", type=int, required=True)
+    _add_mnp(tr)
     tr.add_argument("--r", type=int, required=True)
     tr.add_argument("--method", default="direct",
                     help="comma list from direct,alpha,beta,d42")
@@ -383,28 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
     tr.set_defaults(func=cmd_truncated)
 
     lim = sub.add_parser("limit", help="limiting moments delta_p")
-    lim.add_argument("--M", type=int, required=True)
-    lim.add_argument("--N", type=int, required=True)
-    lim.add_argument("--p", type=int, required=True)
+    _add_mnp(lim)
     lim.add_argument("--method", default="partition",
-                     help="comma list from direct,partition,binomial")
+                     help="comma list from direct,partition,binomial,bound")
     lim.add_argument("--report", choices=("decomposition",), default=None)
     _add_common(lim)
     lim.set_defaults(func=cmd_limit)
 
     conv = sub.add_parser("converge", help="d_p^r against its r -> infinity limit")
-    conv.add_argument("--M", type=int, required=True)
-    conv.add_argument("--N", type=int, required=True)
-    conv.add_argument("--p", type=int, required=True)
+    _add_mnp(conv)
     conv.add_argument("--r-max", dest="r_max", type=int, required=True)
     _add_common(conv)
     conv.set_defaults(func=cmd_converge)
 
     mc = sub.add_parser("mc", help="Monte Carlo oracles")
     mc.add_argument("--kind", choices=("model", "gram"), required=True)
-    mc.add_argument("--M", type=int, required=True)
-    mc.add_argument("--N", type=int, required=True)
-    mc.add_argument("--p", type=int, required=True)
+    _add_mnp(mc)
     mc.add_argument("--r", type=int, default=None)
     mc.add_argument("--samples", type=int, required=True)
     mc.add_argument("--seed", type=int, required=True)

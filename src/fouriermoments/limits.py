@@ -16,22 +16,12 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .partitions import TRIANGLE_CAP, stirling_number, triangle_pair_counts
-from .truncated import (DEFAULT_BUDGET, _check_budget, _order_histogram, _validate_mn,
-                        _validate_pos)
+from .truncated import (DEFAULT_BUDGET, _check_budget, _is_int, _order_histogram,
+                        _validate_mn, _validate_pos)
 
 # Exact binomial-route evaluation is refused above this p; the floating
 # evaluator covers the large-p regime instead.
 FLOAT_P_CAP = 10**6
-
-
-def _falling(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1); zero when k > n."""
-    if k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
 
 
 def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -57,7 +47,7 @@ def delta_partition(M: int, N: int, p: int) -> Fraction:
     total = 0
     for (s, t), pairs in table.items():
         if pairs:
-            total += _falling(M, s) * _falling(N, t) * pairs
+            total += math.perm(M, s) * math.perm(N, t) * pairs
     return Fraction(total, (M * N)**p)
 
 
@@ -115,7 +105,7 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
             pairs = table[(s, t)]
             eps[(s, t)] = Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
             contributions[(s, t)] = Fraction(
-                _falling(M, s) * _falling(N, t) * pairs, (M * N)**p)
+                math.perm(M, s) * math.perm(N, t) * pairs, (M * N)**p)
             total += contributions[(s, t)]
     return DecompositionReport(M=M, N=N, p=p, contributions=contributions,
                                epsilon=eps, total=total)
@@ -126,7 +116,7 @@ def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     uniform phases: N^(-2k) * sum over compositions of k into N parts of the
     squared multinomial coefficient."""
     _validate_pos(N=N)
-    if not (isinstance(k, int) and k >= 0):
+    if not (_is_int(k) and k >= 0):
         raise ParameterError(f"k must be a nonnegative integer, got {k!r}")
     if k == 0 or N == 1:
         return Fraction(1)
@@ -160,6 +150,18 @@ def delta_m2(N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     return Fraction(total, 2**(p - 1) * N**(2 * kmax))
 
 
+def delta_binomial(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+    """Exact limiting moment through the binomial route, which needs a side
+    equal to 2. The pair-compatibility problem is symmetric in the two
+    sides, so a two-row N works the same as a two-row M."""
+    _validate_mn(M, N)
+    if M == 2:
+        return delta_m2(N, p, budget)
+    if N == 2:
+        return delta_m2(M, p, budget)
+    raise ParameterError("the binomial route requires M = 2 or N = 2")
+
+
 def delta_m2_float(N: int, p: int) -> float:
     """Floating evaluation of delta_m2 for large p via log-gamma, summing the
     terms in descending magnitude with compensated summation. Relative error
@@ -181,8 +183,6 @@ def delta_m2_float(N: int, p: int) -> float:
 
 def _log_phase_moments(N: int, kmax: int, lf: np.ndarray) -> np.ndarray:
     """log moment_integral(N, k) for k = 0..kmax."""
-    if 2 * kmax >= lf.size:
-        lf = np.array([math.lgamma(n + 1) for n in range(2 * kmax + 1)])
     ks = np.arange(kmax + 1)
     log_a = lf[2 * ks] - 2 * lf[ks]  # log sum of squared binomials (N = 2)
     for _ in range(3, N + 1):
@@ -223,10 +223,6 @@ def delta_exact(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fractio
     try:
         return delta_direct(M, N, p, budget)
     except BudgetError:
-        # The pair-compatibility problem is symmetric in the two sides, so a
-        # two-row N works the same as a two-row M.
-        if M == 2:
-            return delta_m2(N, p, budget)
-        if N == 2:
-            return delta_m2(M, p, budget)
-        raise
+        if 2 not in (M, N):
+            raise
+        return delta_binomial(M, N, p, budget)

@@ -164,18 +164,7 @@ def transfer_fiber(U: MagicUnitary, p: int,
     _validate_pos(p=p)
     K = U.K
     _check_budget(f"transfer matrix at K={K}, p={p}", 8 * K**(2 * p), budget)
-    gram = _pair_gram(U.quotients).reshape(K * K, K * K)
-    letters = "abcdefghijklmnop"[:p]
-    if p == 1:
-        tensor = np.einsum("aa->a", gram)
-    else:
-        ring = ",".join(letters[y] + letters[(y + 1) % p] for y in range(p))
-        tensor = np.einsum(ring + "->" + letters, *([gram] * p), optimize=True)
-    # axes are pair indices P_y = (I_y, J_y); split and regroup as (I, J)
-    tensor = tensor.reshape((K, K) * p)
-    perm = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
-    matrix = tensor.transpose(perm).reshape(K**p, K**p) / K**(p + 1)
-    return TransferMatrix(p, K, matrix)
+    return TransferMatrix(p, K, _transfer_matrix(_pair_gram(U.quotients), p, K))
 
 
 class McEstimate(NamedTuple):
@@ -223,6 +212,14 @@ def _slice_operator(factors: list[np.ndarray], n: int, K: int) -> np.ndarray:
     return acc.reshape(K**n, K**n)
 
 
+def _transfer_matrix(gram: np.ndarray, p: int, K: int) -> np.ndarray:
+    """Transfer matrix of one fiber from its pair gram. Rows are the index
+    tuples I, columns J; position y couples (I_y, J_y) to (I_{y+1}, J_{y+1}),
+    so the slice-operator factor at every y is the gram with axes reordered
+    to (row_y, row_{y+1}, col_y, col_{y+1})."""
+    return _slice_operator([gram.transpose(0, 2, 1, 3)] * p, p, K) * K**-(p + 1)
+
+
 def _trace_of_product(mats: list[np.ndarray]) -> complex:
     if len(mats) == 1:
         return complex(np.trace(mats[0]))
@@ -249,13 +246,9 @@ def _torus_trace(grams: list[np.ndarray], K: int, p: int) -> complex:
         # Factor x couples row components (x, x+1): exactly grams[x].
         step = _slice_operator(grams, r, K) * K**-r
         return _trace_of_product([step] * p) * K**-r
-    # Transfer matrix of fiber x: rows are the x-th slice, columns the
-    # (x+1)-th; position y couples (row_y, col_y) to (row_{y+1}, col_{y+1}),
-    # so the slice-operator factor at y is gram[x] with axes reordered to
-    # (row_y, row_{y+1}, col_y, col_{y+1}).
-    mats = [_slice_operator([g.transpose(0, 2, 1, 3)] * p, p, K) * K**-(p + 1)
-            for g in grams]
-    return _trace_of_product(mats)
+    # The x-th slice indexes the rows of fiber x's transfer matrix and the
+    # (x+1)-th its columns.
+    return _trace_of_product([_transfer_matrix(g, p, K) for g in grams])
 
 
 def _check_torus_budget(K: int, p: int, r: int, budget: int) -> None:
@@ -287,17 +280,18 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
 
 def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the limiting moment as the mean of
-    (MN)^(-p) * Tr(G(Q)^p), with G(Q) the Gram matrix of the rows of a
-    uniform phase matrix Q."""
+    Tr((G(Q) / MN)^p), with G(Q) the Gram matrix of the rows of a uniform
+    phase matrix Q."""
     _validate_mn(M, N)
     _validate_pos(p=p, samples=samples)
-    scale = (M * N)**p
     values = np.empty(samples)
     for s in range(samples):
         rng = _sample_rng(seed, s)
         Q = random_phase_matrix(M, N, rng).entries
-        gram = Q @ Q.conj().T
-        values[s] = np.trace(np.linalg.matrix_power(gram, p)).real / scale
+        # G / MN has trace 1 and no negative eigenvalue, so its powers
+        # cannot overflow, whatever p.
+        gram = Q @ Q.conj().T / (M * N)
+        values[s] = np.trace(np.linalg.matrix_power(gram, p)).real
     return _mean_and_error(values)
 
 

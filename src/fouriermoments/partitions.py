@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParameterError
+from .truncated import _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -104,8 +105,7 @@ class PartitionStats:
 
 
 def _check_p(p: int, cap: int = ENUMERATION_CAP) -> None:
-    if not isinstance(p, int) or p < 1:
-        raise ParameterError(f"p must be a positive integer, got {p!r}")
+    _validate_pos(p=p)
     if p > cap:
         raise ParameterError(f"p={p} exceeds the supported cap {cap}")
 
@@ -306,7 +306,8 @@ def _rgs_array(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, counts
 
 
-@lru_cache(maxsize=None)
+# typed: True == 1 would otherwise hit the cached entry of p = 1.
+@lru_cache(maxsize=None, typed=True)
 def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     """Exact number of shift-compatible pairs (pi, sigma) with |pi| = s,
     |sigma| = t, for every s <= smax and t <= tmax.

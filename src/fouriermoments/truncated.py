@@ -15,6 +15,7 @@ block by block. Everything returns `fractions.Fraction` in lowest terms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -32,8 +33,13 @@ DEFAULT_BUDGET = 10**9
 _BLOCK_CELLS = 1 << 12
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not a moment parameter.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def _validate_mn(M: int, N: int) -> None:
@@ -52,9 +58,17 @@ def _validate_pos(**kwargs: int) -> None:
 def _check_budget(what: str, cost: int, budget: int) -> None:
     if cost > budget:
         raise BudgetError(
-            f"{what} needs ~{cost:.3e} elementary operations, over the budget "
-            f"of {budget:.3e}; raise the budget to force it",
+            f"{what} needs ~{_scientific(cost)} elementary operations, over the "
+            f"budget of {_scientific(budget)}; raise the budget to force it",
             estimated_ops=cost, budget=budget)
+
+
+def _scientific(n: int) -> str:
+    """n as d.ddde+XX; a cost can outgrow the float range, so only its
+    leading 17 digits go through a float."""
+    shift = max(0, len(str(n)) - 17)
+    mantissa, exponent = f"{n // 10**shift:.3e}".split("e")
+    return f"{mantissa}e{int(exponent) + shift:+03d}"
 
 
 def _difference_tables(a: np.ndarray, b: np.ndarray, M: int, N: int) -> np.ndarray:
@@ -249,3 +263,20 @@ def d42_closed(M: int, N: int, delta_4: Fraction | None = None) -> Fraction:
     if M % 2 == 0:
         value += Fraction((M - 2) * (N - 1), M**4 * N**3)
     return value
+
+
+def closed_form_is_exact(method: str, M: int, N: int, p: int, r: int) -> bool:
+    """Whether the closed form `method` ("alpha", "beta" or "d42") equals
+    count_d(M, N, p, r) at this point, as stated in its docstring."""
+    trivial = M == 1 or N == 1 or r == 1
+    if method == "alpha":
+        return trivial or p <= 2
+    if method == "beta":
+        return trivial or p <= 3 or _is_prime(M)
+    if method == "d42":
+        return (p, r) == (4, 2)
+    raise ParameterError(f"unknown closed form {method!r}")
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))

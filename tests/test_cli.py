@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,23 @@ def test_cross_check_exit_code(capsys, monkeypatch):
     assert "1/7" in err and "5/8" in err
 
 
+def test_beta_cross_checked_at_prime_M(capsys, monkeypatch):
+    # beta equals the direct count for every p when M is prime
+    monkeypatch.setattr(cli, "beta", lambda M, N, p, r, delta: Fraction(1, 7))
+    code, _, err = run_cli(
+        ["truncated", "--M", "3", "--N", "2", "--p", "5", "--r", "3",
+         "--method", "direct,beta"], capsys)
+    assert code == 4
+    assert "disagree" in err and "1/7" in err
+
+
+def test_binomial_needs_a_side_of_two(capsys):
+    code, _, err = run_cli(
+        ["limit", "--M", "3", "--N", "3", "--p", "4", "--method", "binomial"], capsys)
+    assert code == 2
+    assert "M = 2 or N = 2" in err
+
+
 def test_limit_three_methods(capsys):
     code, out, _ = run_cli(
         ["limit", "--M", "2", "--N", "2", "--p", "3",
@@ -184,6 +203,15 @@ def test_mc_model_beyond_count_budget(capsys):
     assert row["z"] == ""
     assert math.isfinite(float(row["value_float"]))
     assert math.isfinite(float(row["std_error"]))
+
+
+def test_mc_gram_long_p(capsys):
+    code, out, _ = run_cli(
+        ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "600",
+         "--samples", "2", "--seed", "1"], capsys)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert math.isfinite(float(row["value_float"]))
 
 
 def test_mc_gram_z_column(capsys):
@@ -287,3 +315,15 @@ def test_cache_malformed_entry_is_miss(tmp_path, capsys, corrupt):
     assert json.loads(entry.read_text())["value"] == "5/8"
     _, _, err = run_cli(argv, capsys)
     assert "cache hit" in err
+
+
+def test_readme_commands(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```sh")[1:]
+    commands = [line for block in blocks for line in block.split("```")[0].splitlines()
+                if line.startswith("fouriermoments ")]
+    assert len(commands) == 9
+    for line in commands:
+        code, out, err = run_cli(shlex.split(line)[1:], capsys)
+        assert code == 0, (line, err)
+        assert out.splitlines()[0] == ",".join(f'"{name}"' for name in CSV_HEADER), line

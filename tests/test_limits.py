@@ -9,6 +9,7 @@ from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import (
     _squared_multinomial_row,
     decompose,
+    delta_binomial,
     delta_direct,
     delta_exact,
     delta_m2,
@@ -109,6 +110,9 @@ def test_moment_integral_paths_agree():
 def test_moment_integral_budget():
     with pytest.raises(BudgetError):
         moment_integral(6, 10**6, budget=10**6)
+    for k in (True, -1, 1.0):
+        with pytest.raises(ParameterError):
+            moment_integral(3, k)
 
 
 def test_delta_m2_values():
@@ -117,6 +121,16 @@ def test_delta_m2_values():
         assert delta_m2(1, p) == 1
     for N, p in itertools.product(range(1, 5), range(1, 7)):
         assert delta_m2(N, p) == delta_direct(2, N, p)
+
+
+def test_delta_binomial_takes_either_side():
+    for N, p in itertools.product(range(1, 5), range(1, 13)):
+        assert delta_binomial(2, N, p) == delta_m2(N, p)
+        assert delta_binomial(N, 2, p) == delta_m2(N, p)
+    with pytest.raises(ParameterError):
+        delta_binomial(3, 3, 4)
+    with pytest.raises(ParameterError):
+        delta_binomial(True, 2, 4)
 
 
 def test_delta_m2_float_accuracy():

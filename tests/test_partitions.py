@@ -46,6 +46,13 @@ def test_enumeration_cap_and_bad_p():
         list(enumerate_partitions(13))
     with pytest.raises(ParameterError):
         list(enumerate_partitions(0))
+    # True == 1, so a cached p = 1 table must not answer for it
+    assert triangle_pair_counts(1, 1, 1) == {(1, 1): 1}
+    for call in (lambda: list(enumerate_partitions(True)),
+                 lambda: triangle_pair_counts(True, 1, 1),
+                 lambda: partition_stats(True)):
+        with pytest.raises(ParameterError):
+            call()
 
 
 def test_canonical_form_and_validation():

@@ -12,6 +12,7 @@ from fouriermoments.truncated import (
     base_condition,
     beta,
     c_from_d,
+    closed_form_is_exact,
     count_d,
     counting_condition,
     d42_closed,
@@ -119,6 +120,9 @@ def test_count_d_budget_guard():
     with pytest.raises(BudgetError) as info:
         count_d(4, 4, 7, 2)
     assert info.value.estimated_ops == 16**6 * (2 * 7 + 4 * 4 * 4)
+    # an estimate beyond the float range is still named, not an OverflowError
+    with pytest.raises(BudgetError, match=r"~5\.200e\+363 "):
+        count_d(2, 2, 600, 2)
 
 
 def test_count_d_budget_does_not_depend_on_r():
@@ -207,6 +211,23 @@ def test_beta_exact_for_prime_M():
     for M, N, p, r in itertools.product((2, 3, 5), (2, 3), (4, 5), (2, 3, 4)):
         assert beta(M, N, p, r, delta_partition(M, N, p)) == count_d(M, N, p, r), \
             (M, N, p, r)
+
+
+def test_closed_form_is_exact_where_it_says():
+    forms = {"alpha": lambda M, N, p, r: alpha(M, N, p, r),
+             "beta": lambda M, N, p, r: beta(M, N, p, r, delta_partition(M, N, p)),
+             "d42": lambda M, N, p, r: d42_closed(M, N)}
+    for M, N, p, r in itertools.product(range(1, 7), range(1, 4), range(1, 6), range(1, 5)):
+        if (M * N)**p > 10**5:
+            continue
+        for method, form in forms.items():
+            if closed_form_is_exact(method, M, N, p, r):
+                assert form(M, N, p, r) == count_d(M, N, p, r), (method, M, N, p, r)
+    # beta misses the order-two class at even M >= 4
+    assert not closed_form_is_exact("beta", 4, 2, 4, 2)
+    assert beta(4, 2, 4, 2, delta_partition(4, 2, 4)) != count_d(4, 2, 4, 2)
+    with pytest.raises(ParameterError):
+        closed_form_is_exact("gamma", 2, 2, 2, 2)
 
 
 def test_even_M_excess_is_order_two_class():
