@@ -106,3 +106,63 @@ def counter_delta_back_shift(M: int, N: int, p: int) -> Fraction:
             if left == right:
                 hits += 1
     return Fraction(hits, (M * N)**p)
+
+
+def rotate_partition(part):
+    """The partition pi∘rho, rho(e) = e + 1 mod p: element e joins the block
+    of e + 1, so every block moves one step left."""
+    return type(part).from_blocks(part.p, [[(x - 1) % part.p for x in block]
+                                           for block in part.blocks])
+
+
+def reflect_partition(part):
+    """The mirror image e -> p - 1 - e."""
+    return type(part).from_blocks(part.p, [[part.p - 1 - x for x in block]
+                                           for block in part.blocks])
+
+
+def _first_occurrence(labels) -> tuple:
+    codes = {}
+    return tuple(codes.setdefault(label, len(codes)) for label in labels)
+
+
+def rotation_orbits(rows) -> dict:
+    """{smallest string of the orbit: the orbit} for restricted growth
+    strings under cyclic rotation, each rotated string relabelled to
+    first-occurrence order, by walking the rotations of every unseen row."""
+    orbits = {}
+    seen = set()
+    for row in map(tuple, rows):
+        if row in seen:
+            continue
+        orbit = {row}
+        rotated = row
+        for _ in range(len(row) - 1):
+            rotated = _first_occurrence(rotated[1:] + rotated[:1])
+            orbit.add(rotated)
+        seen |= orbit
+        orbits[min(orbit)] = frozenset(orbit)
+    return orbits
+
+
+def delta_m2_float_by_log_convolution(N: int, p: int) -> float:
+    """Floating delta_p(2, N) through the phase moments' recurrence
+    A_N(m) = sum_i C(m, i)^2 A_{N-1}(m - i), taken in logs one m at a time:
+    O(N p^2) work, kept as an oracle for the FFT route."""
+    import numpy as np
+
+    kmax = p // 2
+    lf = np.array([math.lgamma(n + 1) for n in range(p + 1)])
+    ks = np.arange(kmax + 1)
+    log_a = lf[2 * ks] - 2 * lf[ks]  # log A_2(m) = log C(2m, m)
+    for _ in range(3, N + 1):
+        out = np.empty_like(log_a)
+        for m in range(kmax + 1):
+            terms = 2 * (lf[m] - lf[:m + 1] - lf[m::-1]) + log_a[m::-1]
+            top = terms.max()
+            out[m] = top + math.log(np.exp(terms - top).sum())
+        log_a = out
+    log_terms = (lf[p] - lf[2 * ks] - lf[p - 2 * ks] - (p - 1) * math.log(2.0)
+                 + log_a - 2 * ks * math.log(N))
+    shift = float(log_terms.max())
+    return math.exp(shift) * math.fsum(sorted(np.exp(log_terms - shift), reverse=True))

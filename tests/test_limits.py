@@ -20,7 +20,12 @@ from fouriermoments.limits import (
     moment_integral,
 )
 
-from helpers import counter_delta, counter_delta_back_shift, squared_multinomial_scan
+from helpers import (
+    counter_delta,
+    counter_delta_back_shift,
+    delta_m2_float_by_log_convolution,
+    squared_multinomial_scan,
+)
 
 
 def test_delta_small_values():
@@ -133,12 +138,29 @@ def test_delta_binomial_takes_either_side():
         delta_binomial(True, 2, 4)
 
 
+def test_phase_moments_are_powers_of_the_bessel_series():
+    # A_N(m) / m!^2 is the z^m coefficient of (sum_i z^i / i!^2)^N
+    size = 21
+    base = [Fraction(1, math.factorial(i)**2) for i in range(size)]
+    power = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for N in range(1, 7):
+        power = [sum(power[i] * base[m - i] for i in range(m + 1)) for m in range(size)]
+        row = _squared_multinomial_row(N, size - 1, 10**9)
+        assert [c * math.factorial(m)**2 for m, c in enumerate(power)] == row, N
+
+
 def test_delta_m2_float_accuracy():
-    for N in (1, 2, 3):
+    for N in range(1, 9):
         for p in (1, 2, 3, 7, 20, 50, 200):
             exact = float(delta_m2(N, p))
             approx = delta_m2_float(N, p)
             assert abs(approx - exact) <= 1e-9 * exact, (N, p)
+
+
+@pytest.mark.parametrize("N, p", [(3, 4000), (7, 2000), (50, 1000)])
+def test_delta_m2_float_matches_log_convolution(N, p):
+    oracle = delta_m2_float_by_log_convolution(N, p)
+    assert abs(delta_m2_float(N, p) - oracle) <= 1e-10 * oracle
 
 
 def test_delta_m2_float_monotone_observation():

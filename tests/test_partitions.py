@@ -16,8 +16,18 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
+from fouriermoments.partitions import _rgs_array
 
-from helpers import bell_numbers, catalan, crossing_by_quadruples, narayana, stirling2
+from helpers import (
+    bell_numbers,
+    catalan,
+    crossing_by_quadruples,
+    narayana,
+    reflect_partition,
+    rotate_partition,
+    rotation_orbits,
+    stirling2,
+)
 
 
 def test_enumeration_counts_match_bell_triangle():
@@ -159,6 +169,35 @@ def test_triangle_table_matches_pairwise_scan():
                 key = (pi.num_blocks, sigma.num_blocks)
                 brute[key] = brute.get(key, 0) + 1
         assert {k: v for k, v in table.items() if v} == brute
+
+
+def test_triangle_relation_is_invariant_under_joint_rotation():
+    for p in range(1, 7):
+        parts = list(enumerate_partitions(p))
+        rotated = {q: rotate_partition(q) for q in parts}
+        for pi, sigma in itertools.product(parts, repeat=2):
+            assert triangle_relation(rotated[pi], rotated[sigma]) == \
+                triangle_relation(pi, sigma), (pi, sigma)
+
+
+def test_reflection_and_swap_are_not_symmetries():
+    pi = SetPartition.from_blocks(3, [{0, 1}, {2}])
+    sigma = SetPartition.from_blocks(3, [{0, 2}, {1}])
+    assert not triangle_relation(pi, sigma)
+    assert triangle_relation(sigma, pi)
+    assert triangle_relation(reflect_partition(pi), reflect_partition(sigma))
+
+
+def test_rotation_orbits_partition_the_rgs_rows():
+    # rotation keeps the block count, so each row set is a union of orbits
+    for p in range(1, 10):
+        for s in range(1, p + 1):
+            rows = _rgs_array(p, s)[0]
+            members = set(map(tuple, rows.tolist()))
+            orbits = rotation_orbits(rows.tolist())
+            assert all(orbit <= members and p % len(orbit) == 0
+                       for orbit in orbits.values())
+            assert sum(len(orbit) for orbit in orbits.values()) == rows.shape[0]
 
 
 def test_partition_stats_tables():
