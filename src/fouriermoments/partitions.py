@@ -23,7 +23,8 @@ from .truncated import _validate_pos
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
 ENUMERATION_CAP = 12
 
-# Pair scans over P(p) x P(p) (triangle tables) are refused above this size.
+# Pair scans over P(p) x P(p) are refused above this size: with no budget gate
+# on the scan yet, a full p = 10 scan (Bell(10) = 115 975) would run for minutes.
 TRIANGLE_CAP = 9
 
 
@@ -104,10 +105,10 @@ class PartitionStats:
     narayana: dict[int, int]
 
 
-def _check_p(p: int, cap: int = ENUMERATION_CAP) -> None:
+def _check_p(p: int, cap: int = ENUMERATION_CAP, what: str = "supported") -> None:
     _validate_pos(p=p)
     if p > cap:
-        raise ParameterError(f"p={p} exceeds the supported cap {cap}")
+        raise ParameterError(f"p={p} exceeds the {what} cap {cap}")
 
 
 def _rgs_stream(p: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
@@ -254,7 +255,7 @@ def triangle_relation(pi: SetPartition, sigma: SetPartition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _stirling_row(p: int) -> tuple[int, ...]:
     # S(p, s) for s = 0..p via S(p, s) = s*S(p-1, s) + S(p-1, s-1).
     row = [1]
@@ -297,7 +298,7 @@ def partition_stats(p: int) -> PartitionStats:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _rgs_array(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """All restricted growth strings with at most `max_blocks` blocks, as an
     (n, p) int array, plus the per-row block counts."""
@@ -306,26 +307,47 @@ def _rgs_array(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, counts
 
 
+@lru_cache(maxsize=64)
+def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least row of each rotation orbit of _rgs_array(p, max_blocks), and
+    the orbit sizes: each roll of a row, relabelled to first-occurrence order
+    and read in base p, is a code, and the least code names the orbit."""
+    rows, _ = _rgs_array(p, max_blocks)
+    digits = p ** np.arange(p - 1, -1, -1, dtype=np.int64)
+    least = rows @ digits
+    labels = rows.astype(np.int8)  # small temporaries; labels stay below p
+    for shift in range(1, p):
+        rolled = np.roll(labels, -shift, axis=1)
+        first = np.full_like(labels, p)  # where each label first occurs
+        np.minimum.at(first, (np.arange(len(rows))[:, None], rolled), np.arange(p, dtype=np.int8))
+        rank = np.argsort(np.argsort(first, axis=1), axis=1)
+        np.minimum(least, np.take_along_axis(rank, rolled, axis=1) @ digits, out=least)
+    # the rows, like np.unique's codes, are in increasing order
+    return rows[least == rows @ digits], np.unique(least, return_counts=True)[1]
+
+
 # typed: True == 1 would otherwise hit the cached entry of p = 1.
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     """Exact number of shift-compatible pairs (pi, sigma) with |pi| = s,
     |sigma| = t, for every s <= smax and t <= tmax.
 
-    Vectorized scan of the grouped partition arrays; a pair is compatible iff
-    the joint block histogram of (pi, sigma) equals that of (shifted pi,
-    sigma).
+    Rotating pi and sigma together keeps compatibility and block counts
+    (reflection and the pi <-> sigma swap do not), so one pi per rotation
+    orbit is scanned and its counts are weighted by the orbit size. A pair
+    is compatible iff the joint block histogram of (pi, sigma) equals that
+    of (shifted pi, sigma).
     """
-    _check_p(p, TRIANGLE_CAP)
+    _check_p(p, TRIANGLE_CAP, "partition-pair")
     smax = min(smax, p)
     tmax = min(tmax, p)
-    pis, _ = _rgs_array(p, smax)
+    pis, orbit_sizes = _rgs_orbits(p, smax)
     sigmas, sigma_counts = _rgs_array(p, tmax)
     n_sigma = sigmas.shape[0]
     table: dict[tuple[int, int], int] = {
         (s, t): 0 for s in range(1, smax + 1) for t in range(1, tmax + 1)}
     row_base = np.arange(n_sigma, dtype=np.int64)[:, None]
-    for u in pis:
+    for u, orbit_size in zip(pis, orbit_sizes.tolist()):
         s = int(u.max()) + 1
         u_shift = np.roll(u, -1)
         span = s * tmax
@@ -335,9 +357,7 @@ def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], 
         hist_a = np.bincount(key_a.ravel(), minlength=n_sigma * span)
         hist_b = np.bincount(key_b.ravel(), minlength=n_sigma * span)
         matched = (hist_a == hist_b).reshape(n_sigma, span).all(axis=1)
-        if matched.any():
-            by_t = np.bincount(sigma_counts[matched], minlength=tmax + 1)
-            for t in range(1, tmax + 1):
-                if by_t[t]:
-                    table[(s, t)] += int(by_t[t])
+        by_t = np.bincount(sigma_counts[matched], minlength=tmax + 1)
+        for t in range(1, tmax + 1):
+            table[(s, t)] += orbit_size * int(by_t[t])
     return table

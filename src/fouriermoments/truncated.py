@@ -159,6 +159,7 @@ def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int,
     return Fraction(hits, M**r)
 
 
+_HISTOGRAM_CACHE_SIZE = 256  # (M, N, p) histograms kept; the oldest goes first
 _HISTOGRAM_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
 
 
@@ -197,6 +198,8 @@ def _order_histogram(M: int, N: int, p: int,
                                _pinned_digits(b_index, N, p - 1), M, N)
         counts += np.bincount(_periods(f).sum(axis=1), minlength=M + 1)
     histogram = {h: int(mult) for h, mult in enumerate(counts) if mult}
+    if len(_HISTOGRAM_CACHE) >= _HISTOGRAM_CACHE_SIZE:
+        del _HISTOGRAM_CACHE[next(iter(_HISTOGRAM_CACHE))]
     _HISTOGRAM_CACHE[key] = histogram
     return histogram
 

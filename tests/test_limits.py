@@ -3,8 +3,10 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import (
     _squared_multinomial_row,
@@ -157,10 +159,33 @@ def test_delta_m2_float_accuracy():
             assert abs(approx - exact) <= 1e-9 * exact, (N, p)
 
 
-@pytest.mark.parametrize("N, p", [(3, 4000), (7, 2000), (50, 1000)])
+# (1000, 200): with N > p / 4 the terms peak below k = p / 4
+@pytest.mark.parametrize("N, p", [(3, 4000), (7, 2000), (50, 1000), (1000, 200)])
 def test_delta_m2_float_matches_log_convolution(N, p):
     oracle = delta_m2_float_by_log_convolution(N, p)
     assert abs(delta_m2_float(N, p) - oracle) <= 1e-10 * oracle
+
+
+def test_delta_m2_float_reaches_its_cap():
+    value = delta_m2_float(3, 10**6)
+    assert math.isfinite(value)
+    assert abs(value / delta_decay_estimate(3, 10**6) - 1) < 0.10
+
+
+def test_delta_m2_float_buffers_do_not_grow_with_n(monkeypatch):
+    sizes = []
+    rfft = np.fft.rfft
+
+    def recording_rfft(a, n):
+        sizes.append(n)
+        return rfft(a, n)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    kmax = 10**4 // 2
+    # the decay law puts this value near e^-1718, below the float range
+    value = delta_m2_float(1000, 10**4)
+    assert math.isfinite(value) and value >= 0
+    assert sizes and max(sizes) <= 4 * (kmax + 1)
 
 
 def test_delta_m2_float_monotone_observation():

@@ -16,7 +16,7 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
-from fouriermoments.partitions import _rgs_array
+from fouriermoments.partitions import _rgs_array, _rgs_orbits, _stirling_row
 
 from helpers import (
     bell_numbers,
@@ -198,6 +198,14 @@ def test_rotation_orbits_partition_the_rgs_rows():
             assert all(orbit <= members and p % len(orbit) == 0
                        for orbit in orbits.values())
             assert sum(len(orbit) for orbit in orbits.values()) == rows.shape[0]
+            reps, sizes = _rgs_orbits(p, s)
+            assert {tuple(rep): int(size) for rep, size in zip(reps.tolist(), sizes)} \
+                == {rep: len(orbit) for rep, orbit in orbits.items()}
+
+
+def test_partition_table_caches_are_bounded():
+    for cached in (_stirling_row, _rgs_array, _rgs_orbits, triangle_pair_counts):
+        assert cached.cache_parameters()["maxsize"] is not None, cached
 
 
 def test_partition_stats_tables():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fouriermoments.errors import BudgetError, ParameterError
+from fouriermoments import truncated
 from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
     _HISTOGRAM_CACHE,
@@ -149,6 +150,19 @@ def test_cached_histogram_is_never_refused():
     _HISTOGRAM_CACHE.clear()
     with pytest.raises(BudgetError):
         count_d(2, 2, 10, 2, budget=1)
+
+
+def test_histogram_cache_evicts_the_oldest(monkeypatch):
+    points = [(2, 2, 3), (2, 3, 3), (3, 2, 3)]
+    _HISTOGRAM_CACHE.clear()
+    values = [count_d(M, N, p, 3) for M, N, p in points]
+    _HISTOGRAM_CACHE.clear()
+    monkeypatch.setattr(truncated, "_HISTOGRAM_CACHE_SIZE", 2)
+    assert [count_d(M, N, p, 3) for M, N, p in points] == values
+    assert list(_HISTOGRAM_CACHE) == points[1:]
+    assert count_d(*points[0], 3) == values[0]
+    assert list(_HISTOGRAM_CACHE) == [points[2], points[0]]
+    _HISTOGRAM_CACHE.clear()
 
 
 def test_c_from_d():
