@@ -160,7 +160,7 @@ def delta_m2_float(N: int, p: int) -> float:
     """Floating evaluation of delta_m2 for large p via log-gamma, summing the
     terms in descending magnitude with compensated summation. For N >= 3,
     A_N(m) = m!^2 [z^m] f(z)^N with f(z) = sum_i z^i / i!^2, and f^N comes
-    by FFT squaring in O(p log p log N), in buffers of at most 4p + 4 values.
+    by FFT squaring in O(p log p log N), at FFT lengths of at most 2p + 4.
     Relative error is below 1e-9 against the exact route for p <= 200."""
     _validate_pos(N=N, p=p)
     if p > FLOAT_P_CAP:
@@ -200,9 +200,9 @@ def _tilted_power(log_base: np.ndarray, N: int) -> tuple[np.ndarray, float]:
 
 def _fft_product(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]):
     size = 1 << (2 * a[0].size - 1).bit_length()
-    fa = np.fft.rfft(a[0], size)
-    fb = fa if b is a else np.fft.rfft(b[0], size)
-    values = np.fft.irfft(fa * fb, size)[:a[0].size].clip(0)  # rounding negatives
+    spectrum = np.fft.rfft(a[0], size)
+    spectrum *= spectrum if b is a else np.fft.rfft(b[0], size)
+    values = np.fft.irfft(spectrum, size)[:a[0].size].clip(0)  # clip rounding's negatives
     return values / values.max(), a[1] + b[1] + math.log(values.max())
 
 

@@ -322,8 +322,8 @@ def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
         np.minimum.at(first, (np.arange(len(rows))[:, None], rolled), np.arange(p, dtype=np.int8))
         rank = np.argsort(np.argsort(first, axis=1), axis=1)
         np.minimum(least, np.take_along_axis(rank, rolled, axis=1) @ digits, out=least)
-    # the rows, like np.unique's codes, are in increasing order
-    return rows[least == rows @ digits], np.unique(least, return_counts=True)[1]
+    is_rep = least == rows @ digits  # rows, and so their codes, come in increasing order
+    return rows[is_rep], np.bincount(np.searchsorted(least[is_rep], least))
 
 
 # typed: True == 1 would otherwise hit the cached entry of p = 1.

@@ -5,6 +5,9 @@ import pytest
 from fouriermoments.errors import ParameterError
 from fouriermoments.partitions import (
     SetPartition,
+    _rgs_array,
+    _rgs_orbits,
+    _stirling_row,
     bell_number,
     enumerate_partitions,
     is_noncrossing,
@@ -16,7 +19,6 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
-from fouriermoments.partitions import _rgs_array, _rgs_orbits, _stirling_row
 
 from helpers import (
     bell_numbers,

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments import truncated
+from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
     _HISTOGRAM_CACHE,
