@@ -166,3 +166,20 @@ def delta_m2_float_by_log_convolution(N: int, p: int) -> float:
                  + log_a - 2 * ks * math.log(N))
     shift = float(log_terms.max())
     return math.exp(shift) * math.fsum(sorted(np.exp(log_terms - shift), reverse=True))
+
+
+def labelled_order_histogram(M: int, N: int, p: int) -> dict:
+    """{|H|: pinned pairs (a_1 = b_1 = 0)}, by enumerating every labelled
+    pinned pair at once: the difference tables by scatter-adds, and the
+    periods in m by comparing each table with its rolls."""
+    import numpy as np
+
+    a = np.array([(0,) + rest for rest in product(range(M), repeat=p - 1)])
+    b = np.array([(0,) + rest for rest in product(range(N), repeat=p - 1)])
+    a, b = np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+    pair = np.arange(len(a))[:, None]
+    f = np.zeros((len(a), M, N), dtype=np.int64)
+    np.add.at(f, (pair, a, b), 1)
+    np.add.at(f, (pair, a, np.roll(b, -1, axis=1)), -1)
+    orders = sum((np.roll(f, -s, axis=1) == f).all(axis=(1, 2)) for s in range(M))
+    return dict(Counter(orders.tolist()))

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from fouriermoments.errors import ParameterError
@@ -19,6 +20,7 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
+from fouriermoments.truncated import _difference_tables
 
 from helpers import (
     bell_numbers,
@@ -180,6 +182,18 @@ def test_triangle_relation_is_invariant_under_joint_rotation():
         for pi, sigma in itertools.product(parts, repeat=2):
             assert triangle_relation(rotated[pi], rotated[sigma]) == \
                 triangle_relation(pi, sigma), (pi, sigma)
+
+
+def test_difference_table_vanishes_exactly_on_compatible_pairs():
+    # with a = sigma and b = pi as labels, f(m, n) is the meet of block m of
+    # sigma with block n of pi, less its meet with that block shifted left
+    for p in range(1, 7):
+        parts = list(enumerate_partitions(p))
+        rows = np.array([q.rgs() for q in parts])
+        for pi, pi_row in zip(parts, rows):
+            f = _difference_tables(rows, np.tile(pi_row, (len(rows), 1)), p, p)
+            assert (~f.any(axis=(1, 2))).tolist() == \
+                [triangle_relation(pi, sigma) for sigma in parts], pi
 
 
 def test_reflection_and_swap_are_not_symmetries():

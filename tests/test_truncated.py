@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fouriermoments import truncated
@@ -8,7 +9,9 @@ from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
     _HISTOGRAM_CACHE,
+    _difference_tables,
     _order_histogram,
+    _periods,
     alpha,
     base_condition,
     beta,
@@ -21,12 +24,55 @@ from fouriermoments.truncated import (
     solution_set,
 )
 
-from helpers import counter_condition
+from helpers import counter_condition, labelled_order_histogram
 
 
 def _grid_pairs(M, N, p):
     return itertools.product(itertools.product(range(M), repeat=p),
                              itertools.product(range(N), repeat=p))
+
+
+def _pinned_pairs(M, N, p):
+    """Every (a, b) with a_1 = b_1 = 0, one pair per row of two arrays."""
+    a = [(0,) + rest for rest in itertools.product(range(M), repeat=p - 1)]
+    b = [(0,) + rest for rest in itertools.product(range(N), repeat=p - 1)]
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+
+
+def _orders(a, b, M, N):
+    """|H| of each pair (a[k], b[k]), labels in range, through the period kernel."""
+    return _periods(_difference_tables(a, b, M, N)).sum(axis=1)
+
+
+STRUCTURE_POINTS = ((4, 3, 4), (6, 2, 4), (3, 4, 4), (4, 4, 3), (2, 3, 5))
+
+
+def test_order_depends_on_b_only_through_its_kernel():
+    # relabelling b by a permutation of Z_N permutes the columns of the table
+    for M, N, p in STRUCTURE_POINTS:
+        a, b = _pinned_pairs(M, N, p)
+        orders = _orders(a, b, M, N)
+        for perm in itertools.permutations(range(N)):
+            assert (_orders(a, np.array(perm)[b], M, N) == orders).all(), (M, N, p, perm)
+
+
+def test_order_is_invariant_under_joint_rotation_and_repinning():
+    # rotating a and b together keeps the table; re-pinning a translates it in m
+    for M, N, p in STRUCTURE_POINTS:
+        a, b = _pinned_pairs(M, N, p)
+        orders = _orders(a, b, M, N)
+        for shift in range(1, p):
+            a_rot, b_rot = np.roll(a, -shift, axis=1), np.roll(b, -shift, axis=1)
+            a_rot = (a_rot - a_rot[:, :1]) % M
+            assert (_orders(a_rot, b_rot, M, N) == orders).all(), (M, N, p, shift)
+
+
+def test_order_histogram_matches_labelled_enumeration():
+    # prime and composite M, N above p, N at or below p, and the trivial sides
+    for point in ((2, 5, 3), (3, 4, 3), (4, 5, 3), (6, 4, 3), (5, 6, 3), (3, 5, 4),
+                  (4, 5, 4), (6, 5, 4), (2, 7, 5), (2, 4, 6), (4, 2, 5), (6, 2, 4),
+                  (4, 3, 4), (3, 3, 3), (1, 5, 4), (4, 1, 4), (1, 1, 3), (3, 2, 1)):
+        assert _order_histogram(*point) == labelled_order_histogram(*point), point
 
 
 def test_counting_condition_trivial_families():
@@ -72,6 +118,20 @@ def test_counting_condition_is_difference_rule():
                 rule = all((i[x] - i[(x + 1) % r]) % M in shifts for x in range(r))
                 assert counting_condition(i, a, b, M, N) == rule, (i, a, b)
                 assert counter_condition(i, a, b, M, N) == rule, (i, a, b)
+
+
+def test_per_pair_wrappers_reduce_labels():
+    # labels below 0 or at least M (or N) act as their residues
+    for M, N, p in ((3, 2, 3), (2, 3, 3), (4, 3, 2)):
+        for a, b in _grid_pairs(M, N, p):
+            wide_a = tuple(x + M * k for x, k in zip(a, (-2, 1, 3)))
+            wide_b = tuple(y + N * k for y, k in zip(b, (2, -1, -3)))
+            assert solution_set(wide_a, wide_b, M, N) == solution_set(a, b, M, N)
+            for i in ((0, 1), (2, 0, 1)):
+                assert counting_condition(i, wide_a, wide_b, M, N) == \
+                    counting_condition(i, a, b, M, N), (i, a, b)
+            assert i_tuple_probability(wide_a, wide_b, M, N, 2) == \
+                i_tuple_probability(a, b, M, N, 2)
 
 
 def test_counting_condition_validation():
