@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .limits import delta_exact
-from .partitions import ENUMERATION_CAP, _narayana_profile
+from .partitions import ENUMERATION_CAP, _check_p, _narayana_profile
 from .truncated import _validate_pos
 
 
@@ -37,9 +37,7 @@ class StirlingPolynomial:
 
 def stirling_polynomial(p: int) -> StirlingPolynomial:
     """Exact block-count profile of the non-crossing partitions."""
-    _validate_pos(p=p)
-    if p > ENUMERATION_CAP:
-        raise ParameterError(f"p={p} exceeds the enumeration cap {ENUMERATION_CAP}")
+    _check_p(p, ENUMERATION_CAP, "enumeration")
     return StirlingPolynomial(p, tuple(_narayana_profile(p)))
 
 

@@ -9,6 +9,7 @@ single-consumer but independent streams may run concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .truncated import _validate_pos
+from .truncated import _BLOCK_CELLS, _difference_tables, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -280,7 +281,6 @@ def bell_number(p: int) -> int:
 
 def _narayana_profile(p: int) -> tuple[int, ...]:
     # Block-count profile of NC(p): the Narayana numbers C(p, k) C(p, k-1) / p.
-    _check_p(p)
     return (0,) + tuple(math.comb(p, k) * math.comb(p, k - 1) // p
                         for k in range(1, p + 1))
 
@@ -332,32 +332,26 @@ def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], 
     """Exact number of shift-compatible pairs (pi, sigma) with |pi| = s,
     |sigma| = t, for every s <= smax and t <= tmax.
 
-    Rotating pi and sigma together keeps compatibility and block counts
-    (reflection and the pi <-> sigma swap do not), so one pi per rotation
-    orbit is scanned and its counts are weighted by the orbit size. A pair
-    is compatible iff the joint block histogram of (pi, sigma) equals that
-    of (shifted pi, sigma).
+    A pair is compatible iff the difference table of the labels a = sigma,
+    b = pi vanishes (truncated._difference_tables). Rotating pi and sigma
+    together keeps compatibility and block counts (reflection and the
+    pi <-> sigma swap do not), so one pi per rotation orbit is tabled
+    against every block of sigmas, and its counts are weighted by the orbit
+    size.
     """
     _check_p(p, TRIANGLE_CAP, "partition-pair")
     smax = min(smax, p)
     tmax = min(tmax, p)
     pis, orbit_sizes = _rgs_orbits(p, smax)
     sigmas, sigma_counts = _rgs_array(p, tmax)
-    n_sigma = sigmas.shape[0]
     table: dict[tuple[int, int], int] = {
         (s, t): 0 for s in range(1, smax + 1) for t in range(1, tmax + 1)}
-    row_base = np.arange(n_sigma, dtype=np.int64)[:, None]
-    for u, orbit_size in zip(pis, orbit_sizes.tolist()):
-        s = int(u.max()) + 1
-        u_shift = np.roll(u, -1)
-        span = s * tmax
-        base = row_base * span
-        key_a = base + u[None, :] * tmax + sigmas
-        key_b = base + u_shift[None, :] * tmax + sigmas
-        hist_a = np.bincount(key_a.ravel(), minlength=n_sigma * span)
-        hist_b = np.bincount(key_b.ravel(), minlength=n_sigma * span)
-        matched = (hist_a == hist_b).reshape(n_sigma, span).all(axis=1)
-        by_t = np.bincount(sigma_counts[matched], minlength=tmax + 1)
-        for t in range(1, tmax + 1):
-            table[(s, t)] += orbit_size * int(by_t[t])
+    step = max(1, _BLOCK_CELLS // (tmax * smax))
+    for start in range(0, len(sigmas), step):
+        block, block_counts = sigmas[start:start + step], sigma_counts[start:start + step]
+        for pi, orbit_size in zip(pis, orbit_sizes.tolist()):
+            s = int(pi.max()) + 1
+            f = _difference_tables(block, pi[None, :], tmax, s)
+            for t, hits in Counter(block_counts[~f.any(axis=(1, 2))].tolist()).items():
+                table[(s, t)] += orbit_size * hits
     return table

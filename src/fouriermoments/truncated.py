@@ -10,7 +10,8 @@ The pair's solution set is the set of periods of f in m, a subgroup H of
 Z_M; the matching condition holds at position x exactly when
 i_x - i_{x+1} lies in H, so M * |H|^(r-1) i-tuples pass. The moments thus
 follow from the histogram of |H| over the (a, b) pairs, which numpy builds
-block by block. Everything returns `fractions.Fraction` in lowest terms.
+from one set partition of b per rotation orbit; triangle_pair_counts scans
+the same tables. Everything returns `fractions.Fraction` in lowest terms.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .errors import BudgetError, ParameterError
 # is in _order_histogram) and refuses it above this many elementary operations.
 DEFAULT_BUDGET = 10**9
 
-# Difference-table cells the period kernel holds per block of pairs, so its
-# peak memory does not grow with the number of pairs.
-_BLOCK_CELLS = 1 << 12
+# Difference-table cells a pair scan holds per block of pairs, so its peak
+# memory does not grow with the number of pairs and a block stays in cache.
+_BLOCK_CELLS = 1 << 16
 
 
 def _is_int(value) -> bool:
@@ -64,20 +65,21 @@ def _check_budget(what: str, cost: int, budget: int) -> None:
 
 
 def _scientific(n: int) -> str:
-    """n as d.ddde+XX; a cost can outgrow the float range, so only its
-    leading 17 digits go through a float."""
-    shift = max(0, len(str(n)) - 17)
+    """n as d.ddde+XX; a cost can outgrow the float range and the length
+    str() converts, so only its leading 17 or 18 digits go through a float."""
+    shift = max(0, int(n.bit_length() * math.log10(2)) - 17)
     mantissa, exponent = f"{n // 10**shift:.3e}".split("e")
     return f"{mantissa}e{int(exponent) + shift:+03d}"
 
 
 def _difference_tables(a: np.ndarray, b: np.ndarray, M: int, N: int) -> np.ndarray:
     """The tables f(m, n) of a block of pairs, one (a, b) per row of the 2-d
-    integer arrays `a`, `b`; shape (rows, M, N)."""
+    integer arrays `a` (labels in [0, M)) and `b` (labels in [0, N), or one
+    row for every a); shape (rows, M, N)."""
     rows = a.shape[0]
-    cell = (a % M) * N + np.arange(0, rows * M * N, M * N)[:, None]
-    b = b % N
+    cell = a * N + np.arange(0, rows * M * N, M * N)[:, None]
     same = np.bincount((cell + b).ravel(), minlength=rows * M * N)
+    # np.roll would cost five times as much on the one-row b of a lumped scan.
     b_next = np.concatenate((b[:, 1:], b[:, :1]), axis=1)
     same -= np.bincount((cell + b_next).ravel(), minlength=rows * M * N)
     return same.reshape(rows, M, N)
@@ -97,10 +99,22 @@ def _periods(f: np.ndarray) -> np.ndarray:
     return periodic
 
 
-def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> np.ndarray:
-    f = _difference_tables(np.array([a], dtype=np.int64),
-                           np.array([b], dtype=np.int64), M, N)
-    return _periods(f)[0]
+def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bool]:
+    """Whether each shift in Z_M is a period of the pair's table, with the
+    labels reduced mod M and N."""
+    _validate_mn(M, N)
+    if len(b) != len(a):
+        raise ParameterError("a and b must have identical length")
+    f = _difference_tables(np.array([a], dtype=np.int64) % M,
+                           np.array([b], dtype=np.int64) % N, M, N)
+    return _periods(f)[0].tolist()
+
+
+def _differences_pass(i: Sequence[int], a: Sequence[int], periodic: list[bool]) -> bool:
+    r = len(i)
+    if r < 1 or len(a) < 1:
+        raise ParameterError("index tuples must be nonempty")
+    return all(periodic[(i[x] - i[(x + 1) % r]) % len(periodic)] for x in range(r))
 
 
 def counting_condition(i: Sequence[int], a: Sequence[int], b: Sequence[int],
@@ -110,14 +124,7 @@ def counting_condition(i: Sequence[int], a: Sequence[int], b: Sequence[int],
     {(i_x+a_y, b_y), (i_{x+1}+a_y, b_{y+1})}_y equals
     {(i_x+a_y, b_{y+1}), (i_{x+1}+a_y, b_y)}_y, that is, every
     i_x - i_{x+1} mod M lies in solution_set(a, b, M, N)."""
-    _validate_mn(M, N)
-    r, p = len(i), len(a)
-    if len(b) != p:
-        raise ParameterError("a and b must have identical length")
-    if r < 1 or p < 1:
-        raise ParameterError("index tuples must be nonempty")
-    periodic = _pair_periods(a, b, M, N)
-    return all(periodic[(i[x] - i[(x + 1) % r]) % M] for x in range(r))
+    return _differences_pass(i, a, _pair_periods(a, b, M, N))
 
 
 def base_condition(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -127,12 +134,11 @@ def base_condition(a: Sequence[int], b: Sequence[int]) -> bool:
     p = len(a)
     if len(b) != p or p < 1:
         raise ParameterError("a and b must be nonempty of identical length")
-    # Without M and N, number the labels that occur on each side.
+    # Without M and N, number the labels that occur on each side below p.
     a_codes = {label: code for code, label in enumerate(set(a))}
     b_codes = {label: code for code, label in enumerate(set(b))}
     f = _difference_tables(np.array([[a_codes[v] for v in a]]),
-                           np.array([[b_codes[v] for v in b]]),
-                           len(a_codes), len(b_codes))
+                           np.array([[b_codes[v] for v in b]]), p, p)
     return not f.any()
 
 
@@ -141,10 +147,7 @@ def solution_set(a: Sequence[int], b: Sequence[int], M: int, N: int) -> set[int]
     {(i+a_y, b_{y+1})}_y + {(a_y, b_y)}_y as multisets: the periods in m of
     the pair's difference table. Always contains 0; equals all of Z_M
     exactly when base_condition(a, b) holds."""
-    _validate_mn(M, N)
-    if len(b) != len(a):
-        raise ParameterError("a and b must have identical length")
-    return set(np.flatnonzero(_pair_periods(a, b, M, N)).tolist())
+    return {s for s, periodic in enumerate(_pair_periods(a, b, M, N)) if periodic}
 
 
 def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int,
@@ -154,21 +157,13 @@ def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int,
     _validate_mn(M, N)
     _validate_pos(r=r)
     _check_budget("i-tuple scan", M**r * len(a), budget)
-    hits = sum(1 for i in product(range(M), repeat=r)
-               if counting_condition(i, a, b, M, N))
+    periodic = _pair_periods(a, b, M, N)
+    hits = sum(1 for i in product(range(M), repeat=r) if _differences_pass(i, a, periodic))
     return Fraction(hits, M**r)
 
 
 _HISTOGRAM_CACHE_SIZE = 256  # (M, N, p) histograms kept; the oldest goes first
 _HISTOGRAM_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
-
-
-def _pinned_digits(index: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Rows (0, d_1, ..., d_width) holding the base-`base` digits of `index`."""
-    out = np.zeros((index.size, width + 1), dtype=np.int64)
-    for j in range(width, 0, -1):
-        index, out[:, j] = np.divmod(index, base)
-    return out
 
 
 def _order_histogram(M: int, N: int, p: int,
@@ -178,25 +173,37 @@ def _order_histogram(M: int, N: int, p: int,
 
     The counting condition is invariant under translating all of a (or all
     of b) by a constant, so the full space is M*N translated copies of this
-    pinned one. The pairs are numbered a-row by a-row and handled in blocks
-    of consecutive numbers. A cached histogram is never refused; building
-    one costs 2p bincount inputs and M^2 N compared cells per pinned pair.
+    pinned one. Relabelling b permutes the columns of f, so |H| depends on b
+    only through its kernel, a set partition with t <= T = min(N, p) blocks
+    that stands for perm(N-1, t-1) pinned b. Rotating a and b together keeps
+    f, and re-pinning a translates it in m, so one partition per rotation
+    orbit is scanned against blocks of pinned a, weighted by the orbit size.
+    A cached histogram is never refused.
     """
+    if M == 1 or N == 1 or p == 1:  # Z_M is trivial, or f vanishes: H = Z_M
+        return {M: (M * N)**(p - 1)}
     key = (M, N, p)
     cached = _HISTOGRAM_CACHE.get(key)
     if cached is not None:
         return cached
-    b_rows = N**(p - 1)
-    pairs = M**(p - 1) * b_rows
+    from .partitions import _rgs_orbits, _stirling_row  # partitions imports this module
+    T, a_rows = min(N, p), M**(p - 1)
+    # R partitions: R p^2 to find their orbits, then about R / p of them, each
+    # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. R
+    # costs O(p^2) to count, so past a_rows > budget the bound R = 1 is named.
+    R = sum(_stirling_row(p)[1:T + 1]) if a_rows <= budget else 1
     _check_budget(f"period histogram of ({M},{N},{p})",
-                  pairs * (2 * p + M * M * N), budget)
-    block = max(1, _BLOCK_CELLS // (M * N))
-    counts = np.zeros(M + 1, dtype=np.int64)
-    for start in range(0, pairs, block):
-        a_index, b_index = np.divmod(np.arange(start, min(start + block, pairs)), b_rows)
-        f = _difference_tables(_pinned_digits(a_index, M, p - 1),
-                               _pinned_digits(b_index, N, p - 1), M, N)
-        counts += np.bincount(_periods(f).sum(axis=1), minlength=M + 1)
+                  R * p * p + a_rows * R * (2 * p + M * M * T) // p, budget)
+    reps, orbit_sizes = _rgs_orbits(p, T)
+    block = max(1, _BLOCK_CELLS // (M * T))
+    by_t = np.zeros((T + 1, M + 1), dtype=np.int64)  # [t, |H|]
+    for start in range(0, a_rows, block):
+        index = np.arange(start, min(start + block, a_rows))
+        a = np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1))))
+        for b, orbit_size in zip(reps, orbit_sizes.tolist()):
+            orders = _periods(_difference_tables(a, b[None, :], M, T)).sum(axis=1)
+            by_t[b.max() + 1] += orbit_size * np.bincount(orders, minlength=M + 1)
+    counts = sum(math.perm(N - 1, t - 1) * by_t[t].astype(object) for t in range(1, T + 1))
     histogram = {h: int(mult) for h, mult in enumerate(counts) if mult}
     if len(_HISTOGRAM_CACHE) >= _HISTOGRAM_CACHE_SIZE:
         del _HISTOGRAM_CACHE[next(iter(_HISTOGRAM_CACHE))]

@@ -50,10 +50,10 @@ def test_truncated_golden_row(capsys):
 
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(
-        ["truncated", "--M", "4", "--N", "4", "--p", "7", "--r", "2"], capsys)
+        ["truncated", "--M", "4", "--N", "4", "--p", "9", "--r", "2"], capsys)
     assert code == 3
     assert "budget" in err
-    assert "1.309e+09" in err  # the estimated operation count is named
+    assert "6.600e+09" in err  # the estimated operation count is named
 
 
 def test_parameter_exit_code(capsys):

@@ -224,7 +224,14 @@ def test_delta_exact_routes():
 
 
 def test_delta_exact_falls_back_when_histogram_refused():
+    # R = 2^17 partitions of 18 with at most 2 blocks
     with pytest.raises(BudgetError) as info:
-        delta_direct(2, 2, 14)
-    assert info.value.estimated_ops == 4**13 * (2 * 14 + 2 * 2 * 2)
-    assert delta_exact(2, 2, 14) == delta_m2(2, 14)
+        delta_direct(2, 2, 18)
+    assert info.value.estimated_ops == \
+        2**17 * 18**2 + 2**17 * 2**17 * (2 * 18 + 2 * 2 * 2) // 18
+    assert delta_exact(2, 2, 18) == delta_m2(2, 18)
+
+
+def test_delta_direct_reaches_past_the_labelled_budget():
+    # the labelled kernel's estimate here was 1.94e9; the lumped one is 1.1e8
+    assert delta_direct(3, 3, 9) == delta_partition(3, 3, 9)

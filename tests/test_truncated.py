@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fouriermoments import truncated
+from fouriermoments import partitions, truncated
 from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
@@ -177,22 +177,38 @@ def test_count_d_thread_invariance():
 
 
 def test_count_d_budget_guard():
-    # the period histogram's work: (MN)^(p-1) pinned pairs times (2p + M^2 N)
+    # the lumped kernel's work: R = 11051 partitions of 9 with at most 4
+    # blocks, R p^2 to find their orbits, then R / p representatives against
+    # M^(p-1) pinned a at 2p + M^2 min(N, p) each
     with pytest.raises(BudgetError) as info:
-        count_d(4, 4, 7, 2)
-    assert info.value.estimated_ops == 16**6 * (2 * 7 + 4 * 4 * 4)
-    # an estimate beyond the float range is still named, not an OverflowError
-    with pytest.raises(BudgetError, match=r"~5\.200e\+363 "):
+        count_d(4, 4, 9, 2)
+    assert info.value.estimated_ops == 11051 * 9**2 + 4**8 * 11051 * (2 * 9 + 4 * 4 * 4) // 9
+    # an estimate beyond the float range is still named, not an OverflowError;
+    # past one partition's cost it is the lower bound R = 1
+    with pytest.raises(BudgetError, match=r"~4\.177e\+180 "):
         count_d(2, 2, 600, 2)
+    # and one beyond str()'s digit limit too
+    with pytest.raises(BudgetError, match=r"e\+30102 "):
+        count_d(2, 2, 10**5, 2)
 
 
 def test_count_d_budget_does_not_depend_on_r():
     refused = []
     for r in (2, 50):
         with pytest.raises(BudgetError) as info:
-            count_d(4, 4, 7, r)
+            count_d(4, 4, 9, r)
         refused.append(info.value.estimated_ops)
     assert refused[0] == refused[1]
+
+
+def test_trivial_sides_build_no_partitions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no partition table is needed")
+    monkeypatch.setattr(partitions, "_rgs_array", refuse)
+    monkeypatch.setattr(partitions, "_rgs_orbits", refuse)
+    assert count_d(1, 5, 12, 2) == 1
+    assert count_d(5, 1, 12, 3) == 1
+    assert delta_direct(1, 7, 20) == delta_direct(6, 1, 20) == 1
 
 
 def test_count_d_large_r_from_histogram():
