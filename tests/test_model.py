@@ -11,6 +11,8 @@ from fouriermoments.model import (
     PROJECTION_TOL,
     _pair_gram,
     _row_quotients,
+    _sample_rng,
+    _slice_operator,
     _torus_trace,
     dita_deform,
     flat_phase_matrix,
@@ -130,6 +132,60 @@ def test_transfer_budget_limit():
     with pytest.raises(BudgetError) as info:
         transfer_fiber(unit, 2, budget=2047)
     assert info.value.estimated_ops == 2048
+
+
+def _translate_mask(M: int, N: int, n: int) -> np.ndarray:
+    """mask[row, col]: the M-parts (i = index // N) of the two slice index
+    tuples are translates of each other mod M."""
+    digits = np.indices((M * N,) * n).reshape(n, -1) // N
+    shape = (digits - digits[0]) % M
+    code = np.ravel_multi_index(tuple(shape), (M,) * n)
+    return code[:, None] == code[None, :]
+
+
+def _sampled_fibers(M: int, N: int, count: int, rng):
+    return [dita_deform(random_phase_matrix(M, N, rng)) for _ in range(count)]
+
+
+def test_step_operator_is_block_diagonal_over_translates():
+    # the F_M factor of the deformation makes a pair-gram entry vanish unless
+    # i(u) - i(v) = i(w) - i(z) mod M, so around the cycle the column M-tuple
+    # is the row M-tuple plus one constant
+    rng = np.random.default_rng(29)
+    for (M, N), n in itertools.product(((2, 2), (2, 3), (3, 2), (3, 3)), (1, 2, 3)):
+        grams = [_pair_gram(_row_quotients(fiber.entries))
+                 for fiber in _sampled_fibers(M, N, n, rng)]
+        step = _slice_operator(grams, n, M * N)
+        off = np.abs(step[~_translate_mask(M, N, n)])
+        assert off.max(initial=0.0) < 1e-12, (M, N, n)
+
+
+def test_transfer_matrix_is_block_diagonal_over_translates():
+    rng = np.random.default_rng(31)
+    for (M, N), p in itertools.product(((2, 2), (2, 3), (3, 2), (3, 3)), (1, 2, 3)):
+        (fiber,) = _sampled_fibers(M, N, 1, rng)
+        mat = transfer_fiber(magic_unitary(fiber), p).entries
+        off = np.abs(mat[~_translate_mask(M, N, p)])
+        assert off.max(initial=0.0) < 1e-12, (M, N, p)
+
+
+def _reset_counter(bitgen: np.random.Philox, sample: int) -> None:
+    state = bitgen.state
+    state["state"]["counter"] = np.array([0, 0, 0, sample], dtype=np.uint64)
+    state["buffer_pos"] = 4
+    bitgen.state = state
+
+
+def test_philox_counter_reset_matches_fresh_stream():
+    for seed in (0, 7, -1, 2**64 + 5):
+        bitgen = np.random.Philox(key=np.uint64(seed & (2**64 - 1)))
+        shared = np.random.Generator(bitgen)
+        shared.uniform(size=3)  # leave the stream mid-buffer before each reset
+        for s in (0, 1, 2, 999):
+            _reset_counter(bitgen, s)
+            fresh = _sample_rng(seed, s).uniform(0.0, 1.0, size=(3, 3))
+            assert np.array_equal(shared.uniform(0.0, 1.0, size=(3, 3)), fresh)
+            shared.uniform(size=5)
 
 
 def test_torus_trace_matches_transfer_products():
