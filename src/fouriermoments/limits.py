@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError
 from .partitions import TRIANGLE_CAP, stirling_number, triangle_pair_counts
 from .truncated import (DEFAULT_BUDGET, _check_budget, _is_int, _order_histogram,
                         _validate_mn, _validate_pos)
@@ -220,16 +220,14 @@ def delta_upper_bound(M: int, N: int, p: int) -> Fraction:
 
 def delta_exact(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """The limiting moment by the cheapest exact route available: the
-    partition sum when p is within the pair-scan cap, direct enumeration
-    when its period histogram fits the budget, else the binomial route when
-    a side equals 2."""
+    partition sum when p is within the pair-scan cap, else the binomial
+    route when a side equals 2 (its N (p/2 + 1)^2 dynamic program is far
+    below the histogram's exponential work), else direct enumeration when
+    its period histogram fits the budget."""
     _validate_mn(M, N)
     _validate_pos(p=p)
     if p <= TRIANGLE_CAP:
         return delta_partition(M, N, p)
-    try:
-        return delta_direct(M, N, p, budget)
-    except BudgetError:
-        if 2 not in (M, N):
-            raise
+    if 2 in (M, N):
         return delta_binomial(M, N, p, budget)
+    return delta_direct(M, N, p, budget)

@@ -8,18 +8,28 @@ magic row/column sums 1e-9, flat-fiber reproduction 1e-12.
 
 Sampling uses one counter-based stream per sample derived from
 (seed, sample index), so results do not depend on evaluation order.
+
+The model estimator sums block traces. The F_M factor of a deformed
+fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
+(mod M), i the M-part of a pair index. So the slice operators of the
+torus trace split into M^(n-1) diagonal blocks of side M N^n, one per
+M-tuple up to translation. The blocks are gathered straight from the
+grams; `transfer_fiber` alone builds a dense K^p x K^p matrix, because it
+returns one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .truncated import DEFAULT_BUDGET, _check_budget, _validate_mn, _validate_pos
+from .errors import ParameterError, ValidationError
+from .truncated import (DEFAULT_BUDGET, _check_budget, _is_int, _validate_mn,
+                        _validate_pos)
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -78,8 +88,17 @@ class HadamardFiber:
 def fourier_matrix(n: int) -> HadamardFiber:
     """The n x n matrix with entry (j, k) = exp(2 pi i j k / n)."""
     _validate_pos(n=n)
+    return HadamardFiber(n, _fourier_entries(n).copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_entries(n: int) -> np.ndarray:
+    """Read-only entries of `fourier_matrix(n)`, shared by every fiber that
+    needs them."""
     grid = np.outer(np.arange(n), np.arange(n))
-    return HadamardFiber(n, np.exp(2j * math.pi * grid / n))
+    entries = np.exp(2j * math.pi * grid / n)
+    entries.flags.writeable = False
+    return entries
 
 
 def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
@@ -87,10 +106,8 @@ def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
     column (j, b) is Q[i, b] * F_M[i, j] * F_N[a, b], with pair indices
     flattened as i*N + a."""
     M, N = Q.M, Q.N
-    fm = fourier_matrix(M).entries
-    fn = fourier_matrix(N).entries
     # axes (i, a, j, b)
-    four = np.einsum("ij,ab->iajb", fm, fn)
+    four = _fourier_entries(M)[:, None, :, None] * _fourier_entries(N)[None, :, None, :]
     deformed = four * Q.entries[:, None, None, :]
     return HadamardFiber(M * N, deformed.reshape(M * N, M * N))
 
@@ -149,7 +166,9 @@ class TransferMatrix:
 
 def _pair_gram(xi: np.ndarray) -> np.ndarray:
     """gram[u, v, w, z] = <xi[u, v], xi[w, z]> (conjugate-linear first)."""
-    return np.tensordot(xi.conj(), xi, axes=([2], [2]))
+    K = xi.shape[0]
+    pairs = xi.reshape(K * K, K)
+    return (pairs.conj() @ pairs.T).reshape(K, K, K, K)
 
 
 def transfer_fiber(U: MagicUnitary, p: int,
@@ -172,14 +191,24 @@ class McEstimate(NamedTuple):
     std_error: float
 
 
-def _sample_rng(seed: int, sample: int) -> np.random.Generator:
-    # Counter-based stream: the Philox key carries the user seed, the high
-    # counter word carries the sample index, so streams never overlap and
-    # are independent of scheduling.
-    seed = int(seed) & (2**64 - 1)
-    bitgen = np.random.Philox(key=np.uint64(seed),
-                              counter=[0, 0, 0, int(sample)])
-    return np.random.Generator(bitgen)
+def _sample_streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
+    """One generator per sample index s, in order. A single Philox keyed by
+    the seed is rewound to counter [0, 0, 0, s] before sample s: the high
+    counter word carries the sample index, so streams never overlap and each
+    sample's draws do not depend on evaluation order."""
+    if not _is_int(seed):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
+    bitgen = np.random.Philox(key=np.uint64(seed & (2**64 - 1)))
+    rng = np.random.Generator(bitgen)
+    # The state of a fresh Philox: counter 0, key, and an empty output buffer.
+    fresh = bitgen.state
+
+    def rewound(sample: int) -> np.random.Generator:
+        fresh["state"]["counter"] = np.array([0, 0, 0, sample], dtype=np.uint64)
+        bitgen.state = fresh
+        return rng
+
+    return map(rewound, range(samples))
 
 
 def _place_axes(tensor: np.ndarray, positions: tuple[int, ...],
@@ -220,40 +249,111 @@ def _transfer_matrix(gram: np.ndarray, p: int, K: int) -> np.ndarray:
     return _slice_operator([gram.transpose(0, 2, 1, 3)] * p, p, K) * K**-(p + 1)
 
 
-def _trace_of_product(mats: list[np.ndarray]) -> complex:
-    if len(mats) == 1:
-        return complex(np.trace(mats[0]))
-    acc = mats[0]
-    for m in mats[1:-1]:
+@functools.lru_cache(maxsize=8)
+def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
+    """Where each factor of a slice operator lands in its diagonal blocks.
+
+    A factor's (row_x, row_{x+1}, col_x, col_{x+1}) entry carries the pair-gram
+    factor that vanishes unless i(row_x) - i(row_{x+1}) = i(col_x) - i(col_{x+1})
+    (mod M), i the M-part of a slice index. Around the cycle, a nonzero entry's
+    column M-tuple is therefore its row M-tuple plus one constant: the operator
+    is block-diagonal with one block per M-tuple class up to translation, the
+    representative t having t[0] = 0. Inside class t, block row (c1, a) has
+    M-tuple t + c1 and N-tuple a.
+
+    Entry x is the flat index into factor x for every block entry, on the
+    frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with unit axes where
+    factor x does not depend on the frame axis.
+    """
+    K = M * N
+    frame_axes = 2 * n + 3
+
+    def on_axis(values: np.ndarray, position: int) -> np.ndarray:
+        shape = [1] * frame_axes
+        shape[position] = -1
+        return values.reshape(shape)
+
+    classes = np.indices((1,) + (M,) * (n - 1)).reshape(n, -1)
+    c1, c2 = on_axis(np.arange(M), 1), on_axis(np.arange(M), n + 2)
+    labels = np.arange(N)
+    out = []
+    for x in range(n):
+        y = (x + 1) % n
+        tx, ty = on_axis(classes[x], 0), on_axis(classes[y], 0)
+        row_x = ((tx + c1) % M) * N + on_axis(labels, 2 + x)
+        row_y = ((ty + c1) % M) * N + on_axis(labels, 2 + y)
+        col_x = ((tx + c2) % M) * N + on_axis(labels, n + 3 + x)
+        col_y = ((ty + c2) % M) * N + on_axis(labels, n + 3 + y)
+        index = ((row_x * K + row_y) * K + col_x) * K + col_y
+        index.flags.writeable = False
+        out.append(index)
+    return tuple(out)
+
+
+def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
+                  scale: float) -> np.ndarray:
+    """The diagonal blocks of `scale * _slice_operator(factors, n, M * N)`, as a
+    (M^(n-1), M N^n, M N^n) stack in the class order of `_block_indices`,
+    gathered from the factors without forming the K^n x K^n operator.
+
+    Block (t, c1, a), (t, c2, b) is the product over x of
+    factors[x][(t_x + c1, a_x), (t_{x+1} + c1, a_{x+1}), (t_x + c2, b_x),
+    (t_{x+1} + c2, b_{x+1})], with pair indices flattened as i*N + a.
+    """
+    frame = (M**(n - 1), M) + (N,) * n + (M,) + (N,) * n
+    first, *rest = _block_indices(M, N, n)
+    acc = np.empty(frame, dtype=complex)
+    acc[...] = factors[0].take(first)
+    for factor, index in zip(factors[1:], rest):
+        acc *= factor.take(index)
+    acc *= scale
+    side = M * N**n
+    return acc.reshape(M**(n - 1), side, side)
+
+
+def _trace_of_product(stacks: list[np.ndarray]) -> complex:
+    """Sum over the blocks of Tr(stacks[0][t] ... stacks[-1][t])."""
+    if len(stacks) == 1:
+        return complex(np.trace(stacks[0], axis1=1, axis2=2).sum())
+    acc = stacks[0]
+    for m in stacks[1:-1]:
         acc = acc @ m
-    return complex((acc * mats[-1].T).sum())
+    return complex(np.einsum("tij,tji->", acc, stacks[-1]))
 
 
-def _torus_trace(grams: list[np.ndarray], K: int, p: int) -> complex:
+def _torus_trace(grams: list[np.ndarray], M: int, N: int, p: int) -> complex:
     """Tr(T_p(Q_1) ... T_p(Q_r)) from the per-fiber pair-gram tensors.
 
     The trace is a torus contraction of r*p four-index tensors; it is swept
     along whichever direction has the smaller slice space. Sweeping along
     the sample direction multiplies the r distinct transfer matrices;
     sweeping the other way raises a single K^r-dimensional operator to the
-    p-th power.
+    p-th power. Either operator is block-diagonal (`_block_indices`), and
+    products keep the blocks, so the trace is the sum of the block traces:
+    only the M^(n-1) blocks of side M N^n are built and multiplied.
     """
     r = len(grams)
+    K = M * N
     # The normalisation K^(-r(p+1)) is applied factor by factor, so the
     # products stay near the moment's size instead of overflowing.
     # Multiplying by a real reciprocal is cheaper than a complex division.
     if r <= p:
         # Factor x couples row components (x, x+1): exactly grams[x].
-        step = _slice_operator(grams, r, K) * K**-r
+        step = _slice_blocks(grams, r, M, N, K**-r)
         return _trace_of_product([step] * p) * K**-r
     # The x-th slice indexes the rows of fiber x's transfer matrix and the
-    # (x+1)-th its columns.
-    return _trace_of_product([_transfer_matrix(g, p, K) for g in grams])
+    # (x+1)-th its columns; its factor at every y is the gram with axes
+    # reordered to (row_y, row_{y+1}, col_y, col_{y+1}), as in `_transfer_matrix`.
+    return _trace_of_product([_slice_blocks([g.transpose(0, 2, 1, 3).copy()] * p, p, M, N,
+                                            K**-(p + 1)) for g in grams])
 
 
-def _check_torus_budget(K: int, p: int, r: int, budget: int) -> None:
+def _check_torus_budget(M: int, N: int, p: int, r: int, budget: int) -> None:
+    # The block loop's work per sample: max(1, q - 2) products of the
+    # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
     n, q = min(p, r), max(p, r)
-    cost = K**(3 * n) * max(1, q - 2) + K**(2 * n) * p * r
+    blocks, side = M**(n - 1), M * N**n
+    cost = blocks * side**3 * max(1, q - 2) + blocks * side**2 * p * r
     _check_budget("trace statistic per sample", cost, budget)
 
 
@@ -264,17 +364,16 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
     phase matrix. Deterministic for a fixed seed."""
     _validate_mn(M, N)
     _validate_pos(p=p, r=r, samples=samples)
-    K = M * N
-    _check_torus_budget(K, p, r, budget)
+    streams = _sample_streams(seed, samples)
+    _check_torus_budget(M, N, p, r, budget)
     values = np.empty(samples)
-    for s in range(samples):
-        rng = _sample_rng(seed, s)
+    for s, rng in enumerate(streams):
         grams = []
         for _ in range(r):
             Q = random_phase_matrix(M, N, rng)
             xi = _row_quotients(dita_deform(Q).entries)
             grams.append(_pair_gram(xi))
-        values[s] = _torus_trace(grams, K, p).real
+        values[s] = _torus_trace(grams, M, N, p).real
     return _mean_and_error(values)
 
 
@@ -285,8 +384,7 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
     _validate_mn(M, N)
     _validate_pos(p=p, samples=samples)
     values = np.empty(samples)
-    for s in range(samples):
-        rng = _sample_rng(seed, s)
+    for s, rng in enumerate(_sample_streams(seed, samples)):
         Q = random_phase_matrix(M, N, rng).entries
         # G / MN has trace 1 and no negative eigenvalue, so its powers
         # cannot overflow, whatever p.

@@ -183,3 +183,25 @@ def labelled_order_histogram(M: int, N: int, p: int) -> dict:
     np.add.at(f, (pair, a, np.roll(b, -1, axis=1)), -1)
     orders = sum((np.roll(f, -s, axis=1) == f).all(axis=(1, 2)) for s in range(M))
     return dict(Counter(orders.tolist()))
+
+
+def dense_torus_trace(grams, K: int, p: int) -> complex:
+    """Tr(T_p(Q_1) ... T_p(Q_r)) from the per-fiber pair grams through the
+    dense K^n x K^n slice operators, n = min(p, r): the step operator raised
+    to the p-th power when r <= p, else the product of the r transfer
+    matrices. Kept as the oracle for the block-diagonal trace."""
+    from fouriermoments.model import _slice_operator, _transfer_matrix
+
+    r = len(grams)
+    if r <= p:
+        mats = [_slice_operator(grams, r, K) * K**-r] * p
+        scale = K**-r
+    else:
+        mats = [_transfer_matrix(g, p, K) for g in grams]
+        scale = 1.0
+    if len(mats) == 1:
+        return complex(mats[0].trace()) * scale
+    acc = mats[0]
+    for mat in mats[1:-1]:
+        acc = acc @ mat
+    return complex((acc * mats[-1].T).sum()) * scale

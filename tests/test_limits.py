@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fouriermoments.asymptotics import delta_decay_estimate
+from fouriermoments import limits
 from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import (
     _squared_multinomial_row,
@@ -214,7 +215,7 @@ def test_delta_monotone_in_p_observation():
 
 def test_delta_exact_routes():
     assert delta_exact(3, 3, 4) == delta_direct(3, 3, 4)
-    # beyond the pair-scan cap, falls back to direct enumeration
+    # beyond the pair-scan cap with a side of 2, the binomial route
     assert delta_exact(2, 2, 10) == delta_m2(2, 10)
     # two-row route used when enumeration is out of budget
     assert delta_exact(2, 2, 40, budget=10**6) == delta_m2(2, 40)
@@ -230,6 +231,16 @@ def test_delta_exact_falls_back_when_histogram_refused():
     assert info.value.estimated_ops == \
         2**17 * 18**2 + 2**17 * 2**17 * (2 * 18 + 2 * 2 * 2) // 18
     assert delta_exact(2, 2, 18) == delta_m2(2, 18)
+
+
+def test_delta_exact_takes_the_binomial_route_before_direct(monkeypatch):
+    # past the pair-scan cap, a side of 2 never pays for the period histogram
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_direct called")
+
+    monkeypatch.setattr(limits, "delta_direct", refuse)
+    for M, N, p, other in ((2, 2, 14, 2), (3, 2, 11, 3), (2, 3, 12, 3)):
+        assert delta_exact(M, N, p) == delta_m2(other, p)
 
 
 def test_delta_direct_reaches_past_the_labelled_budget():

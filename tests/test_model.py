@@ -11,7 +11,7 @@ from fouriermoments.model import (
     PROJECTION_TOL,
     _pair_gram,
     _row_quotients,
-    _sample_rng,
+    _sample_streams,
     _slice_operator,
     _torus_trace,
     dita_deform,
@@ -24,6 +24,8 @@ from fouriermoments.model import (
     transfer_fiber,
 )
 from fouriermoments.truncated import alpha, c_from_d, count_d
+
+from helpers import dense_torus_trace
 
 
 def test_fourier_matrix_small():
@@ -169,28 +171,25 @@ def test_transfer_matrix_is_block_diagonal_over_translates():
         assert off.max(initial=0.0) < 1e-12, (M, N, p)
 
 
-def _reset_counter(bitgen: np.random.Philox, sample: int) -> None:
-    state = bitgen.state
-    state["state"]["counter"] = np.array([0, 0, 0, sample], dtype=np.uint64)
-    state["buffer_pos"] = 4
-    bitgen.state = state
-
-
 def test_philox_counter_reset_matches_fresh_stream():
+    # each sample rewinds one shared Philox; the draws must be those of a
+    # fresh Philox keyed by the seed with counter [0, 0, 0, s]
+    wanted = (0, 1, 2, 999)
     for seed in (0, 7, -1, 2**64 + 5):
-        bitgen = np.random.Philox(key=np.uint64(seed & (2**64 - 1)))
-        shared = np.random.Generator(bitgen)
-        shared.uniform(size=3)  # leave the stream mid-buffer before each reset
-        for s in (0, 1, 2, 999):
-            _reset_counter(bitgen, s)
-            fresh = _sample_rng(seed, s).uniform(0.0, 1.0, size=(3, 3))
-            assert np.array_equal(shared.uniform(0.0, 1.0, size=(3, 3)), fresh)
-            shared.uniform(size=5)
+        for s, rng in enumerate(_sample_streams(seed, wanted[-1] + 1)):
+            if s not in wanted:
+                continue
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.uint64(seed & (2**64 - 1)), counter=[0, 0, 0, s]))
+            assert np.array_equal(rng.uniform(0.0, 1.0, size=(3, 3)),
+                                  fresh.uniform(0.0, 1.0, size=(3, 3)))
+            rng.uniform(size=5)  # leave the stream mid-buffer before the next rewind
 
 
 def test_torus_trace_matches_transfer_products():
     rng = np.random.default_rng(23)
-    for M, N, p, r in itertools.product((2, 3), (2,), (1, 2, 3), (1, 2, 3)):
+    cases = list(itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3)))
+    for M, N, p, r in cases + [(3, 3, 3, 3)]:
         K = M * N
         grams, mats = [], []
         for _ in range(r):
@@ -201,8 +200,10 @@ def test_torus_trace_matches_transfer_products():
         for mat in mats[1:]:
             product = product @ mat
         dense = np.trace(product)
-        fast = _torus_trace(grams, K, p)
-        assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense))
+        oracle = dense_torus_trace(grams, K, p)
+        fast = _torus_trace(grams, M, N, p)
+        assert abs(fast - oracle) <= 1e-12 * abs(oracle), (M, N, p, r)
+        assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
         # moment of a self-adjoint element: real for every sampled tuple
         assert abs(fast.imag) < 1e-9 * max(1.0, abs(fast))
 
@@ -268,11 +269,12 @@ def test_mc_estimate_delta_smoke():
 
 
 def test_torus_budget_limit():
-    # K = 4, p = 3, r = 2: K^6 * 1 + K^4 * 6 = 5632 operations per sample
-    mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=5632)
+    # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^n = 8, so
+    # 2 * 8^3 * 1 + 2 * 8^2 * 6 = 1792 operations per sample
+    mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=1792)
     with pytest.raises(BudgetError) as info:
-        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=5631)
-    assert info.value.estimated_ops == 5632
+        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=1791)
+    assert info.value.estimated_ops == 1792
 
 
 def test_mc_budget_and_validation():
@@ -280,6 +282,16 @@ def test_mc_budget_and_validation():
         mc_estimate_c(4, 4, 5, 5, samples=10, seed=0)
     with pytest.raises(ParameterError):
         mc_estimate_c(2, 2, 2, 2, samples=0, seed=0)
+    for seed in (True, 1.9, "1", None):
+        with pytest.raises(ParameterError):
+            mc_estimate_c(2, 2, 2, 2, samples=1, seed=seed)
+        with pytest.raises(ParameterError):
+            mc_estimate_delta(2, 2, 2, samples=1, seed=seed)
+    for seed in (-3, 2**70):
+        assert mc_estimate_c(2, 2, 2, 2, samples=2, seed=seed) == \
+            mc_estimate_c(2, 2, 2, 2, samples=2, seed=seed & (2**64 - 1))
+        assert mc_estimate_delta(2, 2, 2, samples=2, seed=seed) == \
+            mc_estimate_delta(2, 2, 2, samples=2, seed=seed & (2**64 - 1))
     with pytest.raises(ValidationError):
         flat = np.ones((2, 2), dtype=complex) * 1.5
         from fouriermoments.model import PhaseMatrix
