@@ -11,11 +11,12 @@ Sampling uses one counter-based stream per sample derived from
 
 The model estimator sums block traces. The F_M factor of a deformed
 fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
-(mod M), i the M-part of a pair index. So the slice operators of the
-torus trace split into M^(n-1) diagonal blocks of side M N^n, one per
-M-tuple up to translation. The blocks are gathered straight from the
-grams; `transfer_fiber` alone builds a dense K^p x K^p matrix, because it
-returns one.
+(mod M), i the M-part of a pair index. Around the cycle of a slice
+operator's factors, a nonzero entry's column M-tuple is therefore its row
+M-tuple plus one constant, so the operators of the torus trace split into
+M^(n-1) diagonal blocks of side M N^n, one per M-tuple up to translation.
+The blocks are gathered straight from the grams; `transfer_fiber` alone
+builds a dense K^p x K^p matrix, because it returns one.
 """
 
 from __future__ import annotations
@@ -251,20 +252,12 @@ def _transfer_matrix(gram: np.ndarray, p: int, K: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
-    """Where each factor of a slice operator lands in its diagonal blocks.
-
-    A factor's (row_x, row_{x+1}, col_x, col_{x+1}) entry carries the pair-gram
-    factor that vanishes unless i(row_x) - i(row_{x+1}) = i(col_x) - i(col_{x+1})
-    (mod M), i the M-part of a slice index. Around the cycle, a nonzero entry's
-    column M-tuple is therefore its row M-tuple plus one constant: the operator
-    is block-diagonal with one block per M-tuple class up to translation, the
-    representative t having t[0] = 0. Inside class t, block row (c1, a) has
-    M-tuple t + c1 and N-tuple a.
-
-    Entry x is the flat index into factor x for every block entry, on the
-    frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with unit axes where
-    factor x does not depend on the frame axis.
-    """
+    """Flat indices that gather the diagonal blocks of a slice operator on n
+    slices from its factors; the module docstring says why the operator is
+    block-diagonal. Class t, the M-tuples t + c, has t[0] = 0, and inside it
+    block row (c1, a) has M-tuple t + c1 and N-tuple a. Entry x indexes
+    factor x on the frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with
+    unit axes where factor x does not depend on the frame axis."""
     K = M * N
     frame_axes = 2 * n + 3
 
@@ -314,7 +307,7 @@ def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
 def _trace_of_product(stacks: list[np.ndarray]) -> complex:
     """Sum over the blocks of Tr(stacks[0][t] ... stacks[-1][t])."""
     if len(stacks) == 1:
-        return complex(np.trace(stacks[0], axis1=1, axis2=2).sum())
+        return complex(np.einsum("tii->", stacks[0]))
     acc = stacks[0]
     for m in stacks[1:-1]:
         acc = acc @ m
@@ -343,7 +336,8 @@ def _torus_trace(grams: list[np.ndarray], M: int, N: int, p: int) -> complex:
         return _trace_of_product([step] * p) * K**-r
     # The x-th slice indexes the rows of fiber x's transfer matrix and the
     # (x+1)-th its columns; its factor at every y is the gram with axes
-    # reordered to (row_y, row_{y+1}, col_y, col_{y+1}), as in `_transfer_matrix`.
+    # reordered to (row_y, row_{y+1}, col_y, col_{y+1}), as in `_transfer_matrix`,
+    # made contiguous once instead of at each of its p gathers.
     return _trace_of_product([_slice_blocks([g.transpose(0, 2, 1, 3).copy()] * p, p, M, N,
                                             K**-(p + 1)) for g in grams])
 
