@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments import limits
+from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import (
     _squared_multinomial_row,

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fouriermoments import model
 from fouriermoments.errors import BudgetError, ParameterError, ValidationError
 from fouriermoments.limits import delta_partition
 from fouriermoments.model import (
@@ -206,6 +207,17 @@ def test_torus_trace_matches_transfer_products():
         assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
         # moment of a self-adjoint element: real for every sampled tuple
         assert abs(fast.imag) < 1e-9 * max(1.0, abs(fast))
+
+
+def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
+    # both sweeps (r <= p and r > p) run on the diagonal blocks alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense slice operator built")
+
+    monkeypatch.setattr(model, "_slice_operator", refuse)
+    for M, N, p, r in ((3, 2, 3, 2), (2, 3, 2, 3), (3, 3, 1, 1)):
+        est = mc_estimate_c(M, N, p, r, samples=3, seed=4)
+        assert np.isfinite(est.mean)
 
 
 def test_mc_estimate_c_deterministic():
