@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -33,8 +34,8 @@ from .limits import (
     moment_integral,
 )
 from .model import mc_estimate_c, mc_estimate_delta
-from .truncated import (DEFAULT_BUDGET, alpha, beta, c_from_d, closed_form_is_exact,
-                        count_d, d42_closed)
+from .truncated import (DEFAULT_BUDGET, _validate_pos, alpha, beta, c_from_d,
+                        closed_form_is_exact, count_d, d42_closed)
 
 CACHE_ENV_VAR = "FOURIERMOMENTS_CACHE"
 
@@ -80,7 +81,13 @@ class RunRecord:
 
 
 def _ratio_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # a term longer than the interpreter's int-to-str limit
+        bits = max(abs(value.numerator), value.denominator).bit_length()
+        raise ParameterError(
+            f"the exact value has about {round(bits * math.log10(2))} digits, over "
+            f"the limit of {sys.get_int_max_str_digits()} on printing an integer") from None
 
 
 def _emit(records: list[RunRecord], fmt: str, out_path: str | None) -> None:
@@ -234,15 +241,15 @@ def cmd_limit(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_converge(args, cache: Cache) -> list[RunRecord]:
-    delta = _delta_for(args.M, args.N, args.p, args.budget, cache)
+    M, N, p, budget = args.M, args.N, args.p, args.budget
+    _validate_pos(r_max=args.r_max)
+    delta = _delta_for(M, N, p, budget, cache)
     records = []
     for r in range(1, args.r_max + 1):
-        start = time.perf_counter()
-        d = _cached(cache, ("d:direct", args.M, args.N, args.p, r),
-                    lambda: count_d(args.M, args.N, args.p, r, args.budget))
-        b = beta(args.M, args.N, args.p, r, delta)
-        ms = int(round((time.perf_counter() - start) * 1000))
-        common = dict(M=args.M, N=args.N, p=args.p, r=r, runtime_ms=ms)
+        (d, b), ms = _timed(lambda: (
+            _cached(cache, ("d:direct", M, N, p, r), lambda: count_d(M, N, p, r, budget)),
+            beta(M, N, p, r, delta)))
+        common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms)
         records.append(RunRecord("converge", "direct", value_exact=d, **common))
         records.append(RunRecord("converge", "beta", value_exact=b, **common))
         records.append(RunRecord("converge", "delta", value_exact=delta, **common))

@@ -9,6 +9,7 @@ for large-p evaluation and is validated against the exact one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,7 +123,10 @@ def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
 def _squared_multinomial_row(N: int, k: int, budget: int) -> list[int]:
     """A_N(m) for m = 0..k: the sum over compositions of m into N parts of
     the squared multinomial coefficient."""
-    _check_budget("squared-multinomial dynamic program", N * (k + 1)**2, budget)
+    # About N (k + 1)^2 bigint products, each of integers of up to 2k log2 N
+    # bits (A_N(m) <= N^(2m)), which the interpreter multiplies digit by digit.
+    digits = 1 + math.ceil(2 * k * math.log2(N) / sys.int_info.bits_per_digit)
+    _check_budget("squared-multinomial dynamic program", N * (k + 1)**2 * digits, budget)
     # A_1(m) = 1 and A_2(m) = C(2m, m); peeling the last part gives
     # A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i).
     row = [math.comb(2 * m, m) if N > 1 else 1 for m in range(k + 1)]

@@ -15,8 +15,9 @@ fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
 operator's factors, a nonzero entry's column M-tuple is therefore its row
 M-tuple plus one constant, so the operators of the torus trace split into
 M^(n-1) diagonal blocks of side M N^n, one per M-tuple up to translation.
-The blocks are gathered straight from the grams; `transfer_fiber` alone
-builds a dense K^p x K^p matrix, because it returns one.
+The blocks are gathered straight from the grams. The K^p x K^p matrix
+that `transfer_fiber` returns comes from the same gather with M = 1, where
+every index tuple is its own class and the one block is the whole matrix.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def transfer_fiber(U: MagicUnitary, p: int,
     """
     _validate_pos(p=p)
     K = U.K
-    _check_budget(f"transfer matrix at K={K}, p={p}", 8 * K**(2 * p), budget)
-    return TransferMatrix(p, K, _transfer_matrix(_pair_gram(U.quotients), p, K))
+    _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p), budget)
+    return TransferMatrix(p, K, _transfer_blocks(_pair_gram(U.quotients), p, 1, K)[0])
 
 
 class McEstimate(NamedTuple):
@@ -210,44 +211,6 @@ def _sample_streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
         return rng
 
     return map(rewound, range(samples))
-
-
-def _place_axes(tensor: np.ndarray, positions: tuple[int, ...],
-                total_axes: int) -> np.ndarray:
-    """View `tensor` inside a `total_axes`-dimensional broadcast frame with
-    its axes moved to the given positions."""
-    order = np.argsort(positions)
-    moved = tensor.transpose(order)
-    shape = [1] * total_axes
-    for pos, size in zip(sorted(positions), moved.shape):
-        shape[pos] = size
-    return moved.reshape(shape)
-
-
-def _slice_operator(factors: list[np.ndarray], n: int, K: int) -> np.ndarray:
-    """Operator on the K^n-dimensional space of a torus slice.
-
-    `factors[x]` couples slice components (x, x+1 mod n) of the row index
-    with the same components of the column index; the operator entry is the
-    product of the factors. Index layout of each factor: (row_x, row_{x+1},
-    col_x, col_{x+1}).
-    """
-    if n == 1:
-        return np.einsum("aabb->ab", factors[0])
-    full = _place_axes(factors[0], (0, 1, n, n + 1), 2 * n)
-    acc = np.broadcast_to(full, (K,) * (2 * n)).copy()
-    for x in range(1, n):
-        pos = (x, (x + 1) % n, n + x, n + (x + 1) % n)
-        acc *= _place_axes(factors[x], pos, 2 * n)
-    return acc.reshape(K**n, K**n)
-
-
-def _transfer_matrix(gram: np.ndarray, p: int, K: int) -> np.ndarray:
-    """Transfer matrix of one fiber from its pair gram. Rows are the index
-    tuples I, columns J; position y couples (I_y, J_y) to (I_{y+1}, J_{y+1}),
-    so the slice-operator factor at every y is the gram with axes reordered
-    to (row_y, row_{y+1}, col_y, col_{y+1})."""
-    return _slice_operator([gram.transpose(0, 2, 1, 3)] * p, p, K) * K**-(p + 1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -285,13 +248,18 @@ def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
 
 def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
                   scale: float) -> np.ndarray:
-    """The diagonal blocks of `scale * _slice_operator(factors, n, M * N)`, as a
+    """The diagonal blocks of `scale` times a slice operator, as a
     (M^(n-1), M N^n, M N^n) stack in the class order of `_block_indices`,
     gathered from the factors without forming the K^n x K^n operator.
 
-    Block (t, c1, a), (t, c2, b) is the product over x of
+    The slice operator acts on the K^n-dimensional space of a torus slice:
+    `factors[x]` couples slice components (x, x+1 mod n) of the row index
+    with the same components of the column index, in the layout (row_x,
+    row_{x+1}, col_x, col_{x+1}), and an entry is the product of the
+    factors. Block (t, c1, a), (t, c2, b) is the product over x of
     factors[x][(t_x + c1, a_x), (t_{x+1} + c1, a_{x+1}), (t_x + c2, b_x),
-    (t_{x+1} + c2, b_{x+1})], with pair indices flattened as i*N + a.
+    (t_{x+1} + c2, b_{x+1})], with pair indices flattened as i*N + a. With
+    M = 1 every index tuple is its own class: one block, the whole operator.
     """
     frame = (M**(n - 1), M) + (N,) * n + (M,) + (N,) * n
     first, *rest = _block_indices(M, N, n)
@@ -302,6 +270,22 @@ def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
     acc *= scale
     side = M * N**n
     return acc.reshape(M**(n - 1), side, side)
+
+
+def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
+    """Operations to gather `factors` factors into the M^(n-1) blocks of side
+    M N^n of a slice operator on n slices (`_slice_blocks`)."""
+    return M**(n - 1) * (M * N**n)**2 * factors
+
+
+def _transfer_blocks(gram: np.ndarray, p: int, M: int, N: int) -> np.ndarray:
+    """Diagonal blocks of one fiber's transfer matrix, from its pair gram.
+    Rows are the index tuples I, columns J; position y couples (I_y, J_y) to
+    (I_{y+1}, J_{y+1}), so the slice-operator factor at every y is the gram
+    with axes reordered to (row_y, row_{y+1}, col_y, col_{y+1}), made
+    contiguous once instead of at each of its p gathers."""
+    factor = gram.transpose(0, 2, 1, 3).copy()
+    return _slice_blocks([factor] * p, p, M, N, (M * N)**-(p + 1))
 
 
 def _trace_of_product(stacks: list[np.ndarray]) -> complex:
@@ -335,19 +319,15 @@ def _torus_trace(grams: list[np.ndarray], M: int, N: int, p: int) -> complex:
         step = _slice_blocks(grams, r, M, N, K**-r)
         return _trace_of_product([step] * p) * K**-r
     # The x-th slice indexes the rows of fiber x's transfer matrix and the
-    # (x+1)-th its columns; its factor at every y is the gram with axes
-    # reordered to (row_y, row_{y+1}, col_y, col_{y+1}), as in `_transfer_matrix`,
-    # made contiguous once instead of at each of its p gathers.
-    return _trace_of_product([_slice_blocks([g.transpose(0, 2, 1, 3).copy()] * p, p, M, N,
-                                            K**-(p + 1)) for g in grams])
+    # (x+1)-th its columns.
+    return _trace_of_product([_transfer_blocks(g, p, M, N) for g in grams])
 
 
 def _check_torus_budget(M: int, N: int, p: int, r: int, budget: int) -> None:
     # The block loop's work per sample: max(1, q - 2) products of the
     # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
     n, q = min(p, r), max(p, r)
-    blocks, side = M**(n - 1), M * N**n
-    cost = blocks * side**3 * max(1, q - 2) + blocks * side**2 * p * r
+    cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
     _check_budget("trace statistic per sample", cost, budget)
 
 

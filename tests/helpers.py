@@ -185,19 +185,34 @@ def labelled_order_histogram(M: int, N: int, p: int) -> dict:
     return dict(Counter(orders.tolist()))
 
 
+def dense_slice_operator(factors, n: int, K: int):
+    """The K^n x K^n slice operator whose entry at row tuple (r_0 .. r_{n-1}),
+    column tuple (c_0 .. c_{n-1}) is the product over x of
+    factors[x][r_x, r_{x+1}, c_x, c_{x+1}] (indices mod n), by one einsum
+    over a generated subscript string."""
+    import numpy as np
+
+    rows, cols = "abcdefghij"[:n], "klmnopqrst"[:n]
+    terms = [rows[x] + rows[(x + 1) % n] + cols[x] + cols[(x + 1) % n]
+             for x in range(n)]
+    spec = ",".join(terms) + "->" + rows + cols
+    return np.einsum(spec, *factors).reshape(K**n, K**n)
+
+
 def dense_torus_trace(grams, K: int, p: int) -> complex:
     """Tr(T_p(Q_1) ... T_p(Q_r)) from the per-fiber pair grams through the
-    dense K^n x K^n slice operators, n = min(p, r): the step operator raised
-    to the p-th power when r <= p, else the product of the r transfer
-    matrices. Kept as the oracle for the block-diagonal trace."""
-    from fouriermoments.model import _slice_operator, _transfer_matrix
-
+    dense K^n x K^n slice operators, n = min(p, r): the step operator, whose
+    factor x is grams[x], raised to the p-th power when r <= p, else the
+    product of the r transfer matrices, whose factor at every position is
+    the gram with axes reordered to (row_y, row_{y+1}, col_y, col_{y+1}).
+    Kept as the oracle for the block-diagonal trace."""
     r = len(grams)
     if r <= p:
-        mats = [_slice_operator(grams, r, K) * K**-r] * p
+        mats = [dense_slice_operator(grams, r, K) * K**-r] * p
         scale = K**-r
     else:
-        mats = [_transfer_matrix(g, p, K) for g in grams]
+        mats = [dense_slice_operator([g.transpose(0, 2, 1, 3)] * p, p, K) * K**-(p + 1)
+                for g in grams]
         scale = 1.0
     if len(mats) == 1:
         return complex(mats[0].trace()) * scale

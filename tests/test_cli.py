@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +94,19 @@ def test_cache_path_is_a_file_exit_code(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--cache", "cache"]],
+                         ids=["csv", "json", "cache"])
+def test_value_too_long_to_print_exit_code(extra, tmp_path, capsys, monkeypatch):
+    # d_3^15000(2, 2) has a 2^15000 denominator, over the interpreter's
+    # 4300-digit limit on int-to-str conversion
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "15000"] + extra, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "4516 digits" in err
+    assert not any(tmp_path.glob("cache/*"))  # no cache entry written
+
+
 def test_argparse_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["truncated", "--M", "2"])
@@ -125,6 +139,17 @@ def test_binomial_needs_a_side_of_two(capsys):
         ["limit", "--M", "3", "--N", "3", "--p", "4", "--method", "binomial"], capsys)
     assert code == 2
     assert "M = 2 or N = 2" in err
+
+
+def test_binomial_budget_prices_bigint_digits(capsys):
+    # the DP's integers grow to 2k log2 N bits; priced by products alone,
+    # this point passed the gate and then ran for minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["limit", "--M", "2", "--N", "3", "--p", "20000", "--method", "binomial"], capsys)
+    assert code == 3 and out == ""
+    assert "squared-multinomial" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_limit_three_methods(capsys):
@@ -165,6 +190,14 @@ def test_converge_large_r_max(capsys):
     direct = {int(r["r"]): Fraction(r["value"]) for r in parse_csv(out)
               if r["method"] == "direct"}
     assert sorted(direct) == list(range(1, 31))
+
+
+@pytest.mark.parametrize("r_max", ["0", "-3"])
+def test_converge_nonpositive_r_max_exit_code(r_max, capsys):
+    code, out, err = run_cli(
+        ["converge", "--M", "2", "--N", "2", "--p", "3", "--r-max", r_max], capsys)
+    assert code == 2 and out == ""
+    assert "r_max must be a positive integer" in err
 
 
 def test_converge_gap_column(capsys):

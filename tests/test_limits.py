@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -118,6 +119,12 @@ def test_moment_integral_paths_agree():
 def test_moment_integral_budget():
     with pytest.raises(BudgetError):
         moment_integral(6, 10**6, budget=10**6)
+    # the DP's entries reach 2k log2 N bits, so its 3 * 10001^2 products at
+    # (3, 20000), k = 10^4, are priced by the digits of such an integer
+    with pytest.raises(BudgetError) as info:
+        delta_m2(3, 20000)
+    digits = 1 + math.ceil(2 * 10**4 * math.log2(3) / sys.int_info.bits_per_digit)
+    assert info.value.estimated_ops == 3 * 10001**2 * digits
     for k in (True, -1, 1.0):
         with pytest.raises(ParameterError):
             moment_integral(3, k)

@@ -13,7 +13,6 @@ from fouriermoments.model import (
     _pair_gram,
     _row_quotients,
     _sample_streams,
-    _slice_operator,
     _torus_trace,
     dita_deform,
     flat_phase_matrix,
@@ -26,7 +25,7 @@ from fouriermoments.model import (
 )
 from fouriermoments.truncated import alpha, c_from_d, count_d
 
-from helpers import dense_torus_trace
+from helpers import dense_slice_operator, dense_torus_trace
 
 
 def test_fourier_matrix_small():
@@ -95,7 +94,7 @@ def test_transfer_fiber_matches_dense_block_products():
     # the torus trace builds its r > p transfer matrices the same way, so
     # this is the check of that builder against plain block products
     rng = np.random.default_rng(17)
-    for M, N, p in ((2, 2, 2), (2, 2, 3), (2, 3, 2)):
+    for M, N, p in ((2, 2, 2), (2, 2, 3), (2, 3, 2), (1, 3, 2), (3, 1, 2)):
         unit = magic_unitary(dita_deform(random_phase_matrix(M, N, rng)))
         K = M * N
         tuples = list(itertools.product(range(K), repeat=p))
@@ -129,12 +128,13 @@ def test_transfer_budget():
 
 
 def test_transfer_budget_limit():
-    # 8 * K^(2p) operations: K = 4, p = 2 fits a budget of 2048 exactly
+    # the one-block gather: p * K^(2p) operations, so K = 4, p = 2 fits a
+    # budget of 512 exactly
     unit = magic_unitary(dita_deform(flat_phase_matrix(2, 2)))
-    assert transfer_fiber(unit, 2, budget=2048).entries.shape == (16, 16)
+    assert transfer_fiber(unit, 2, budget=512).entries.shape == (16, 16)
     with pytest.raises(BudgetError) as info:
-        transfer_fiber(unit, 2, budget=2047)
-    assert info.value.estimated_ops == 2048
+        transfer_fiber(unit, 2, budget=511)
+    assert info.value.estimated_ops == 512
 
 
 def _translate_mask(M: int, N: int, n: int) -> np.ndarray:
@@ -158,7 +158,7 @@ def test_step_operator_is_block_diagonal_over_translates():
     for (M, N), n in itertools.product(((2, 2), (2, 3), (3, 2), (3, 3)), (1, 2, 3)):
         grams = [_pair_gram(_row_quotients(fiber.entries))
                  for fiber in _sampled_fibers(M, N, n, rng)]
-        step = _slice_operator(grams, n, M * N)
+        step = dense_slice_operator(grams, n, M * N)
         off = np.abs(step[~_translate_mask(M, N, n)])
         assert off.max(initial=0.0) < 1e-12, (M, N, n)
 
@@ -210,14 +210,23 @@ def test_torus_trace_matches_transfer_products():
 
 
 def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
-    # both sweeps (r <= p and r > p) run on the diagonal blocks alone
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense slice operator built")
+    # both sweeps (r <= p and r > p) run on the diagonal blocks alone: every
+    # stack gathered is M^(n-1) blocks of side M N^n, never one K^n block
+    shapes = []
+    gather = model._slice_blocks
 
-    monkeypatch.setattr(model, "_slice_operator", refuse)
+    def recording(*args, **kwargs):
+        stack = gather(*args, **kwargs)
+        shapes.append(stack.shape)
+        return stack
+
+    monkeypatch.setattr(model, "_slice_blocks", recording)
     for M, N, p, r in ((3, 2, 3, 2), (2, 3, 2, 3), (3, 3, 1, 1)):
+        shapes.clear()
         est = mc_estimate_c(M, N, p, r, samples=3, seed=4)
         assert np.isfinite(est.mean)
+        n = min(p, r)
+        assert shapes and set(shapes) == {(M**(n - 1), M * N**n, M * N**n)}, (M, N, p, r)
 
 
 def test_mc_estimate_c_deterministic():
