@@ -38,6 +38,19 @@ def narayana(p: int, k: int) -> int:
     return math.comb(p, k) * math.comb(p, k - 1) // p
 
 
+def two_block_pairs(p: int) -> int:
+    """Shift-compatible pairs of two-block partitions of {0,...,p-1}, by the
+    closed form sum_{k>=1} C(p, 2k) (C(2k, k) 2^(p-2k) - 2) / 2. A two-block
+    pi whose blocks form k cyclic runs each has 2k elements x whose successor
+    x + 1 lies in the other block: k leave block A and k leave block B, and
+    there are C(p, 2k) such pi. A two-block sigma is compatible with pi
+    exactly when each of its blocks holds as many of the first kind as of
+    the second: C(2k, k) balanced colourings of the 2k elements, 2^(p-2k)
+    for the rest, less the two one-colour ones, over the two labellings."""
+    return sum(math.comb(p, 2 * k) * (math.comb(2 * k, k) * 2**(p - 2 * k) - 2) // 2
+               for k in range(1, p // 2 + 1))
+
+
 def squared_multinomial_scan(N: int, k: int) -> int:
     """Sum of the squared multinomial coefficients k! / (k_1! ... k_N!) over
     every composition (k_1, ..., k_N) of k, by scanning the compositions."""

@@ -250,6 +250,11 @@ def test_delta_exact_takes_the_binomial_route_before_direct(monkeypatch):
         assert delta_exact(M, N, p) == delta_m2(other, p)
 
 
+def test_direct_matches_binomial_at_p_10():
+    for M, N in ((2, 2), (3, 2), (2, 3)):
+        assert delta_direct(M, N, 10) == delta_binomial(M, N, 10)
+
+
 def test_delta_direct_reaches_past_the_labelled_budget():
     # the labelled kernel's estimate here was 1.94e9; the lumped one is 1.1e8
     assert delta_direct(3, 3, 9) == delta_partition(3, 3, 9)

@@ -31,6 +31,7 @@ from helpers import (
     rotate_partition,
     rotation_orbits,
     stirling2,
+    two_block_pairs,
 )
 
 
@@ -173,6 +174,11 @@ def test_triangle_table_matches_pairwise_scan():
                 key = (pi.num_blocks, sigma.num_blocks)
                 brute[key] = brute.get(key, 0) + 1
         assert {k: v for k, v in table.items() if v} == brute
+
+
+def test_two_block_pairs_match_the_closed_form():
+    for p in range(2, 10):
+        assert triangle_pair_counts(p, 2, 2)[(2, 2)] == two_block_pairs(p), p
 
 
 def test_triangle_relation_is_invariant_under_joint_rotation():
