@@ -9,13 +9,14 @@ large arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
 from .limits import delta_exact
-from .partitions import ENUMERATION_CAP, _check_p, _narayana_profile
-from .truncated import _validate_pos
+from .partitions import _narayana_profile
+from .truncated import DEFAULT_BUDGET, _check_budget, _validate_pos
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,12 @@ class StirlingPolynomial:
     coefficients: tuple[int, ...]  # index k = 1..p; coefficients[0] unused
 
     def __call__(self, t: Fraction | int) -> Fraction:
-        t = Fraction(t)
-        return sum((self.coefficients[k] * t**k for k in range(1, self.p + 1)),
-                   Fraction(0))
+        # Horner's rule over the integers, t = u / v, and one gcd at the end
+        u, v = Fraction(t).as_integer_ratio()
+        acc, v_power = 0, 1
+        for coefficient in self.coefficients[:0:-1]:
+            acc, v_power = acc * u + coefficient * v_power, v_power * v
+        return Fraction(acc * u, v_power)
 
     def catalan_total(self) -> int:
         return sum(self.coefficients[1:])
@@ -37,7 +41,10 @@ class StirlingPolynomial:
 
 def stirling_polynomial(p: int) -> StirlingPolynomial:
     """Exact block-count profile of the non-crossing partitions."""
-    _check_p(p, ENUMERATION_CAP, "enumeration")
+    _validate_pos(p=p)
+    # p ratio steps on integers of up to 2p bits
+    _check_budget(f"Narayana profile of p={p}",
+                  p * (1 + 2 * p // sys.int_info.bits_per_digit), DEFAULT_BUDGET)
     return StirlingPolynomial(p, tuple(_narayana_profile(p)))
 
 
@@ -47,6 +54,11 @@ def free_poisson_moment(t: Fraction | int, p: int) -> Fraction:
     t = Fraction(t)
     if t <= 0:
         raise ParameterError(f"t must be positive, got {t}")
+    _validate_pos(p=p)
+    # p Horner steps on integers of up to p (2 + bits of t) bits
+    bits = 2 + t.numerator.bit_length() + t.denominator.bit_length()
+    _check_budget(f"free Poisson moment at p={p}",
+                  p * (1 + p * bits // sys.int_info.bits_per_digit), DEFAULT_BUDGET)
     return stirling_polynomial(p)(t)
 
 

@@ -61,20 +61,10 @@ class RunRecord:
     def row(self) -> list:
         if self.value_exact is not None and self.value_float is None:
             self.value_float = float(self.value_exact)
-        return [
-            self.command,
-            "" if self.M is None else self.M,
-            "" if self.N is None else self.N,
-            "" if self.p is None else self.p,
-            "" if self.r is None else self.r,
-            self.method,
-            "" if self.value_exact is None else _ratio_str(self.value_exact),
-            "" if self.value_float is None else self.value_float,
-            "" if self.std_error is None else self.std_error,
-            "" if self.z is None else self.z,
-            self.runtime_ms,
-            "" if self.seed is None else self.seed,
-        ]
+        value = None if self.value_exact is None else _ratio_str(self.value_exact)
+        return ["" if cell is None else cell for cell in (
+            self.command, self.M, self.N, self.p, self.r, self.method, value,
+            self.value_float, self.std_error, self.z, self.runtime_ms, self.seed)]
 
     def as_dict(self) -> dict:
         return dict(zip(CSV_HEADER, self.row()))
@@ -224,7 +214,7 @@ def cmd_limit(args, cache: Cache) -> list[RunRecord]:
 
     records = _run_methods("limit", {
         "direct": cached("direct", lambda: delta_direct(M, N, p, budget)),
-        "partition": cached("partition", lambda: delta_partition(M, N, p)),
+        "partition": cached("partition", lambda: delta_partition(M, N, p, budget)),
         "binomial": cached("binomial", lambda: delta_binomial(M, N, p, budget)),
         "bound": lambda: delta_upper_bound(M, N, p),
     }, args)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import TRIANGLE_CAP, stirling_number, triangle_pair_counts
+from .partitions import stirling_number, triangle_pair_counts
 from .truncated import (DEFAULT_BUDGET, _check_budget, _is_int, _order_histogram,
                         _validate_mn, _validate_pos)
 
@@ -37,16 +37,15 @@ def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fracti
     return Fraction(hits * M * N, (M * N)**p)
 
 
-def delta_partition(M: int, N: int, p: int) -> Fraction:
+def delta_partition(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """The limiting moment as a sum over shift-compatible partition pairs,
-    weighted by falling factorials of M and N."""
+    weighted by falling factorials of M and N; 1 when a side has one row."""
     _validate_mn(M, N)
     _validate_pos(p=p)
-    table = triangle_pair_counts(p, min(p, M), min(p, N))
-    total = 0
-    for (s, t), pairs in table.items():
-        if pairs:
-            total += math.perm(M, s) * math.perm(N, t) * pairs
+    if M == 1 or N == 1:
+        return Fraction(1)
+    table = triangle_pair_counts(p, min(p, M), min(p, N), budget)
+    total = sum(math.perm(M, s) * math.perm(N, t) * pairs for (s, t), pairs in table.items())
     return Fraction(total, (M * N)**p)
 
 
@@ -56,7 +55,7 @@ def epsilon(p: int, s: int, t: int) -> Fraction:
     _validate_pos(p=p, s=s, t=t)
     if s > p or t > p:
         raise ParameterError(f"block counts must satisfy s, t <= p, got {(s, t)}")
-    pairs = triangle_pair_counts(p, s, t)[(s, t)]
+    pairs = triangle_pair_counts(p, s, t, DEFAULT_BUDGET)[(s, t)]
     return Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
 
 
@@ -91,7 +90,7 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
     _validate_mn(M, N)
     _validate_pos(p=p)
     smax, tmax = min(p, M), min(p, N)
-    table = triangle_pair_counts(p, smax, tmax)
+    table = triangle_pair_counts(p, smax, tmax, DEFAULT_BUDGET)
     contributions: dict[tuple[int, int], Fraction] = {}
     eps: dict[tuple[int, int], Fraction] = {}
     total = Fraction(0)
@@ -223,15 +222,11 @@ def delta_upper_bound(M: int, N: int, p: int) -> Fraction:
 
 
 def delta_exact(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """The limiting moment by the cheapest exact route available: the
-    partition sum when p is within the pair-scan cap, else the binomial
-    route when a side equals 2 (its N (p/2 + 1)^2 dynamic program is far
-    below the histogram's exponential work), else direct enumeration when
-    its period histogram fits the budget."""
+    """The limiting moment by the binomial route when the smaller side is 2,
+    else by the partition sum. With both sides >= 3 the period histogram of
+    direct enumeration always costs more than the partition-pair scan."""
     _validate_mn(M, N)
     _validate_pos(p=p)
-    if p <= TRIANGLE_CAP:
-        return delta_partition(M, N, p)
-    if 2 in (M, N):
+    if min(M, N) == 2:
         return delta_binomial(M, N, p, budget)
-    return delta_direct(M, N, p, budget)
+    return delta_partition(M, N, p, budget)

@@ -274,8 +274,9 @@ def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
 
 def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
     """Operations to gather `factors` factors into the M^(n-1) blocks of side
-    M N^n of a slice operator on n slices (`_slice_blocks`)."""
-    return M**(n - 1) * (M * N**n)**2 * factors
+    M N^n of a slice operator on n slices (`_slice_blocks`), plus one per byte
+    held per block entry: 16 each for it, a gathered factor and its indices."""
+    return M**(n - 1) * (M * N**n)**2 * (factors + 48)
 
 
 def _transfer_blocks(gram: np.ndarray, p: int, M: int, N: int) -> np.ndarray:

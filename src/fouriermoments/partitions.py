@@ -1,32 +1,29 @@
 """Set partitions of {0,...,p-1}: enumeration, non-crossing structure,
 Kreweras complementation, Stirling/Narayana counts and the cyclic-shift
-compatibility relation used by the moment formulas.
-
-All values are immutable after construction; enumeration streams are
-single-consumer but independent streams may run concurrently.
+compatibility relation used by the moment formulas. All values are
+immutable after construction. Enumeration streams stop at ENUMERATION_CAP
+and are single-consumer, but independent streams may run concurrently; the
+pair scan is refused by its estimated work instead of by p.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ParameterError
-from .truncated import _BLOCK_CELLS, _difference_tables, _validate_pos
+from .truncated import (DEFAULT_BUDGET, _BLOCK_CELLS, _check_budget, _difference_tables,
+                        _validate_pos)
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
 ENUMERATION_CAP = 12
-
-# Pair scans over P(p) x P(p) are refused above this size: with no budget gate
-# on the scan yet, a full p = 10 scan (Bell(10) = 115 975) would run for minutes.
-TRIANGLE_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -106,10 +103,10 @@ class PartitionStats:
     narayana: dict[int, int]
 
 
-def _check_p(p: int, cap: int = ENUMERATION_CAP, what: str = "supported") -> None:
+def _check_p(p: int) -> None:
     _validate_pos(p=p)
-    if p > cap:
-        raise ParameterError(f"p={p} exceeds the {what} cap {cap}")
+    if p > ENUMERATION_CAP:
+        raise ParameterError(f"p={p} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 def _rgs_stream(p: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
@@ -280,16 +277,16 @@ def bell_number(p: int) -> int:
 
 
 def _narayana_profile(p: int) -> tuple[int, ...]:
-    # Block-count profile of NC(p): the Narayana numbers C(p, k) C(p, k-1) / p.
-    return (0,) + tuple(math.comb(p, k) * math.comb(p, k - 1) // p
-                        for k in range(1, p + 1))
+    # Block-count profile of NC(p): the Narayana numbers C(p, k) C(p, k-1) / p,
+    # one ratio step each: N(p, k+1) = N(p, k) (p-k)(p-k+1) / (k(k+1)).
+    return (0, *accumulate(range(1, p), lambda count, k:
+                           count * (p - k) * (p - k + 1) // (k * (k + 1)), initial=1))
 
 
 def partition_stats(p: int) -> PartitionStats:
     """Exact Stirling table, Bell number and non-crossing block profile."""
     _check_p(p)
-    row = _stirling_row(p)
-    profile = _narayana_profile(p)
+    row, profile = _stirling_row(p), _narayana_profile(p)
     return PartitionStats(
         p=p,
         stirling={s: row[s] for s in range(1, p + 1)},
@@ -328,20 +325,32 @@ def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
 
 # typed: True == 1 would otherwise hit the cached entry of p = 1.
 @lru_cache(maxsize=256, typed=True)
-def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
+def triangle_pair_counts(p: int, smax: int, tmax: int,
+                         budget: int = DEFAULT_BUDGET) -> dict[tuple[int, int], int]:
     """Exact number of shift-compatible pairs (pi, sigma) with |pi| = s,
     |sigma| = t, for every s <= smax and t <= tmax.
 
-    A pair is compatible iff the difference table of the labels a = sigma,
-    b = pi vanishes (truncated._difference_tables). Rotating pi and sigma
-    together keeps compatibility and block counts (reflection and the
-    pi <-> sigma swap do not), so one pi per rotation orbit is tabled
-    against every block of sigmas, and its counts are weighted by the orbit
-    size.
+    A one-block partition is compatible with every partition, so a table
+    with smax or tmax = 1 is a Stirling row. Otherwise a pair is compatible
+    iff the difference table of the labels a = sigma, b = pi vanishes
+    (truncated._difference_tables). Rotating pi and sigma together keeps
+    compatibility and block counts (reflection and the pi <-> sigma swap do
+    not), so one pi per rotation orbit is tabled against every block of
+    sigmas, and its counts are weighted by the orbit size.
     """
-    _check_p(p, TRIANGLE_CAP, "partition-pair")
-    smax = min(smax, p)
-    tmax = min(tmax, p)
+    _validate_pos(p=p)
+    smax, tmax = min(smax, p), min(tmax, p)
+    # The Stirling row: p^2 / 2 sums of up to (p log2 p)-bit integers, priced
+    # alone past the budget. Then R_x rows (R_x: partitions with <= x blocks)
+    # at p^2 each, 5 R_s p^2 to find orbits, R_s / p orbits times R_t sigmas.
+    cost = p * p * (1 + p * p.bit_length() // sys.int_info.bits_per_digit) // 2
+    if min(smax, tmax) > 1 and cost <= budget:
+        R_s, R_t = (sum(_stirling_row(p)[1:x + 1]) for x in (smax, tmax))
+        cost += R_s * R_t + (5 * R_s + R_t) * p * p
+    _check_budget(f"partition-pair scan of ({p},{smax},{tmax})", cost, budget)
+    if min(smax, tmax) == 1:
+        row = _stirling_row(p)
+        return {(s, t): row[s] * row[t] for s in range(1, smax + 1) for t in range(1, tmax + 1)}
     pis, orbit_sizes = _rgs_orbits(p, smax)
     sigmas, sigma_counts = _rgs_array(p, tmax)
     table: dict[tuple[int, int], int] = {

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -103,18 +102,11 @@ def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bo
     """Whether each shift in Z_M is a period of the pair's table, with the
     labels reduced mod M and N."""
     _validate_mn(M, N)
-    if len(b) != len(a):
-        raise ParameterError("a and b must have identical length")
+    if len(b) != len(a) or len(a) < 1:
+        raise ParameterError("a and b must be nonempty of identical length")
     f = _difference_tables(np.array([a], dtype=np.int64) % M,
                            np.array([b], dtype=np.int64) % N, M, N)
     return _periods(f)[0].tolist()
-
-
-def _differences_pass(i: Sequence[int], a: Sequence[int], periodic: list[bool]) -> bool:
-    r = len(i)
-    if r < 1 or len(a) < 1:
-        raise ParameterError("index tuples must be nonempty")
-    return all(periodic[(i[x] - i[(x + 1) % r]) % len(periodic)] for x in range(r))
 
 
 def counting_condition(i: Sequence[int], a: Sequence[int], b: Sequence[int],
@@ -124,7 +116,10 @@ def counting_condition(i: Sequence[int], a: Sequence[int], b: Sequence[int],
     {(i_x+a_y, b_y), (i_{x+1}+a_y, b_{y+1})}_y equals
     {(i_x+a_y, b_{y+1}), (i_{x+1}+a_y, b_y)}_y, that is, every
     i_x - i_{x+1} mod M lies in solution_set(a, b, M, N)."""
-    return _differences_pass(i, a, _pair_periods(a, b, M, N))
+    periodic, r = _pair_periods(a, b, M, N), len(i)
+    if r < 1:
+        raise ParameterError("index tuples must be nonempty")
+    return all(periodic[(i[x] - i[(x + 1) % r]) % M] for x in range(r))
 
 
 def base_condition(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -150,16 +145,12 @@ def solution_set(a: Sequence[int], b: Sequence[int], M: int, N: int) -> set[int]
     return {s for s, periodic in enumerate(_pair_periods(a, b, M, N)) if periodic}
 
 
-def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int,
-                        r: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int, r: int) -> Fraction:
     """Exact fraction of i-tuples in Z_M^r satisfying counting_condition
-    with the given (a, b)."""
-    _validate_mn(M, N)
+    with the given (a, b): every step i_x - i_{x+1} must lie in the solution
+    set H, so M |H|^(r-1) tuples pass, a fraction (|H| / M)^(r-1)."""
     _validate_pos(r=r)
-    _check_budget("i-tuple scan", M**r * len(a), budget)
-    periodic = _pair_periods(a, b, M, N)
-    hits = sum(1 for i in product(range(M), repeat=r) if _differences_pass(i, a, periodic))
-    return Fraction(hits, M**r)
+    return Fraction(sum(_pair_periods(a, b, M, N)), M)**(r - 1)
 
 
 _HISTOGRAM_CACHE_SIZE = 256  # (M, N, p) histograms kept; the oldest goes first
@@ -223,6 +214,8 @@ def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
+    if r == 1:
+        return Fraction(1)
     histogram = _order_histogram(M, N, p, budget)
     total = sum(mult * h**(r - 1) for h, mult in histogram.items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.

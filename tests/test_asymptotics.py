@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,11 @@ from fouriermoments.asymptotics import (
     richmond_shallit,
     stirling_polynomial,
 )
-from fouriermoments.errors import ParameterError
+from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.limits import moment_integral
 from fouriermoments.partitions import kreweras_complement, noncrossing_partitions
 
-from helpers import catalan
+from helpers import catalan, narayana
 
 
 def test_stirling_polynomial_small():
@@ -43,6 +44,24 @@ def test_block_profile_matches_kreweras_pairing():
             profile[kreweras_complement(part).num_blocks] += 1
         for k in range(1, p + 1):
             assert profile[k] == coeffs[p + 1 - k] == coeffs[k]
+
+
+def test_narayana_profile_by_ratio():
+    for p in range(1, 61):
+        assert stirling_polynomial(p).coefficients == \
+            (0,) + tuple(narayana(p, k) for k in range(1, p + 1)), p
+
+
+def test_profile_and_moment_budgets():
+    # the closed form has no p cap: p = 13 and 2000 are cheap, 10^6 is refused
+    assert stirling_polynomial(13).catalan_total() == catalan(13)
+    assert free_poisson_moment(1, 2000) == catalan(2000)
+    start = time.perf_counter()
+    for call in (lambda: stirling_polynomial(10**6),
+                 lambda: free_poisson_moment(Fraction(5, 2), 10**5)):
+        with pytest.raises(BudgetError):
+            call()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_free_poisson_moments():

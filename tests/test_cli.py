@@ -11,6 +11,7 @@ import pytest
 
 from fouriermoments import cli
 from fouriermoments.cli import CSV_HEADER, main
+from fouriermoments.limits import delta_partition
 
 
 def run_cli(argv, capsys):
@@ -55,6 +56,19 @@ def test_budget_exit_code(capsys):
     assert code == 3
     assert "budget" in err
     assert "6.600e+09" in err  # the estimated operation count is named
+
+
+def test_pair_scan_budget_exit_code(capsys):
+    argv = ["limit", "--M", "3", "--N", "3", "--p", "10", "--method", "partition"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert Fraction(parse_csv(out)[0]["value"]) == delta_partition(3, 3, 10)
+    code, _, err = run_cli(argv + ["--budget", "1000"], capsys)
+    assert code == 3 and "partition-pair scan of (10,3,3)" in err
+    code, _, err = run_cli(["limit", "--M", "4", "--N", "4", "--p", "10",
+                            "--method", "partition"], capsys)
+    assert code == 3
+    assert "partition-pair scan of (10,4,4) needs ~1.958e+09" in err
 
 
 def test_parameter_exit_code(capsys):
@@ -115,7 +129,7 @@ def test_argparse_error_exit_code(capsys):
 
 
 def test_cross_check_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "delta_partition", lambda M, N, p: Fraction(1, 7))
+    monkeypatch.setattr(cli, "delta_partition", lambda M, N, p, budget: Fraction(1, 7))
     code, _, err = run_cli(
         ["limit", "--M", "2", "--N", "2", "--p", "3",
          "--method", "direct,partition"], capsys)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from fouriermoments import limits
 from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments.errors import BudgetError, ParameterError
+from fouriermoments.partitions import stirling_number, triangle_pair_counts
 from fouriermoments.limits import (
     _squared_multinomial_row,
     decompose,
@@ -29,6 +31,7 @@ from helpers import (
     counter_delta_back_shift,
     delta_m2_float_by_log_convolution,
     squared_multinomial_scan,
+    two_block_pairs,
 )
 
 
@@ -57,9 +60,17 @@ def test_delta_partition_agrees_with_direct():
         assert delta_partition(M, N, p) == delta_direct(M, N, p)
 
 
-def test_delta_partition_cap():
-    with pytest.raises(ParameterError):
-        delta_partition(2, 2, 10)
+def test_delta_partition_budget():
+    # the pair scan is refused by its estimate, not by p: (10, 2, 2) is cheap
+    assert delta_partition(2, 2, 10) == delta_m2(2, 10)
+    with pytest.raises(BudgetError) as info:
+        delta_partition(4, 4, 10)
+    R = 43947  # partitions of 10 with at most 4 blocks
+    assert info.value.estimated_ops == 100 * (1 + 10 * 4 // sys.int_info.bits_per_digit) // 2 \
+        + R * R + 6 * R * 100
+    assert "partition-pair scan of (10,4,4)" in str(info.value)
+    with pytest.raises(BudgetError):
+        delta_partition(3, 3, 10, budget=1000)
 
 
 def test_delta_direct_budget():
@@ -80,8 +91,9 @@ def test_epsilon_values():
 def test_epsilon_validation():
     with pytest.raises(ParameterError):
         epsilon(3, 4, 1)
-    with pytest.raises(ParameterError):
-        epsilon(10, 2, 2)
+    assert epsilon(10, 2, 2) == Fraction(two_block_pairs(10), stirling_number(10, 2)**2)
+    with pytest.raises(BudgetError):
+        epsilon(10, 4, 4)
 
 
 def test_decompose_identities():
@@ -222,7 +234,7 @@ def test_delta_monotone_in_p_observation():
 
 def test_delta_exact_routes():
     assert delta_exact(3, 3, 4) == delta_direct(3, 3, 4)
-    # beyond the pair-scan cap with a side of 2, the binomial route
+    # a side of 2 takes the binomial route
     assert delta_exact(2, 2, 10) == delta_m2(2, 10)
     # two-row route used when enumeration is out of budget
     assert delta_exact(2, 2, 40, budget=10**6) == delta_m2(2, 40)
@@ -241,11 +253,12 @@ def test_delta_exact_falls_back_when_histogram_refused():
 
 
 def test_delta_exact_takes_the_binomial_route_before_direct(monkeypatch):
-    # past the pair-scan cap, a side of 2 never pays for the period histogram
+    # a side of 2 pays for neither scan
     def refuse(*args, **kwargs):
-        raise AssertionError("delta_direct called")
+        raise AssertionError("a scan was called")
 
     monkeypatch.setattr(limits, "delta_direct", refuse)
+    monkeypatch.setattr(limits, "delta_partition", refuse)
     for M, N, p, other in ((2, 2, 14, 2), (3, 2, 11, 3), (2, 3, 12, 3)):
         assert delta_exact(M, N, p) == delta_m2(other, p)
 
@@ -253,6 +266,34 @@ def test_delta_exact_takes_the_binomial_route_before_direct(monkeypatch):
 def test_direct_matches_binomial_at_p_10():
     for M, N in ((2, 2), (3, 2), (2, 3)):
         assert delta_direct(M, N, 10) == delta_binomial(M, N, 10)
+
+
+def test_partition_matches_binomial_past_p_9():
+    for p in range(10, 15):
+        assert delta_partition(2, 2, p) == delta_binomial(2, 2, p), p
+    for M, N, p in ((3, 2, 10), (2, 3, 10), (3, 2, 11), (2, 3, 11)):
+        assert delta_partition(M, N, p) == delta_binomial(M, N, p), (M, N, p)
+
+
+def test_delta_exact_takes_the_partition_route_at_3_3_10(monkeypatch):
+    value = delta_direct(3, 3, 10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_direct called")
+
+    monkeypatch.setattr(limits, "delta_direct", refuse)
+    assert delta_exact(3, 3, 10) == delta_partition(3, 3, 10) == value
+
+
+def test_huge_p_is_answered_or_refused_at_once():
+    start = time.perf_counter()
+    assert delta_exact(1, 5, 10**5) == delta_partition(7, 1, 10**5) == 1
+    for call in (lambda: triangle_pair_counts(10**5, 2, 2),
+                 lambda: delta_partition(3, 3, 10**5),
+                 lambda: epsilon(10**5, 1, 3)):
+        with pytest.raises(BudgetError):
+            call()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_delta_direct_reaches_past_the_labelled_budget():

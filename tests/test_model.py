@@ -10,6 +10,7 @@ from fouriermoments.model import (
     HadamardFiber,
     MAGIC_SUM_TOL,
     PROJECTION_TOL,
+    _gather_cost,
     _pair_gram,
     _row_quotients,
     _sample_streams,
@@ -23,7 +24,7 @@ from fouriermoments.model import (
     random_phase_matrix,
     transfer_fiber,
 )
-from fouriermoments.truncated import alpha, c_from_d, count_d
+from fouriermoments.truncated import DEFAULT_BUDGET, alpha, c_from_d, count_d
 
 from helpers import dense_slice_operator, dense_torus_trace
 
@@ -128,13 +129,25 @@ def test_transfer_budget():
 
 
 def test_transfer_budget_limit():
-    # the one-block gather: p * K^(2p) operations, so K = 4, p = 2 fits a
-    # budget of 512 exactly
+    # the one-block gather: p * K^(2p) operations and 48 bytes per entry,
+    # so K = 4, p = 2 fits a budget of 4^4 * 50 = 12800 exactly
     unit = magic_unitary(dita_deform(flat_phase_matrix(2, 2)))
-    assert transfer_fiber(unit, 2, budget=512).entries.shape == (16, 16)
+    assert transfer_fiber(unit, 2, budget=12800).entries.shape == (16, 16)
     with pytest.raises(BudgetError) as info:
-        transfer_fiber(unit, 2, budget=511)
-    assert info.value.estimated_ops == 512
+        transfer_fiber(unit, 2, budget=12799)
+    assert info.value.estimated_ops == 12800
+
+
+def test_transfer_budget_bounds_memory():
+    # K = 66 is the largest fiber the default budget admits at p = 2: its
+    # 66^4 complex entries take 304 MB. At K = 149 they would take 7.9 GB.
+    assert _gather_cost(1, 66, 2, 2) <= DEFAULT_BUDGET < _gather_cost(1, 67, 2, 2)
+
+    class Fiber:  # the gate reads only the fiber's size
+        K = 149
+
+    with pytest.raises(BudgetError):
+        transfer_fiber(Fiber(), 2)
 
 
 def _translate_mask(M: int, N: int, n: int) -> np.ndarray:
@@ -291,11 +304,11 @@ def test_mc_estimate_delta_smoke():
 
 def test_torus_budget_limit():
     # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^n = 8, so
-    # 2 * 8^3 * 1 + 2 * 8^2 * 6 = 1792 operations per sample
-    mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=1792)
+    # 2 * 8^3 * 1 + 2 * 8^2 * (6 + 48) = 7936 operations and bytes per sample
+    mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=7936)
     with pytest.raises(BudgetError) as info:
-        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=1791)
-    assert info.value.estimated_ops == 1792
+        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=7935)
+    assert info.value.estimated_ops == 7936
 
 
 def test_mc_budget_and_validation():

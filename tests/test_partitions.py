@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from fouriermoments.errors import ParameterError
+from fouriermoments import partitions
+from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.partitions import (
     SetPartition,
     _rgs_array,
@@ -177,8 +179,38 @@ def test_triangle_table_matches_pairwise_scan():
 
 
 def test_two_block_pairs_match_the_closed_form():
-    for p in range(2, 10):
+    for p in range(2, 15):
         assert triangle_pair_counts(p, 2, 2)[(2, 2)] == two_block_pairs(p), p
+
+
+def test_one_block_tables_come_from_stirling_numbers(monkeypatch):
+    for p in range(1, 8):
+        full = triangle_pair_counts(p, p, p)
+        assert triangle_pair_counts(p, 1, p) == {k: v for k, v in full.items() if k[0] == 1}
+        assert triangle_pair_counts(p, p, 1) == {k: v for k, v in full.items() if k[1] == 1}
+
+    def refuse(*args):
+        raise AssertionError("partitions enumerated")
+
+    # Bell(12) = 4.2M rows would take about 400 MB
+    monkeypatch.setattr(partitions, "_rgs_array", refuse)
+    monkeypatch.setattr(partitions, "_rgs_orbits", refuse)
+    assert triangle_pair_counts(12, 1, 12) == {(1, t): stirling2(12, t) for t in range(1, 13)}
+
+
+def test_pair_scan_budget():
+    # R_s R_t + (5 R_s + R_t) p^2 and the Stirling row, with R = 2^(p-1) at two blocks
+    R = 2**9
+    cost = 100 + R * R + 6 * R * 100
+    assert triangle_pair_counts(10, 2, 2, cost)[(2, 2)] == two_block_pairs(10)
+    with pytest.raises(BudgetError) as info:
+        triangle_pair_counts(10, 2, 2, cost - 1)
+    assert info.value.estimated_ops == cost
+    # at p = 10^5 the Stirling row alone is over the budget; it is not built
+    with pytest.raises(BudgetError) as info:
+        triangle_pair_counts(10**5, 2, 2)
+    assert info.value.estimated_ops == \
+        10**10 * (1 + 10**5 * 17 // sys.int_info.bits_per_digit) // 2
 
 
 def test_triangle_relation_is_invariant_under_joint_rotation():

@@ -114,10 +114,13 @@ def test_counting_condition_is_difference_rule():
                        (6, 2, 2, 2)):
         for a, b in _grid_pairs(M, N, p):
             shifts = solution_set(a, b, M, N)
+            hits = 0
             for i in itertools.product(range(M), repeat=r):
                 rule = all((i[x] - i[(x + 1) % r]) % M in shifts for x in range(r))
                 assert counting_condition(i, a, b, M, N) == rule, (i, a, b)
                 assert counter_condition(i, a, b, M, N) == rule, (i, a, b)
+                hits += rule
+            assert i_tuple_probability(a, b, M, N, r) == Fraction(hits, M**r), (a, b)
 
 
 def test_per_pair_wrappers_reduce_labels():
@@ -147,6 +150,14 @@ def test_count_d_trivial_values():
     for M, N, p, r in itertools.product(range(1, 4), repeat=4):
         if M == 1 or N == 1 or p == 1 or r == 1:
             assert count_d(M, N, p, r) == 1
+
+
+def test_count_d_at_r_1_builds_no_histogram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_order_histogram called")
+
+    monkeypatch.setattr(truncated, "_order_histogram", refuse)
+    assert count_d(4, 4, 9, 1) == 1
 
 
 def test_count_d_matches_literal_enumeration():
@@ -358,9 +369,15 @@ def test_i_tuple_probability_bounds():
                             assert value == Fraction(1, M**(r - 1))
 
 
-def test_i_tuple_probability_budget():
-    with pytest.raises(BudgetError):
-        i_tuple_probability((0, 1), (0, 1), 10, 2, 12, budget=100)
+def test_i_tuple_probability_closed_form():
+    # 10^12 tuples, refused when they were enumerated: the solution set of
+    # this pair is {0}, so (1/10)^11 of them pass
+    assert solution_set((0, 1), (0, 1), 10, 2) == {0}
+    assert i_tuple_probability((0, 1), (0, 1), 10, 2, 12) == Fraction(1, 10**11)
+    for args in (((), (), 2, 2, 2), ((0, 1), (0,), 2, 2, 2), ((0, 1), (0, 1), True, 2, 2),
+                 ((0, 1), (0, 1), 2, 2, True)):
+        with pytest.raises(ParameterError):
+            i_tuple_probability(*args)
 
 
 def test_parameter_validation():
