@@ -110,6 +110,16 @@ def test_decompose_identities():
         assert report.total == head + tail
 
 
+def test_partition_routes_share_one_scan():
+    # every caller passes the budget the same way, so one table has one key
+    triangle_pair_counts.cache_clear()
+    delta_partition(3, 3, 8)
+    decompose(3, 3, 8)
+    epsilon(8, 3, 3)
+    info = triangle_pair_counts.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
 def test_moment_integral_values():
     assert moment_integral(3, 0) == 1
     assert moment_integral(1, 7) == 1
