@@ -67,6 +67,22 @@ def test_order_is_invariant_under_joint_rotation_and_repinning():
             assert (_orders(a_rot, b_rot, M, N) == orders).all(), (M, N, p, shift)
 
 
+def test_table_at_the_partitions_own_width_keeps_its_periods():
+    # b's labels stay below its block count t, so the columns t..T-1 of the
+    # width-T table are zero, and the width-t table keeps its periods and
+    # vanishes exactly when the width-T one does
+    for M, N, p in ((4, 3, 5), (3, 4, 5), (2, 3, 6)):
+        T = min(N, p)
+        a = np.array([(0,) + rest for rest in itertools.product(range(M), repeat=p - 1)])
+        for b in partitions._rgs_orbits(p, T)[0]:
+            t = int(b.max()) + 1
+            wide = _difference_tables(a, b[None, :], M, T)
+            own = _difference_tables(a, b[None, :], M, t)
+            assert not wide[:, :, t:].any() and (wide[:, :, :t] == own).all(), (M, N, p, b)
+            assert (_periods(own) == _periods(wide)).all(), (M, N, p, b)
+            assert (own.any(axis=(1, 2)) == wide.any(axis=(1, 2))).all(), (M, N, p, b)
+
+
 def test_order_histogram_matches_labelled_enumeration():
     # prime and composite M, N above p, N at or below p, and the trivial sides
     for point in ((2, 5, 3), (3, 4, 3), (4, 5, 3), (6, 4, 3), (5, 6, 3), (3, 5, 4),
