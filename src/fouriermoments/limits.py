@@ -55,7 +55,7 @@ def epsilon(p: int, s: int, t: int) -> Fraction:
     _validate_pos(p=p, s=s, t=t)
     if s > p or t > p:
         raise ParameterError(f"block counts must satisfy s, t <= p, got {(s, t)}")
-    pairs = triangle_pair_counts(p, s, t, DEFAULT_BUDGET)[(s, t)]
+    pairs = triangle_pair_counts(p, s, t)[(s, t)]
     return Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
 
 
@@ -90,7 +90,7 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
     _validate_mn(M, N)
     _validate_pos(p=p)
     smax, tmax = min(p, M), min(p, N)
-    table = triangle_pair_counts(p, smax, tmax, DEFAULT_BUDGET)
+    table = triangle_pair_counts(p, smax, tmax)
     contributions: dict[tuple[int, int], Fraction] = {}
     eps: dict[tuple[int, int], Fraction] = {}
     total = Fraction(0)

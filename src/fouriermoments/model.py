@@ -185,7 +185,8 @@ def transfer_fiber(U: MagicUnitary, p: int,
     _validate_pos(p=p)
     K = U.K
     _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p), budget)
-    return TransferMatrix(p, K, _transfer_blocks(_pair_gram(U.quotients), p, 1, K)[0])
+    indices = _block_indices(1, K, p)  # as large as the matrix at M = 1, so not kept
+    return TransferMatrix(p, K, _transfer_blocks(_pair_gram(U.quotients), indices, 1, K)[0])
 
 
 class McEstimate(NamedTuple):
@@ -213,7 +214,6 @@ def _sample_streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
     return map(rewound, range(samples))
 
 
-@functools.lru_cache(maxsize=8)
 def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
     """Flat indices that gather the diagonal blocks of a slice operator on n
     slices from its factors; the module docstring says why the operator is
@@ -240,17 +240,15 @@ def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
         row_y = ((ty + c1) % M) * N + on_axis(labels, 2 + y)
         col_x = ((tx + c2) % M) * N + on_axis(labels, n + 3 + x)
         col_y = ((ty + c2) % M) * N + on_axis(labels, n + 3 + y)
-        index = ((row_x * K + row_y) * K + col_x) * K + col_y
-        index.flags.writeable = False
-        out.append(index)
+        out.append(((row_x * K + row_y) * K + col_x) * K + col_y)
     return tuple(out)
 
 
-def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
-                  scale: float) -> np.ndarray:
+def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
+                  M: int, N: int, scale: float) -> np.ndarray:
     """The diagonal blocks of `scale` times a slice operator, as a
-    (M^(n-1), M N^n, M N^n) stack in the class order of `_block_indices`,
-    gathered from the factors without forming the K^n x K^n operator.
+    (M^(n-1), M N^n, M N^n) stack, gathered from the factors by the n
+    `indices` of `_block_indices` without forming the K^n x K^n operator.
 
     The slice operator acts on the K^n-dimensional space of a torus slice:
     `factors[x]` couples slice components (x, x+1 mod n) of the row index
@@ -261,8 +259,9 @@ def _slice_blocks(factors: list[np.ndarray], n: int, M: int, N: int,
     (t_{x+1} + c2, b_{x+1})], with pair indices flattened as i*N + a. With
     M = 1 every index tuple is its own class: one block, the whole operator.
     """
+    n = len(indices)
     frame = (M**(n - 1), M) + (N,) * n + (M,) + (N,) * n
-    first, *rest = _block_indices(M, N, n)
+    first, *rest = indices
     acc = np.empty(frame, dtype=complex)
     acc[...] = factors[0].take(first)
     for factor, index in zip(factors[1:], rest):
@@ -279,14 +278,17 @@ def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
     return M**(n - 1) * (M * N**n)**2 * (factors + 48)
 
 
-def _transfer_blocks(gram: np.ndarray, p: int, M: int, N: int) -> np.ndarray:
-    """Diagonal blocks of one fiber's transfer matrix, from its pair gram.
-    Rows are the index tuples I, columns J; position y couples (I_y, J_y) to
-    (I_{y+1}, J_{y+1}), so the slice-operator factor at every y is the gram
-    with axes reordered to (row_y, row_{y+1}, col_y, col_{y+1}), made
-    contiguous once instead of at each of its p gathers."""
+def _transfer_blocks(gram: np.ndarray, indices: tuple[np.ndarray, ...],
+                     M: int, N: int) -> np.ndarray:
+    """Diagonal blocks of one fiber's transfer matrix, from its pair gram by
+    the p `indices` of `_block_indices`. Rows are the index tuples I, columns
+    J; position y couples (I_y, J_y) to (I_{y+1}, J_{y+1}), so the
+    slice-operator factor at every y is the gram with axes reordered to
+    (row_y, row_{y+1}, col_y, col_{y+1}), made contiguous once instead of at
+    each of its p gathers."""
     factor = gram.transpose(0, 2, 1, 3).copy()
-    return _slice_blocks([factor] * p, p, M, N, (M * N)**-(p + 1))
+    p = len(indices)
+    return _slice_blocks([factor] * p, indices, M, N, (M * N)**-(p + 1))
 
 
 def _trace_of_product(stacks: list[np.ndarray]) -> complex:
@@ -299,8 +301,10 @@ def _trace_of_product(stacks: list[np.ndarray]) -> complex:
     return complex(np.einsum("tij,tji->", acc, stacks[-1]))
 
 
-def _torus_trace(grams: list[np.ndarray], M: int, N: int, p: int) -> complex:
-    """Tr(T_p(Q_1) ... T_p(Q_r)) from the per-fiber pair-gram tensors.
+def _torus_trace(grams: list[np.ndarray], indices: tuple[np.ndarray, ...],
+                 M: int, N: int, p: int) -> complex:
+    """Tr(T_p(Q_1) ... T_p(Q_r)) from the per-fiber pair-gram tensors and
+    the `indices` of _block_indices(M, N, min(p, r)).
 
     The trace is a torus contraction of r*p four-index tensors; it is swept
     along whichever direction has the smaller slice space. Sweeping along
@@ -317,11 +321,11 @@ def _torus_trace(grams: list[np.ndarray], M: int, N: int, p: int) -> complex:
     # Multiplying by a real reciprocal is cheaper than a complex division.
     if r <= p:
         # Factor x couples row components (x, x+1): exactly grams[x].
-        step = _slice_blocks(grams, r, M, N, K**-r)
+        step = _slice_blocks(grams, indices, M, N, K**-r)
         return _trace_of_product([step] * p) * K**-r
     # The x-th slice indexes the rows of fiber x's transfer matrix and the
     # (x+1)-th its columns.
-    return _trace_of_product([_transfer_blocks(g, p, M, N) for g in grams])
+    return _trace_of_product([_transfer_blocks(g, indices, M, N) for g in grams])
 
 
 def _check_torus_budget(M: int, N: int, p: int, r: int, budget: int) -> None:
@@ -341,6 +345,7 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
     _validate_pos(p=p, r=r, samples=samples)
     streams = _sample_streams(seed, samples)
     _check_torus_budget(M, N, p, r, budget)
+    indices = _block_indices(M, N, min(p, r))
     values = np.empty(samples)
     for s, rng in enumerate(streams):
         grams = []
@@ -348,7 +353,7 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
             Q = random_phase_matrix(M, N, rng)
             xi = _row_quotients(dita_deform(Q).entries)
             grams.append(_pair_gram(xi))
-        values[s] = _torus_trace(grams, M, N, p).real
+        values[s] = _torus_trace(grams, indices, M, N, p).real
     return _mean_and_error(values)
 
 

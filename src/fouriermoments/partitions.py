@@ -3,13 +3,12 @@ Kreweras complementation, Stirling/Narayana counts and the cyclic-shift
 compatibility relation used by the moment formulas. All values are
 immutable after construction. Enumeration streams stop at ENUMERATION_CAP
 and are single-consumer, but independent streams may run concurrently; the
-pair scan is refused by its estimated work instead of by p.
+pair scan and the Stirling counts are refused by their estimated work.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -18,12 +17,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .truncated import (DEFAULT_BUDGET, _BLOCK_CELLS, _check_budget, _difference_tables,
-                        _validate_pos)
+from .truncated import DEFAULT_BUDGET, _check_budget, _difference_tables, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
 ENUMERATION_CAP = 12
+
+# Difference-table cells an orbit scan holds per block of pairs, so its peak
+# memory does not grow with the number of pairs and a block stays in cache.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -171,61 +173,39 @@ def _combine_gaps(block, gaps, idx, acc) -> Iterator[list[tuple[int, ...]]]:
         yield from _combine_gaps(block, gaps, idx + 1, acc + sub)
 
 
-def is_noncrossing(part: SetPartition) -> bool:
-    """True iff no a<b<c<d has a,c in one block and b,d in another.
-
-    Linear stack scan: a block revisited while a later-opened block is still
-    open is a crossing.
-    """
-    rgs = part.rgs()
-    last = {}
-    for element, block_id in enumerate(rgs):
-        last[block_id] = element
-    stack: list[int] = []
-    opened: set[int] = set()
-    for element, block_id in enumerate(rgs):
-        if block_id not in opened:
-            opened.add(block_id)
-            stack.append(block_id)
-        elif stack[-1] != block_id:
-            return False
-        if last[block_id] == element:
-            stack.pop()
-    return True
-
-
-def kreweras_complement(part: SetPartition) -> SetPartition:
-    """Kreweras complement of a non-crossing partition.
-
-    Computed through the permutation picture: a non-crossing partition acts
-    as the permutation cycling each block in increasing order, and the
-    complement is the cycle partition of x -> inverse(x + 1 mod p).
-    Satisfies |part| + |complement| = p + 1.
-    """
-    if not is_noncrossing(part):
-        raise ParameterError("Kreweras complement requires a non-crossing partition")
+def _kreweras_cycles(part: SetPartition) -> list[list[int]]:
+    """The cycles of x -> pi^-1(x + 1 mod p), pi the permutation that cycles
+    each block of `part` in increasing order. Their number plus the block
+    count is at most p + 1, with equality exactly when `part` is non-crossing
+    (Biane), and then they are the blocks of its Kreweras complement."""
     p = part.p
-    nxt = [0] * p
+    inverse = [0] * p
     for block in part.blocks:
-        for i, element in enumerate(block):
-            nxt[element] = block[(i + 1) % len(block)]
-    inv = [0] * p
-    for element in range(p):
-        inv[nxt[element]] = element
-    perm = [inv[(x + 1) % p] for x in range(p)]
-    blocks = []
-    unseen = [True] * p
+        for element, previous in zip(block, block[-1:] + block[:-1]):
+            inverse[element] = previous
+    cycles, unseen = [], [True] * p
     for start in range(p):
-        if not unseen[start]:
-            continue
-        cycle = []
-        x = start
+        cycle, x = [], start
         while unseen[x]:
             unseen[x] = False
             cycle.append(x)
-            x = perm[x]
-        blocks.append(cycle)
-    return SetPartition.from_blocks(p, blocks)
+            x = inverse[(x + 1) % p]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def is_noncrossing(part: SetPartition) -> bool:
+    """True iff no a<b<c<d has a,c in one block and b,d in another."""
+    return part.p == 0 or part.num_blocks + len(_kreweras_cycles(part)) == part.p + 1
+
+
+def kreweras_complement(part: SetPartition) -> SetPartition:
+    """Kreweras complement of a non-crossing partition, from _kreweras_cycles.
+    Satisfies |part| + |complement| = p + 1."""
+    if not is_noncrossing(part):
+        raise ParameterError("Kreweras complement requires a non-crossing partition")
+    return SetPartition.from_blocks(part.p, _kreweras_cycles(part))
 
 
 def shift_block(beta: Iterable[int], p: int) -> set[int]:
@@ -265,15 +245,21 @@ def _stirling_row(p: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _stirling_cost(p: int) -> int:
+    # p^2 / 2 sums of up to (p log2 p)-bit integers, digit by digit.
+    return p * p * (1 + p * p.bit_length() // sys.int_info.bits_per_digit) // 2
+
+
 def stirling_number(p: int, s: int) -> int:
     """Number of partitions of {0,...,p-1} with exactly s blocks."""
     if s < 0 or s > p:
         return 0
+    _check_budget(f"Stirling row of p={p}", _stirling_cost(p), DEFAULT_BUDGET)
     return _stirling_row(p)[s]
 
 
 def bell_number(p: int) -> int:
-    return sum(_stirling_row(p))
+    return sum(stirling_number(p, s) for s in range(p + 1))
 
 
 def _narayana_profile(p: int) -> tuple[int, ...]:
@@ -285,12 +271,13 @@ def _narayana_profile(p: int) -> tuple[int, ...]:
 
 def partition_stats(p: int) -> PartitionStats:
     """Exact Stirling table, Bell number and non-crossing block profile."""
-    _check_p(p)
-    row, profile = _stirling_row(p), _narayana_profile(p)
+    _validate_pos(p=p)
+    stirling = {s: stirling_number(p, s) for s in range(1, p + 1)}
+    profile = _narayana_profile(p)
     return PartitionStats(
         p=p,
-        stirling={s: row[s] for s in range(1, p + 1)},
-        bell=sum(row),
+        stirling=stirling,
+        bell=sum(stirling.values()),
         narayana={k: profile[k] for k in range(1, p + 1) if profile[k]},
     )
 
@@ -323,8 +310,27 @@ def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[is_rep], np.bincount(np.searchsorted(least[is_rep], least))
 
 
-# typed: True == 1 would otherwise hit the cached entry of p = 1.
-@lru_cache(maxsize=256, typed=True)
+def _orbit_scan(a_rows, count: int, M: int, p: int, T: int, classify) -> np.ndarray:
+    """tally[t, c]: the pairs (a, b) that classify(f, index) puts in class
+    c <= M, a = a_rows(index) a block of the `count` rows (labels below M), b
+    one least row per rotation orbit of the partitions of p with t <= T
+    blocks, weighted by the orbit size. b's labels stay below t, so its
+    tables f are built t columns wide."""
+    reps, orbit_sizes = _rgs_orbits(p, T)
+    tally = np.zeros((T + 1, M + 1), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // (M * T))
+    for start in range(0, count, step):
+        index = np.arange(start, min(start + step, count))
+        a = a_rows(index)
+        for b, orbit_size in zip(reps, orbit_sizes.tolist()):
+            t = b.max() + 1
+            # Bound to f, a table lives until the next one is built, so glibc
+            # does not trim the heap top and fault it in again per table.
+            f = _difference_tables(a, b[None, :], M, t)
+            tally[t] += orbit_size * np.bincount(classify(f, index), minlength=M + 1)
+    return tally
+
+
 def triangle_pair_counts(p: int, smax: int, tmax: int,
                          budget: int = DEFAULT_BUDGET) -> dict[tuple[int, int], int]:
     """Exact number of shift-compatible pairs (pi, sigma) with |pi| = s,
@@ -335,32 +341,35 @@ def triangle_pair_counts(p: int, smax: int, tmax: int,
     iff the difference table of the labels a = sigma, b = pi vanishes
     (truncated._difference_tables). Rotating pi and sigma together keeps
     compatibility and block counts (reflection and the pi <-> sigma swap do
-    not), so one pi per rotation orbit is tabled against every block of
-    sigmas, and its counts are weighted by the orbit size.
+    not), so _orbit_scan tables one pi per rotation orbit against blocks of
+    sigmas. The budget refuses a scan, but the tables are cached per
+    (p, smax, tmax) whatever the budget; `cache_info` and `cache_clear` are
+    those of that cache.
     """
     _validate_pos(p=p)
     smax, tmax = min(smax, p), min(tmax, p)
-    # The Stirling row: p^2 / 2 sums of up to (p log2 p)-bit integers, priced
-    # alone past the budget. Then R_x rows (R_x: partitions with <= x blocks)
-    # at p^2 each, 5 R_s p^2 to find orbits, R_s / p orbits times R_t sigmas.
-    cost = p * p * (1 + p * p.bit_length() // sys.int_info.bits_per_digit) // 2
+    # The Stirling row, priced alone past the budget. Then R_x rows (R_x:
+    # partitions with <= x blocks) at p^2 each, 5 R_s p^2 to find orbits,
+    # R_s / p orbits times R_t sigmas.
+    cost = _stirling_cost(p)
     if min(smax, tmax) > 1 and cost <= budget:
         R_s, R_t = (sum(_stirling_row(p)[1:x + 1]) for x in (smax, tmax))
         cost += R_s * R_t + (5 * R_s + R_t) * p * p
     _check_budget(f"partition-pair scan of ({p},{smax},{tmax})", cost, budget)
+    return _pair_table(p, smax, tmax)
+
+
+@lru_cache(maxsize=256)
+def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     if min(smax, tmax) == 1:
         row = _stirling_row(p)
         return {(s, t): row[s] * row[t] for s in range(1, smax + 1) for t in range(1, tmax + 1)}
-    pis, orbit_sizes = _rgs_orbits(p, smax)
     sigmas, sigma_counts = _rgs_array(p, tmax)
-    table: dict[tuple[int, int], int] = {
-        (s, t): 0 for s in range(1, smax + 1) for t in range(1, tmax + 1)}
-    step = max(1, _BLOCK_CELLS // (tmax * smax))
-    for start in range(0, len(sigmas), step):
-        block, block_counts = sigmas[start:start + step], sigma_counts[start:start + step]
-        for pi, orbit_size in zip(pis, orbit_sizes.tolist()):
-            s = int(pi.max()) + 1
-            f = _difference_tables(block, pi[None, :], tmax, s)
-            for t, hits in Counter(block_counts[~f.any(axis=(1, 2))].tolist()).items():
-                table[(s, t)] += orbit_size * hits
-    return table
+    # A vanishing table is counted in its sigma's block count, the others in 0.
+    tally = _orbit_scan(lambda index: sigmas[index], len(sigmas), tmax, p, smax,
+                        lambda f, index: np.where(f.any(axis=(1, 2)), 0, sigma_counts[index]))
+    return {(s, t): int(tally[s, t]) for s in range(1, smax + 1) for t in range(1, tmax + 1)}
+
+
+triangle_pair_counts.cache_info = _pair_table.cache_info
+triangle_pair_counts.cache_clear = _pair_table.cache_clear

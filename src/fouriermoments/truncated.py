@@ -28,10 +28,6 @@ from .errors import BudgetError, ParameterError
 # is in _order_histogram) and refuses it above this many elementary operations.
 DEFAULT_BUDGET = 10**9
 
-# Difference-table cells a pair scan holds per block of pairs, so its peak
-# memory does not grow with the number of pairs and a block stays in cache.
-_BLOCK_CELLS = 1 << 16
-
 
 def _is_int(value) -> bool:
     # bool is an int subclass, but True is not a moment parameter.
@@ -177,7 +173,7 @@ def _order_histogram(M: int, N: int, p: int,
     cached = _HISTOGRAM_CACHE.get(key)
     if cached is not None:
         return cached
-    from .partitions import _rgs_orbits, _stirling_row  # partitions imports this module
+    from .partitions import _orbit_scan, _stirling_row  # partitions imports this module
     T, a_rows = min(N, p), M**(p - 1)
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
     # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. R
@@ -185,15 +181,9 @@ def _order_histogram(M: int, N: int, p: int,
     R = sum(_stirling_row(p)[1:T + 1]) if a_rows <= budget else 1
     _check_budget(f"period histogram of ({M},{N},{p})",
                   R * p * p + a_rows * R * (2 * p + M * M * T) // p, budget)
-    reps, orbit_sizes = _rgs_orbits(p, T)
-    block = max(1, _BLOCK_CELLS // (M * T))
-    by_t = np.zeros((T + 1, M + 1), dtype=np.int64)  # [t, |H|]
-    for start in range(0, a_rows, block):
-        index = np.arange(start, min(start + block, a_rows))
-        a = np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1))))
-        for b, orbit_size in zip(reps, orbit_sizes.tolist()):
-            orders = _periods(_difference_tables(a, b[None, :], M, T)).sum(axis=1)
-            by_t[b.max() + 1] += orbit_size * np.bincount(orders, minlength=M + 1)
+    by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
+        lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
+        a_rows, M, p, T, lambda f, index: _periods(f).sum(axis=1))
     counts = sum(math.perm(N - 1, t - 1) * by_t[t].astype(object) for t in range(1, T + 1))
     histogram = {h: int(mult) for h, mult in enumerate(counts) if mult}
     if len(_HISTOGRAM_CACHE) >= _HISTOGRAM_CACHE_SIZE:

@@ -111,13 +111,19 @@ def test_decompose_identities():
 
 
 def test_partition_routes_share_one_scan():
-    # every caller passes the budget the same way, so one table has one key
+    # one table per (p, smax, tmax), whichever route and budget asked for it
     triangle_pair_counts.cache_clear()
     delta_partition(3, 3, 8)
     decompose(3, 3, 8)
     epsilon(8, 3, 3)
     info = triangle_pair_counts.cache_info()
     assert (info.hits, info.misses) == (2, 1)
+    # the budget gates a scan but does not key its table
+    triangle_pair_counts.cache_clear()
+    delta_partition(3, 3, 8, 2 * 10**9)
+    decompose(3, 3, 8)
+    info = triangle_pair_counts.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_moment_integral_values():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fouriermoments.model import (
     HadamardFiber,
     MAGIC_SUM_TOL,
     PROJECTION_TOL,
+    _block_indices,
     _gather_cost,
     _pair_gram,
     _row_quotients,
@@ -150,6 +152,18 @@ def test_transfer_budget_bounds_memory():
         transfer_fiber(Fiber(), 2)
 
 
+def test_transfer_fiber_keeps_no_gather_indices():
+    # at M = 1 the indices are as large as the K^4 matrix: 13 MB at K = 30
+    unit = magic_unitary(dita_deform(flat_phase_matrix(5, 6)))
+    tracemalloc.start()
+    try:
+        transfer_fiber(unit, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
 def _translate_mask(M: int, N: int, n: int) -> np.ndarray:
     """mask[row, col]: the M-parts (i = index // N) of the two slice index
     tuples are translates of each other mod M."""
@@ -215,7 +229,7 @@ def test_torus_trace_matches_transfer_products():
             product = product @ mat
         dense = np.trace(product)
         oracle = dense_torus_trace(grams, K, p)
-        fast = _torus_trace(grams, M, N, p)
+        fast = _torus_trace(grams, _block_indices(M, N, min(p, r)), M, N, p)
         assert abs(fast - oracle) <= 1e-12 * abs(oracle), (M, N, p, r)
         assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
         # moment of a self-adjoint element: real for every sampled tuple

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fouriermoments import partitions
 from fouriermoments.errors import BudgetError, ParameterError
 from fouriermoments.partitions import (
     SetPartition,
+    _pair_table,
     _rgs_array,
     _rgs_orbits,
     _stirling_row,
@@ -90,6 +92,8 @@ def test_noncrossing_examples():
     assert is_noncrossing(SetPartition.from_blocks(4, [{0, 3}, {1, 2}]))
     count_nc4 = sum(1 for q in enumerate_partitions(4) if is_noncrossing(q))
     assert count_nc4 == catalan(4) == 14
+    empty = SetPartition.from_rgs(())
+    assert is_noncrossing(empty) and kreweras_complement(empty) == empty
 
 
 def test_noncrossing_matches_quadruple_scan():
@@ -99,7 +103,7 @@ def test_noncrossing_matches_quadruple_scan():
 
 
 def test_noncrossing_stream_matches_filter():
-    for p in range(1, 8):
+    for p in range(1, 9):
         direct = {q.blocks for q in noncrossing_partitions(p)}
         filtered = {q.blocks for q in enumerate_partitions(p) if is_noncrossing(q)}
         assert direct == filtered
@@ -258,7 +262,7 @@ def test_rotation_orbits_partition_the_rgs_rows():
 
 
 def test_partition_table_caches_are_bounded():
-    for cached in (_stirling_row, _rgs_array, _rgs_orbits, triangle_pair_counts):
+    for cached in (_stirling_row, _rgs_array, _rgs_orbits, _pair_table):
         assert cached.cache_parameters()["maxsize"] is not None, cached
 
 
@@ -281,3 +285,18 @@ def test_stirling_number_edges():
     assert stirling_number(5, 0) == 0
     assert stirling_number(5, 6) == 0
     assert bell_number(0) == 1
+
+
+def test_stirling_row_is_priced_not_capped():
+    # the row is O(p^2) bigint sums: p = 13 is cheap, p = 10^4 is refused at once
+    stats = partition_stats(13)
+    assert stats.bell == bell_number(13) == bell_numbers(13)[13]
+    assert stats.stirling == {s: stirling2(13, s) for s in range(1, 14)}
+    start = time.perf_counter()
+    for call in (lambda: bell_number(10**4), lambda: stirling_number(10**4, 2),
+                 lambda: partition_stats(10**4)):
+        with pytest.raises(BudgetError) as info:
+            call()
+        assert info.value.estimated_ops == \
+            10**8 * (1 + 10**4 * 14 // sys.int_info.bits_per_digit) // 2
+    assert time.perf_counter() - start < 0.1
