@@ -392,10 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "estimate":
-        if args.kind == "decay" and args.p is None:
-            parser.error("estimate --kind decay requires --p")
-        if args.kind == "rs" and args.k is None:
-            parser.error("estimate --kind rs requires --k")
+        needed = {"decay": "p", "rs": "k"}[args.kind]
+        if getattr(args, needed) is None:
+            parser.error(f"estimate --kind {args.kind} requires --{needed}")
     try:
         cache = Cache(args.cache or os.environ.get(CACHE_ENV_VAR))
         records = args.func(args, cache)

@@ -31,6 +31,8 @@ def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fracti
     the pairs whose solution set is all of Z_M."""
     _validate_mn(M, N)
     _validate_pos(p=p)
+    if M == 1 or N == 1:
+        return Fraction(1)
     # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
     # translation invariant in a and in b separately, so scale by M*N.
     hits = _order_histogram(M, N, p, budget).get(M, 0)
@@ -89,20 +91,13 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
     for s <= min(p, M), t <= min(p, N)."""
     _validate_mn(M, N)
     _validate_pos(p=p)
-    smax, tmax = min(p, M), min(p, N)
-    table = triangle_pair_counts(p, smax, tmax)
-    contributions: dict[tuple[int, int], Fraction] = {}
-    eps: dict[tuple[int, int], Fraction] = {}
-    total = Fraction(0)
-    for s in range(1, smax + 1):
-        for t in range(1, tmax + 1):
-            pairs = table[(s, t)]
-            eps[(s, t)] = Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
-            contributions[(s, t)] = Fraction(
-                math.perm(M, s) * math.perm(N, t) * pairs, (M * N)**p)
-            total += contributions[(s, t)]
-    return DecompositionReport(M=M, N=N, p=p, contributions=contributions,
-                               epsilon=eps, total=total)
+    table = triangle_pair_counts(p, min(p, M), min(p, N))  # keyed (s, t) in row order
+    eps = {(s, t): Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
+           for (s, t), pairs in table.items()}
+    contributions = {(s, t): Fraction(math.perm(M, s) * math.perm(N, t) * pairs, (M * N)**p)
+                     for (s, t), pairs in table.items()}
+    return DecompositionReport(M=M, N=N, p=p, contributions=contributions, epsilon=eps,
+                               total=sum(contributions.values(), Fraction(0)))
 
 
 def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -114,7 +109,9 @@ def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
         raise ParameterError(f"k must be a nonnegative integer, got {k!r}")
     if k == 0 or N == 1:
         return Fraction(1)
-    if N == 2:
+    if N == 2:  # about d^2 digit steps for C(2k, k), d the digits of a 2k-bit integer
+        digits = 1 + 2 * k // sys.int_info.bits_per_digit
+        _check_budget("central binomial coefficient", digits * digits, budget)
         return Fraction(math.comb(2 * k, k), 4**k)
     return Fraction(_squared_multinomial_row(N, k, budget)[k], N**(2 * k))
 
@@ -180,7 +177,8 @@ def delta_m2_float(N: int, p: int) -> float:
         # are moments of ((1 + R)^p + (1 - R)^p) / 2, R = |q_1 + ... + q_N| / N,
         # dominated by R = 1 (k = p / 4) if N <= p / 4, else by 2NR(1 + R) = p.
         r = min(1.0, (math.sqrt(1 + 2 * p / N) - 1) / 2)
-        log_x = 2 * math.log(p / (2 * N * (1 + r)))
+        log_x = 2 * math.log(p / (2 * N * (1 + r))) if N.bit_length() < 1000 \
+            else 2 * (math.log(p / 2) - math.log(N) - math.log1p(r))  # N past the float range
         weights, log_scale = _tilted_power(ks * log_x - 2 * lf[ks], N)
         log_a = log_scale - ks * log_x + 2 * lf[ks]
     log_terms = log_comb - (p - 1) * math.log(2.0) + (log_a - 2 * ks * math.log(N))
@@ -191,14 +189,15 @@ def delta_m2_float(N: int, p: int) -> float:
 
 def _tilted_power(log_base: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     """The N-th convolution power of exp(log_base), truncated to its length,
-    as (values peaking at 1, log scale), by repeated squaring. The FFT
-    products are zero-padded, so they do not wrap around."""
-    if N == 1:
-        top = float(log_base.max())
-        return np.exp(log_base - top), top
-    half = _tilted_power(log_base, N // 2)
-    square = _fft_product(half, half)
-    return _fft_product(square, _tilted_power(log_base, 1)) if N % 2 else square
+    as (values peaking at 1, log scale), by squaring along the bits of N. The
+    FFT products are zero-padded, so they do not wrap around."""
+    top = float(log_base.max())
+    base = power = np.exp(log_base - top), top
+    for bit in bin(N)[3:]:
+        power = _fft_product(power, power)
+        if bit == "1":
+            power = _fft_product(power, base)
+    return power
 
 
 def _fft_product(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]):

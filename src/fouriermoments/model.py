@@ -117,25 +117,28 @@ def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
 @dataclass(frozen=True)
 class MagicUnitary:
     """K x K array of rank-one projection blocks with rows and columns
-    summing to the identity. `quotients[i, j]` holds the vector of entrywise
-    row quotients H_i / H_j whose normalized outer product is block (i, j)."""
+    summing to the identity, held as its K^3 quotients: `quotients[i, j]` is
+    the vector xi of entrywise row quotients H_i / H_j, and block (i, j) is
+    xi xi* / K. The (K, K, K, K) `blocks` are built only on request."""
 
     K: int
-    blocks: np.ndarray  # (K, K, K, K): blocks[i, j] is a K x K projection
     quotients: np.ndarray  # (K, K, K)
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """The (K, K, K, K) array of blocks, built afresh on each read."""
+        return np.einsum("ija,ijb->ijab", self.quotients, self.quotients.conj()) / self.K
+
     def validate(self) -> None:
-        K = self.K
-        eye = np.eye(K)
-        proj = np.einsum("ijab,ijbc->ijac", self.blocks, self.blocks)
-        if np.abs(proj - self.blocks).max() > PROJECTION_TOL:
+        """The checks on K^3 data. B = xi xi* / K is self-adjoint by its form,
+        and B^2 - B = (|xi|^2 / K - 1) B has largest entry |(|xi|^2 / K - 1)|
+        max_a |xi_a|^2 / K. Row and column sums add outer products of xi."""
+        K, xi = self.K, self.quotients
+        moduli = np.abs(xi)**2
+        if (np.abs(moduli.sum(axis=2) / K - 1) * moduli.max(axis=2) / K).max() > PROJECTION_TOL:
             raise ValidationError("blocks are not idempotent")
-        adj = self.blocks.conj().transpose(0, 1, 3, 2)
-        if np.abs(adj - self.blocks).max() > PROJECTION_TOL:
-            raise ValidationError("blocks are not self-adjoint")
-        rows = self.blocks.sum(axis=1)
-        cols = self.blocks.sum(axis=0)
-        resid = max(np.abs(rows - eye).max(), np.abs(cols - eye).max())
+        resid = max(np.abs(np.einsum(f"ija,ijb->{side}ab", xi, xi.conj()) / K - np.eye(K)).max()
+                    for side in "ij")
         if resid > MAGIC_SUM_TOL:
             raise ValidationError(f"row/column sums off identity by {resid:.2e}")
 
@@ -147,12 +150,9 @@ def _row_quotients(H: np.ndarray) -> np.ndarray:
 
 def magic_unitary(H: HadamardFiber) -> MagicUnitary:
     """Blocks U_ij = (1/K) xi xi* with xi = H_i / H_j (entrywise quotient of
-    rows). Validates the Hadamard input and the magic structure."""
+    rows), held as xi. Validates the Hadamard input and the magic structure."""
     H.validate()
-    K = H.K
-    xi = _row_quotients(H.entries)
-    blocks = np.einsum("ija,ijb->ijab", xi, xi.conj()) / K
-    unit = MagicUnitary(K, blocks, xi)
+    unit = MagicUnitary(H.K, _row_quotients(H.entries))
     unit.validate()
     return unit
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -144,33 +144,19 @@ def enumerate_partitions(p: int, max_blocks: int | None = None) -> Iterator[SetP
 def noncrossing_partitions(p: int) -> Iterator[SetPartition]:
     """Yield the non-crossing partitions of {0,...,p-1}, each exactly once."""
     _check_p(p)
-    for blocks in _nc_blocks(tuple(range(p))):
-        yield SetPartition.from_blocks(p, blocks)
+    for rgs in _nc_rgs(p, [], []):
+        yield SetPartition.from_rgs(rgs)
 
 
-def _nc_blocks(elems: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
-    # The block of the first element may pick any subset of the remaining
-    # elements; the gaps between picked elements are then partitioned
-    # independently (anything else would cross the first block).
-    if not elems:
-        yield []
+def _nc_rgs(p: int, rgs: list[int], stack: list[int]) -> Iterator[list[int]]:
+    # Element len(rgs) joins a block on the stack of open blocks, closing the
+    # blocks above it (a later element of theirs would cross), or opens one.
+    if len(rgs) == p:
+        yield rgs
         return
-    first, rest = elems[0], elems[1:]
-    n = len(rest)
-    for k in range(n + 1):
-        for picked in combinations(range(n), k):
-            block = (first,) + tuple(rest[i] for i in picked)
-            bounds = [-1, *picked, n]
-            gaps = [rest[bounds[i] + 1:bounds[i + 1]] for i in range(len(bounds) - 1)]
-            yield from _combine_gaps(block, gaps, 0, [])
-
-
-def _combine_gaps(block, gaps, idx, acc) -> Iterator[list[tuple[int, ...]]]:
-    if idx == len(gaps):
-        yield [block, *acc]
-        return
-    for sub in _nc_blocks(gaps[idx]):
-        yield from _combine_gaps(block, gaps, idx + 1, acc + sub)
+    opened = stack + [len(set(rgs))]
+    for depth, block in enumerate(opened):
+        yield from _nc_rgs(p, rgs + [block], opened[:depth + 1])
 
 
 def _kreweras_cycles(part: SetPartition) -> list[list[int]]:

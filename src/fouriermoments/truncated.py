@@ -51,19 +51,23 @@ def _validate_pos(**kwargs: int) -> None:
             raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_budget(what: str, cost: int, budget: int) -> None:
+def _check_budget(what: str, cost: int, budget: int, log10_cost=None) -> None:
     if cost > budget:
         raise BudgetError(
-            f"{what} needs ~{_scientific(cost)} elementary operations, over the "
+            f"{what} needs ~{_scientific(cost, log10_cost)} elementary operations, over the "
             f"budget of {_scientific(budget)}; raise the budget to force it",
             estimated_ops=cost, budget=budget)
 
 
-def _scientific(n: int) -> str:
-    """n as d.ddde+XX; a cost can outgrow the float range and the length
-    str() converts, so only its leading 17 or 18 digits go through a float."""
-    shift = max(0, int(n.bit_length() * math.log10(2)) - 17)
-    mantissa, exponent = f"{n // 10**shift:.3e}".split("e")
+def _scientific(n: int, log10=None) -> str:
+    """n as d.ddde+XX. Past 10^17 it is named from its log10: a cost can
+    outgrow the float range and the length str() converts, and one too large
+    to form at all is passed as a lower bound n with the estimate's log10."""
+    if log10 is None and n < 10**17:
+        return f"{n:.3e}"
+    log10 = math.log10(n) if log10 is None else log10
+    shift = math.floor(log10)
+    mantissa, exponent = f"{10 ** float(log10 - shift):.3e}".split("e")
     return f"{mantissa}e{int(exponent) + shift:+03d}"
 
 
@@ -174,13 +178,17 @@ def _order_histogram(M: int, N: int, p: int,
     if cached is not None:
         return cached
     from .partitions import _orbit_scan, _stirling_row  # partitions imports this module
-    T, a_rows = min(N, p), M**(p - 1)
+    T, what = min(N, p), f"period histogram of ({M},{N},{p})"
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
     # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. R
     # costs O(p^2) to count, so past a_rows > budget the bound R = 1 is named.
+    # Where bit lengths show a_rows = M^(p-1) > budget, it is not formed.
+    if (p - 1) * (M.bit_length() - 1) > budget.bit_length():
+        log10 = (p - 1) * Fraction(math.log10(M)) + Fraction(math.log10(2 + M * M * T / p))
+        _check_budget(what, budget + 1, budget, log10)
+    a_rows = M**(p - 1)
     R = sum(_stirling_row(p)[1:T + 1]) if a_rows <= budget else 1
-    _check_budget(f"period histogram of ({M},{N},{p})",
-                  R * p * p + a_rows * R * (2 * p + M * M * T) // p, budget)
+    _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p, budget)
     by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
         lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
         a_rows, M, p, T, lambda f, index: _periods(f).sum(axis=1))
@@ -204,7 +212,7 @@ def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
-    if r == 1:
+    if M == 1 or N == 1 or r == 1:
         return Fraction(1)
     histogram = _order_histogram(M, N, p, budget)
     total = sum(mult * h**(r - 1) for h, mult in histogram.items())
@@ -227,6 +235,8 @@ def alpha(M: int, N: int, p: int, r: int) -> Fraction:
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
+    bits = (p + r) * M.bit_length() + p * N.bit_length()  # its gcd costs ~(bits / 300)^2
+    _check_budget(f"alpha at ({M},{N},{p},{r})", (bits // 300)**2, DEFAULT_BUDGET)
     return 1 - Fraction((M**p - M) * (M**r - M) * (N**p - N), M**(p + r) * N**p)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -103,6 +104,16 @@ def test_richmond_shallit():
     assert abs(ratio - 1) < 0.01
     ratio3 = float(moment_integral(3, 60)) / richmond_shallit(3, 60)
     assert abs(ratio3 - 1) < 0.05
+
+
+def test_decay_laws_past_the_float_range():
+    for N in (1000, 10**400):
+        assert delta_decay_estimate(N, 10) == richmond_shallit(N, 10) == math.inf
+    # arguments past the float range are taken by their logarithm
+    assert math.isclose(delta_decay_estimate(2, 10**320), 2 / math.sqrt(math.pi) * 10**-160)
+    assert richmond_shallit(3, 10**400) == 0.0
+    for N, p in itertools.product((2, 3, 7, 100), (4, 40, 4000, 10**9)):
+        assert delta_decay_estimate(N, p) == richmond_shallit(N, p // 4)
 
 
 def test_delta_decay_estimate():

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -286,6 +289,33 @@ def test_estimate_commands(capsys):
     code, out, _ = run_cli(["estimate", "--kind", "decay", "--N", "2", "--p", "2000"], capsys)
     assert code == 0
     assert abs(float(parse_csv(out)[0]["z"]) - 1) < 0.03
+
+
+TEN_20 = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--kind", "decay", "--N", "1000", "--p", "10"],
+    ["estimate", "--kind", "rs", "--N", "2000", "--k", "3"],
+    ["estimate", "--kind", "decay", "--N", str(10**290), "--p", "10"],
+    ["estimate", "--kind", "decay", "--N", str(10**309), "--p", "10"],
+    ["estimate", "--kind", "rs", "--N", "2", "--k", str(10**7)],
+    ["estimate", "--kind", "rs", "--N", "2", "--k", TEN_20],
+    ["truncated", "--M", "1", "--N", "5", "--p", TEN_20, "--r", "2"],
+    ["limit", "--M", "1", "--N", "7", "--p", TEN_20, "--method", "direct"],
+    ["truncated", "--M", "2", "--N", "2", "--p", str(10**8), "--r", "2"],
+    ["truncated", "--M", "2", "--N", "2", "--p", TEN_20, "--r", "2"],
+    ["truncated", "--M", "2", "--N", "2", "--p", str(10**7), "--r", "2", "--method", "alpha"],
+])
+def test_huge_arguments_end_in_an_exit_code(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "fouriermoments.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode in (0, 2, 3), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_json_format(capsys):

@@ -156,6 +156,13 @@ def test_moment_integral_budget():
     for k in (True, -1, 1.0):
         with pytest.raises(ParameterError):
             moment_integral(3, k)
+    # N = 2: C(2k, k) costs about d^2, d the digits of a 2k-bit integer
+    for k in (10**7, 10**20):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as info:
+            moment_integral(2, k)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.estimated_ops == (1 + 2 * k // sys.int_info.bits_per_digit)**2
 
 
 def test_delta_m2_values():

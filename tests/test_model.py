@@ -76,6 +76,32 @@ def test_magic_unitary_rejects_non_hadamard():
         magic_unitary(bad)
 
 
+def test_magic_unitary_holds_only_quotients():
+    # K = 30: the quotients are K^3 complex entries (0.43 MB); the K^4 blocks
+    # (13 MB) are built only on request, and validate forms no K^4 array
+    fiber = dita_deform(flat_phase_matrix(5, 6))
+    tracemalloc.start()
+    try:
+        magic_unitary(fiber)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_magic_validate_rejects_bad_quotients():
+    # all-ones rows: idempotent blocks, but every row sum is the all-ones
+    # matrix, off the identity by 1
+    ones = model.MagicUnitary(2, _row_quotients(np.ones((2, 2), dtype=complex)))
+    with pytest.raises(ValidationError, match="row/column sums"):
+        ones.validate()
+    # scaled quotients: |xi|^2 / K = 1.001^2, so B^2 != B
+    xi = _row_quotients(dita_deform(flat_phase_matrix(2, 3)).entries)
+    with pytest.raises(ValidationError, match="not idempotent"):
+        model.MagicUnitary(6, 1.001 * xi).validate()
+    model.MagicUnitary(6, xi).validate()
+
+
 def test_transfer_fiber_p1():
     rng = np.random.default_rng(11)
     unit = magic_unitary(dita_deform(random_phase_matrix(2, 3, rng)))

@@ -104,9 +104,10 @@ def test_noncrossing_matches_quadruple_scan():
 
 def test_noncrossing_stream_matches_filter():
     for p in range(1, 9):
-        direct = {q.blocks for q in noncrossing_partitions(p)}
+        stream = [q.blocks for q in noncrossing_partitions(p)]
         filtered = {q.blocks for q in enumerate_partitions(p) if is_noncrossing(q)}
-        assert direct == filtered
+        assert len(stream) == len(set(stream))  # each partition exactly once
+        assert set(stream) == filtered
 
 
 def test_kreweras_extremes():

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,23 @@ def test_count_d_budget_guard():
     # and one beyond str()'s digit limit too
     with pytest.raises(BudgetError, match=r"e\+30102 "):
         count_d(2, 2, 10**5, 2)
+
+
+def test_huge_p_is_refused_or_answered_at_once():
+    for call in (lambda: count_d(2, 2, 10**8, 2), lambda: count_d(2, 2, 10**20, 2),
+                 lambda: alpha(2, 2, 10**7, 2)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as info:
+            call()
+        assert time.perf_counter() - start < 0.1
+        assert info.value.estimated_ops > info.value.budget
+    # M^(p-1) is named by its logarithm: 10^8 - 1 bits of pinned a
+    with pytest.raises(BudgetError, match=r"~3\.685e\+30102999 "):
+        count_d(2, 2, 10**8, 2)
+    start = time.perf_counter()
+    assert count_d(1, 5, 10**20, 2) == count_d(5, 1, 10**20, 3) == 1
+    assert delta_direct(1, 7, 10**20) == 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_count_d_budget_does_not_depend_on_r():
