@@ -13,10 +13,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import DEFAULT_BUDGET, ParameterError, _check_budget, _validate_pos
 from .limits import delta_exact
 from .partitions import _narayana_profile
-from .truncated import DEFAULT_BUDGET, _check_budget, _validate_pos
 
 
 @dataclass(frozen=True)

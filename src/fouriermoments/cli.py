@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .asymptotics import delta_decay_estimate, regime_check, richmond_shallit
-from .errors import BudgetError, CrossCheckError, ParameterError
+from .errors import DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _validate_pos
 from .limits import (
     decompose,
     delta_binomial,
@@ -34,8 +34,7 @@ from .limits import (
     moment_integral,
 )
 from .model import mc_estimate_c, mc_estimate_delta
-from .truncated import (DEFAULT_BUDGET, _validate_pos, alpha, beta, c_from_d,
-                        closed_form_is_exact, count_d, d42_closed)
+from .truncated import alpha, beta, c_from_d, closed_form_is_exact, count_d, d42_closed
 
 CACHE_ENV_VAR = "FOURIERMOMENTS_CACHE"
 
@@ -191,7 +190,7 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
     def d42():
         if (p, r) != (4, 2):
             raise ParameterError("method d42 requires --p 4 --r 2")
-        return d42_closed(M, N, _delta_for(M, N, 4, budget, cache))
+        return d42_closed(M, N)
 
     records = _run_methods("truncated", {
         "direct": lambda: _cached(cache, ("d:direct", M, N, p, r),
@@ -326,8 +325,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"cache directory (default ${CACHE_ENV_VAR})")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="refuse exact work estimated above this many operations")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="ignored; counting runs in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:

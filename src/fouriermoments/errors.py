@@ -1,8 +1,15 @@
-"""Shared exception types.
+"""Shared exception types and the argument and budget checks that raise
+them. It imports no other module of the package.
 
 Exit-code mapping used by the CLI: ParameterError -> 2, BudgetError -> 3,
 CrossCheckError -> 4.
 """
+
+import math
+
+# Each exact kernel estimates its own work and refuses it above this many
+# elementary operations.
+DEFAULT_BUDGET = 10**9
 
 
 class ParameterError(ValueError):
@@ -24,3 +31,38 @@ class ValidationError(ValueError):
 
 class CrossCheckError(RuntimeError):
     """Two exact methods disagreed on a value that must be identical."""
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not a moment parameter.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_mn(M: int, N: int) -> None:
+    _validate_pos(M=M, N=N)
+
+
+def _validate_pos(**kwargs: int) -> None:
+    for name, value in kwargs.items():
+        if not (_is_int(value) and value >= 1):
+            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_budget(what: str, cost: int, budget: int, log10_cost=None) -> None:
+    if cost > budget:
+        raise BudgetError(
+            f"{what} needs ~{_scientific(cost, log10_cost)} elementary operations, over the "
+            f"budget of {_scientific(budget)}; raise the budget to force it",
+            estimated_ops=cost, budget=budget)
+
+
+def _scientific(n: int, log10=None) -> str:
+    """n as d.ddde+XX. Past 10^17 it is named from its log10: a cost can
+    outgrow the float range and the length str() converts, and one too large
+    to form at all is passed as a lower bound n with the estimate's log10."""
+    if log10 is None and n < 10**17:
+        return f"{n:.3e}"
+    log10 = math.log10(n) if log10 is None else log10
+    shift = math.floor(log10)
+    mantissa, exponent = f"{10 ** float(log10 - shift):.3e}".split("e")
+    return f"{mantissa}e{int(exponent) + shift:+03d}"

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import (DEFAULT_BUDGET, ParameterError, _check_budget, _is_int, _validate_mn,
+                     _validate_pos)
 from .partitions import stirling_number, triangle_pair_counts
-from .truncated import (DEFAULT_BUDGET, _check_budget, _is_int, _order_histogram,
-                        _validate_mn, _validate_pos)
+from .truncated import _order_histogram
 
 # Exact binomial-route evaluation is refused above this p; the floating
 # evaluator covers the large-p regime instead.
@@ -121,7 +121,7 @@ def _squared_multinomial_row(N: int, k: int, budget: int) -> list[int]:
     the squared multinomial coefficient."""
     # About N (k + 1)^2 bigint products, each of integers of up to 2k log2 N
     # bits (A_N(m) <= N^(2m)), which the interpreter multiplies digit by digit.
-    digits = 1 + math.ceil(2 * k * math.log2(N) / sys.int_info.bits_per_digit)
+    digits = 1 + math.ceil(2 * k * Fraction(math.log2(N)) / sys.int_info.bits_per_digit)
     _check_budget("squared-multinomial dynamic program", N * (k + 1)**2 * digits, budget)
     # A_1(m) = 1 and A_2(m) = C(2m, m); peeling the last part gives
     # A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i).
@@ -168,6 +168,10 @@ def delta_m2_float(N: int, p: int) -> float:
     if N == 1:
         return 1.0
     kmax = p // 2
+    if N > 2:  # FFT products: a squaring per bit of N and a product per 1 bit, past the first
+        L = 1 << (2 * kmax + 1).bit_length()  # each at FFT length L, ~L log2 L
+        cost = (N.bit_length() + N.bit_count() - 2) * L * (L.bit_length() - 1)
+        _check_budget(f"FFT power of a {N.bit_length()}-bit N at p={p}", cost, DEFAULT_BUDGET)
     lf = np.array([math.lgamma(n + 1) for n in range(p + 1)])
     ks = np.arange(kmax + 1)
     log_comb = lf[p] - lf[2 * ks] - lf[p - 2 * ks]

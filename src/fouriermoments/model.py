@@ -29,9 +29,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
-from .truncated import (DEFAULT_BUDGET, _check_budget, _is_int, _validate_mn,
-                        _validate_pos)
+from .errors import (DEFAULT_BUDGET, ParameterError, ValidationError, _check_budget, _is_int,
+                     _validate_mn, _validate_pos)
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -328,14 +327,6 @@ def _torus_trace(grams: list[np.ndarray], indices: tuple[np.ndarray, ...],
     return _trace_of_product([_transfer_blocks(g, indices, M, N) for g in grams])
 
 
-def _check_torus_budget(M: int, N: int, p: int, r: int, budget: int) -> None:
-    # The block loop's work per sample: max(1, q - 2) products of the
-    # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
-    n, q = min(p, r), max(p, r)
-    cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
-    _check_budget("trace statistic per sample", cost, budget)
-
-
 def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
                   budget: int = DEFAULT_BUDGET) -> McEstimate:
     """Monte Carlo estimate of c_p^r(M, N): the sample mean over independent
@@ -344,8 +335,13 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
     _validate_mn(M, N)
     _validate_pos(p=p, r=r, samples=samples)
     streams = _sample_streams(seed, samples)
-    _check_torus_budget(M, N, p, r, budget)
-    indices = _block_indices(M, N, min(p, r))
+    # The block loop's work per sample: max(1, q - 2) products of the
+    # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
+    n, q = min(p, r), max(p, r)
+    cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
+    _check_budget("trace statistic per sample", cost, budget)
+    _check_budget(f"{samples} sample values", 8 * samples, budget)  # one op per byte held
+    indices = _block_indices(M, N, n)
     values = np.empty(samples)
     for s, rng in enumerate(streams):
         grams = []
@@ -363,6 +359,8 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
     phase matrix Q."""
     _validate_mn(M, N)
     _validate_pos(p=p, samples=samples)
+    cost = 8 * samples + M * M * N + M**3 * p.bit_length()  # values' bytes, a gram, its power
+    _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost, DEFAULT_BUDGET)
     values = np.empty(samples)
     for s, rng in enumerate(_sample_streams(seed, samples)):
         Q = random_phase_matrix(M, N, rng).entries

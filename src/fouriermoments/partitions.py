@@ -1,9 +1,11 @@
 """Set partitions of {0,...,p-1}: enumeration, non-crossing structure,
-Kreweras complementation, Stirling/Narayana counts and the cyclic-shift
-compatibility relation used by the moment formulas. All values are
-immutable after construction. Enumeration streams stop at ENUMERATION_CAP
-and are single-consumer, but independent streams may run concurrently; the
-pair scan and the Stirling counts are refused by their estimated work.
+Kreweras complementation, Stirling/Narayana counts, the cyclic-shift
+compatibility relation, and the counting kernel: the difference table of an
+(a, b) pair and the orbit-scan loop behind both the pair table and
+truncated's period histogram. All values are immutable after construction.
+Enumeration streams stop at ENUMERATION_CAP and are single-consumer, but
+independent streams may run concurrently; the pair scan and the Stirling
+counts are refused by their estimated work.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError
-from .truncated import DEFAULT_BUDGET, _check_budget, _difference_tables, _validate_pos
+from .errors import DEFAULT_BUDGET, ParameterError, _check_budget, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -296,6 +297,19 @@ def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[is_rep], np.bincount(np.searchsorted(least[is_rep], least))
 
 
+def _difference_tables(a: np.ndarray, b: np.ndarray, M: int, N: int) -> np.ndarray:
+    """The tables f(m, n) of a block of pairs, one (a, b) per row of the 2-d
+    integer arrays `a` (labels in [0, M)) and `b` (labels in [0, N), or one
+    row for every a); shape (rows, M, N)."""
+    rows = a.shape[0]
+    cell = a * N + np.arange(0, rows * M * N, M * N)[:, None]
+    same = np.bincount((cell + b).ravel(), minlength=rows * M * N)
+    # np.roll would cost five times as much on the one-row b of a lumped scan.
+    b_next = np.concatenate((b[:, 1:], b[:, :1]), axis=1)
+    same -= np.bincount((cell + b_next).ravel(), minlength=rows * M * N)
+    return same.reshape(rows, M, N)
+
+
 def _orbit_scan(a_rows, count: int, M: int, p: int, T: int, classify) -> np.ndarray:
     """tally[t, c]: the pairs (a, b) that classify(f, index) puts in class
     c <= M, a = a_rows(index) a block of the `count` rows (labels below M), b
@@ -325,7 +339,7 @@ def triangle_pair_counts(p: int, smax: int, tmax: int,
     A one-block partition is compatible with every partition, so a table
     with smax or tmax = 1 is a Stirling row. Otherwise a pair is compatible
     iff the difference table of the labels a = sigma, b = pi vanishes
-    (truncated._difference_tables). Rotating pi and sigma together keeps
+    (_difference_tables). Rotating pi and sigma together keeps
     compatibility and block counts (reflection and the pi <-> sigma swap do
     not), so _orbit_scan tables one pi per rotation orbit against blocks of
     sigmas. The budget refuses a scan, but the tables are cached per

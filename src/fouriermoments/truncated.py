@@ -9,9 +9,9 @@ f(m, n) = #{y : a_y = m, b_y = n} - #{y : a_y = m, b_{y+1} = n}.
 The pair's solution set is the set of periods of f in m, a subgroup H of
 Z_M; the matching condition holds at position x exactly when
 i_x - i_{x+1} lies in H, so M * |H|^(r-1) i-tuples pass. The moments thus
-follow from the histogram of |H| over the (a, b) pairs, which numpy builds
-from one set partition of b per rotation orbit; triangle_pair_counts scans
-the same tables. Everything returns `fractions.Fraction` in lowest terms.
+follow from the histogram of |H| over the (a, b) pairs, which the kernel's
+loop, partitions._orbit_scan, builds from one set partition of b per
+rotation orbit. Everything returns `fractions.Fraction` in lowest terms.
 """
 
 from __future__ import annotations
@@ -22,66 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
-
-# Each exact kernel estimates its own work (the period histogram's estimate
-# is in _order_histogram) and refuses it above this many elementary operations.
-DEFAULT_BUDGET = 10**9
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is not a moment parameter.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
-def _validate_mn(M: int, N: int) -> None:
-    if not _is_count(M):
-        raise ParameterError(f"M must be a positive integer, got {M!r}")
-    if not _is_count(N):
-        raise ParameterError(f"N must be a positive integer, got {N!r}")
-
-
-def _validate_pos(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if not _is_count(value):
-            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_budget(what: str, cost: int, budget: int, log10_cost=None) -> None:
-    if cost > budget:
-        raise BudgetError(
-            f"{what} needs ~{_scientific(cost, log10_cost)} elementary operations, over the "
-            f"budget of {_scientific(budget)}; raise the budget to force it",
-            estimated_ops=cost, budget=budget)
-
-
-def _scientific(n: int, log10=None) -> str:
-    """n as d.ddde+XX. Past 10^17 it is named from its log10: a cost can
-    outgrow the float range and the length str() converts, and one too large
-    to form at all is passed as a lower bound n with the estimate's log10."""
-    if log10 is None and n < 10**17:
-        return f"{n:.3e}"
-    log10 = math.log10(n) if log10 is None else log10
-    shift = math.floor(log10)
-    mantissa, exponent = f"{10 ** float(log10 - shift):.3e}".split("e")
-    return f"{mantissa}e{int(exponent) + shift:+03d}"
-
-
-def _difference_tables(a: np.ndarray, b: np.ndarray, M: int, N: int) -> np.ndarray:
-    """The tables f(m, n) of a block of pairs, one (a, b) per row of the 2-d
-    integer arrays `a` (labels in [0, M)) and `b` (labels in [0, N), or one
-    row for every a); shape (rows, M, N)."""
-    rows = a.shape[0]
-    cell = a * N + np.arange(0, rows * M * N, M * N)[:, None]
-    same = np.bincount((cell + b).ravel(), minlength=rows * M * N)
-    # np.roll would cost five times as much on the one-row b of a lumped scan.
-    b_next = np.concatenate((b[:, 1:], b[:, :1]), axis=1)
-    same -= np.bincount((cell + b_next).ravel(), minlength=rows * M * N)
-    return same.reshape(rows, M, N)
+from .errors import DEFAULT_BUDGET, ParameterError, _check_budget, _validate_mn, _validate_pos
+from .partitions import _difference_tables, _orbit_scan, _stirling_row
 
 
 def _periods(f: np.ndarray) -> np.ndarray:
@@ -177,7 +119,6 @@ def _order_histogram(M: int, N: int, p: int,
     cached = _HISTOGRAM_CACHE.get(key)
     if cached is not None:
         return cached
-    from .partitions import _orbit_scan, _stirling_row  # partitions imports this module
     T, what = min(N, p), f"period histogram of ({M},{N},{p})"
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
     # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. R
@@ -254,14 +195,17 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
     return delta_p + Fraction(1, M**(r - 1)) * (1 - delta_p)
 
 
-def d42_closed(M: int, N: int, delta_4: Fraction | None = None) -> Fraction:
+def d42_closed(M: int, N: int) -> Fraction:
     """Closed form for d_4^2(M, N): beta_4^2 plus, for even M, a correction
     (M-2)(N-1) / (M^4 N^3), the excess of the pairs whose solution set is
-    the order-two subgroup {0, M/2}."""
+    the order-two subgroup {0, M/2}. delta_4 is closed too: (MN)^4 delta_4
+    sums perm(M, s) perm(N, t) pairs(4, s, t) over the nonzero (s, t) of the
+    p = 4 pair table, 1 at (1,1), (1,4), (4,1); 7 at (1,2), (2,1); 6 at
+    (1,3), (2,3), (3,1), (3,2); 20 at (2,2). Expanded, that is MN times the
+    numerator below."""
     _validate_mn(M, N)
-    if delta_4 is None:
-        from .limits import delta_partition
-        delta_4 = delta_partition(M, N, 4)
+    delta_4 = Fraction(M**3 + N**3 + 6 * M * N * (M + N) - 6 * (M * M + N * N)
+                       - 16 * M * N + 10 * (M + N) - 5, (M * N)**3)
     value = beta(M, N, 4, 2, delta_4)
     if M % 2 == 0:
         value += Fraction((M - 2) * (N - 1), M**4 * N**3)

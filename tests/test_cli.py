@@ -306,6 +306,14 @@ TEN_20 = str(10**20)
     ["truncated", "--M", "2", "--N", "2", "--p", str(10**8), "--r", "2"],
     ["truncated", "--M", "2", "--N", "2", "--p", TEN_20, "--r", "2"],
     ["truncated", "--M", "2", "--N", "2", "--p", str(10**7), "--r", "2", "--method", "alpha"],
+    ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "2", "--threads", "2"],
+    ["estimate", "--kind", "rs", "--N", "3", "--k", str(10**400)],
+    ["estimate", "--kind", "decay", "--N", str(10**300), "--p", "100000"],
+    ["mc", "--kind", "gram", "--M", TEN_20, "--N", "2", "--p", "3", "--samples", "2", "--seed", "1"],
+    ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "2", "--r", "2",
+     "--samples", str(10**12), "--seed", "1"],
+    ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "3", "--samples", str(10**12),
+     "--seed", "1"],
 ])
 def test_huge_arguments_end_in_an_exit_code(argv):
     src = Path(__file__).resolve().parents[1] / "src"

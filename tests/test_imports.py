@@ -1,0 +1,52 @@
+"""The package's modules import one way: each from modules strictly below
+it, and only at module level, so no import cycle can form at run time."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fouriermoments"
+
+# The import order, lowest first; `model` sits beside it on `errors`.
+CHAIN = ["errors", "partitions", "truncated", "limits", "asymptotics", "cli"]
+BELOW = {name: set(CHAIN[:i]) for i, name in enumerate(CHAIN)}
+BELOW["model"] = {"errors"}
+BELOW["cli"].add("model")
+
+
+def _package_imports(tree: ast.Module):
+    """(node, target module) for every import of a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node, node.module.split(".")[0]
+            else:  # from . import x, y
+                yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [alias.name for alias in node.names]
+            for name in names:
+                parts = name.split(".")
+                if parts[0] == "fouriermoments":
+                    yield node, parts[1] if len(parts) > 1 else "__init__"
+
+
+def test_every_module_has_a_place_in_the_order():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(BELOW)
+
+
+def test_imports_run_down_the_order_at_module_level():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, target in _package_imports(tree):
+            if node not in tree.body:
+                problems.append(f"{module}:{node.lineno} imports {target} inside a body")
+            if module == "cli" and target == "__version__":
+                continue
+            if target not in BELOW[module]:
+                problems.append(f"{module}:{node.lineno} imports {target}, not below it")
+    assert problems == []

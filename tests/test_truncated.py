@@ -338,6 +338,13 @@ def test_d42_closed_form():
     for N in (1, 2, 3, 5):
         assert d42_closed(3, N) == beta(3, N, 4, 2, delta_partition(3, N, 4))
         assert d42_closed(2, N) == beta(2, N, 4, 2, delta_partition(2, N, 4))
+    # (MN)^4 delta_4 is a polynomial of degree <= 4 in M and in N on both
+    # sides (the partition sum, and MN times d42_closed's numerator), and
+    # beta is one-to-one in delta for M >= 2. So agreement on this 5 x 5 grid
+    # (and more) proves d42_closed's polynomial for every M and N.
+    for M, N in itertools.product(range(2, 7), range(1, 7)):
+        even_m = Fraction((M - 2) * (N - 1), M**4 * N**3) if M % 2 == 0 else 0
+        assert d42_closed(M, N) == beta(M, N, 4, 2, delta_partition(M, N, 4)) + even_m, (M, N)
     for M, N in itertools.product((2, 3, 4), (2, 3)):
         assert d42_closed(M, N) == count_d(M, N, 4, 2)
 
