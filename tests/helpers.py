@@ -233,3 +233,77 @@ def dense_torus_trace(grams, K: int, p: int) -> complex:
     for mat in mats[1:-1]:
         acc = acc @ mat
     return complex((acc * mats[-1].T).sum()) * scale
+
+
+def _one_sample_blocks(factors, indices, M: int, N: int, scale: float):
+    """The diagonal blocks of `scale` times one sample's slice operator, by
+    gathering each factor on the frame of `model._block_indices`."""
+    import numpy as np
+
+    n = len(indices)
+    acc = np.empty((M**(n - 1), M) + (N,) * n + (M,) + (N,) * n, dtype=complex)
+    acc[...] = factors[0].take(indices[0])
+    for factor, index in zip(factors[1:], indices[1:]):
+        acc *= factor.take(index)
+    acc *= scale
+    side = M * N**n
+    return acc.reshape(M**(n - 1), side, side)
+
+
+def _one_sample_trace(stacks) -> complex:
+    import numpy as np
+
+    if len(stacks) == 1:
+        return complex(np.einsum("tii->", stacks[0]))
+    acc = stacks[0]
+    for m in stacks[1:-1]:
+        acc = acc @ m
+    return complex(np.einsum("tij,tji->", acc, stacks[-1]))
+
+
+def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
+    """Each sample's Tr(T_p(Q_1) ... T_p(Q_r)), one sample at a time: r phase
+    matrices drawn from the sample's stream, one `uniform` call each, the
+    deformed fibers, their row quotients and pair grams, and the block
+    traces over min(p, r) slices. Kept as the oracle for the chunked
+    estimator, whose values must equal these byte for byte."""
+    import numpy as np
+
+    from fouriermoments import model
+
+    K, n = M * N, min(p, r)
+    four = model.fourier_matrix(M).entries[:, None, :, None] \
+        * model.fourier_matrix(N).entries[None, :, None, :]
+    indices = model._block_indices(M, N, n)
+    values = np.empty(samples)
+    for s, rng in enumerate(model._sample_streams(seed, samples)):
+        grams = []
+        for _ in range(r):
+            Q = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N)))
+            H = (four * Q[:, None, None, :]).reshape(K, K)
+            pairs = (H[:, None, :] / H[None, :, :]).reshape(K * K, K)
+            grams.append((pairs.conj() @ pairs.T).reshape(K, K, K, K))
+        if r <= p:
+            step = _one_sample_blocks(grams, indices, M, N, K**-r)
+            trace = _one_sample_trace([step] * p) * K**-r
+        else:
+            trace = _one_sample_trace([
+                _one_sample_blocks([g.transpose(0, 2, 1, 3).copy()] * p, indices, M, N,
+                                   K**-(p + 1)) for g in grams])
+        values[s] = trace.real
+    return values
+
+
+def mc_sample_values_delta(M: int, N: int, p: int, samples: int, seed: int):
+    """Each sample's Tr((G(Q) / MN)^p), one sample at a time. Kept as the
+    oracle for the chunked gram estimator."""
+    import numpy as np
+
+    from fouriermoments import model
+
+    values = np.empty(samples)
+    for s, rng in enumerate(model._sample_streams(seed, samples)):
+        Q = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N)))
+        gram = Q @ Q.conj().T / (M * N)
+        values[s] = np.trace(np.linalg.matrix_power(gram, p)).real
+    return values
