@@ -257,7 +257,7 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
                                          lambda: count_d(M, N, p, r, budget)), M, N, p)
     else:
         r = None
-        estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed)
+        estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed, budget)
         exact = lambda: _delta_for(M, N, p, budget, cache)
     est, ms = _timed(estimate)
     record = RunRecord("mc", f"mc-{args.kind}", M=M, N=N, p=p, r=r,
@@ -288,8 +288,9 @@ def cmd_estimate(args, cache: Cache) -> list[RunRecord]:
     if args.kind == "decay":
         value, ms = _timed(lambda: delta_m2_float(args.N, args.p))
         ref = delta_decay_estimate(args.N, args.p)
-        return [RunRecord("estimate", "decay", M=2, N=args.N, p=args.p,
-                          value_float=value, z=value / ref, runtime_ms=ms)]
+        # Past the bottom of the float range the law reads 0 and gives no ratio.
+        return [RunRecord("estimate", "decay", M=2, N=args.N, p=args.p, value_float=value,
+                          z=value / ref if ref else None, runtime_ms=ms)]
     value, ms = _timed(lambda: moment_integral(args.N, args.k, args.budget))
     ref = richmond_shallit(args.N, args.k)
     return [RunRecord("estimate", "rs", N=args.N, p=args.k,

@@ -167,6 +167,8 @@ def delta_m2_float(N: int, p: int) -> float:
         raise ParameterError(f"p={p} exceeds the floating-path cap {FLOAT_P_CAP}")
     if N == 1:
         return 1.0
+    if N > 2 and _rounds_to_zero(N, p):
+        return 0.0
     kmax = p // 2
     if N > 2:  # FFT products: a squaring per bit of N and a product per 1 bit, past the first
         L = 1 << (2 * kmax + 1).bit_length()  # each at FFT length L, ~L log2 L
@@ -189,6 +191,24 @@ def delta_m2_float(N: int, p: int) -> float:
     shift = float(log_terms.max())
     scaled = np.exp(log_terms - shift) * weights
     return math.exp(shift) * math.fsum(sorted(scaled, reverse=True))
+
+
+def _rounds_to_zero(N: int, p: int) -> bool:
+    """Whether delta_p(2, N) is below half the least subnormal, by a bound in
+    O(1). delta is the sum over k of the weights C(p, 2k) 2^(1-p), which add
+    up to 1, times A_N(k) / N^(2k), a sum of squared multinomial
+    probabilities of k draws over N cells, so at most the largest of them.
+    That largest probability, at parts that differ by at most 1, does not
+    grow with k. So delta is at most the weight of 2k < p/4, under
+    2 exp(-p/8) by Hoeffding's bound, plus the largest probability at
+    k = p // 8."""
+    k = p // 8
+    q, s = divmod(k, N)
+    log_mode = math.lgamma(k + 1) - k * math.log(N)
+    if q:  # parts q and q + 1; with k < N, k parts of 1 and no huge N made a float
+        log_mode -= s * math.lgamma(q + 2) + (N - s) * math.lgamma(q + 1)
+    log_bound = math.log(2.0) + max(math.log(2.0) - p / 8, log_mode)
+    return log_bound < math.log(math.ulp(0.0)) - math.log(2.0)
 
 
 def _tilted_power(log_base: np.ndarray, N: int) -> tuple[np.ndarray, float]:

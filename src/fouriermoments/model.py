@@ -7,7 +7,13 @@ unit modulus 1e-12, row orthogonality 1e-9 * K, projection residual 1e-10,
 magic row/column sums 1e-9, flat-fiber reproduction 1e-12.
 
 Sampling uses one counter-based stream per sample derived from
-(seed, sample index), so results do not depend on evaluation order.
+(seed, sample index), so results do not depend on evaluation order. The
+estimators draw and contract samples in chunks of at most CHUNK_BYTES of
+working arrays (or one sample), every array after the draws carrying a
+sample axis. Stacked elementwise operations, matmul, matrix_power and
+trace act on each sample exactly as on it alone; a batched einsum would
+sum in another order, so the last contraction of the torus trace runs
+sample by sample, and values do not depend on the chunk size.
 
 The model estimator sums block traces. The F_M factor of a deformed
 fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
@@ -37,6 +43,13 @@ ORTHOGONALITY_TOL = 1e-9  # scaled by K
 PROJECTION_TOL = 1e-10
 MAGIC_SUM_TOL = 1e-9
 FLAT_FIBER_TOL = 1e-12
+CHUNK_BYTES = 2**20  # working arrays a chunk of Monte Carlo samples may hold
+
+
+def _check_unit_modulus(entries: np.ndarray) -> None:
+    off = np.abs(np.abs(entries) - 1.0).max()
+    if off > UNIT_MODULUS_TOL:
+        raise ValidationError(f"entries off the unit circle by {off:.2e}")
 
 
 @dataclass(frozen=True)
@@ -50,9 +63,7 @@ class PhaseMatrix:
     def __post_init__(self):
         if self.entries.shape != (self.M, self.N):
             raise ValidationError(f"expected shape {(self.M, self.N)}, got {self.entries.shape}")
-        off = np.abs(np.abs(self.entries) - 1.0).max()
-        if off > UNIT_MODULUS_TOL:
-            raise ValidationError(f"entries off the unit circle by {off:.2e}")
+        _check_unit_modulus(self.entries)
 
 
 def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
@@ -63,8 +74,19 @@ def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
 def random_phase_matrix(M: int, N: int, rng: np.random.Generator) -> PhaseMatrix:
     """Independent uniform phase per entry, one angle draw each."""
     _validate_mn(M, N)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(M, N))
-    return PhaseMatrix(M, N, np.exp(1j * angles))
+    return PhaseMatrix(M, N, _random_phases(iter([rng]), 1, (M, N))[0])
+
+
+def _random_phases(streams: Iterator[np.random.Generator], rows: int,
+                   shape: tuple[int, ...]) -> np.ndarray:
+    """(rows,) + shape unit-modulus phases: each row takes the next stream
+    and draws one uniform angle per entry from it, in one call."""
+    angles = np.empty((rows,) + shape)
+    for row, rng in zip(angles, streams):  # stops before taking a further stream
+        row[...] = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    phases = np.exp(1j * angles)
+    _check_unit_modulus(phases)
+    return phases
 
 
 @dataclass(frozen=True)
@@ -77,9 +99,7 @@ class HadamardFiber:
     def validate(self) -> None:
         if self.entries.shape != (self.K, self.K):
             raise ValidationError(f"expected shape {(self.K, self.K)}")
-        off = np.abs(np.abs(self.entries) - 1.0).max()
-        if off > UNIT_MODULUS_TOL:
-            raise ValidationError(f"entries off the unit circle by {off:.2e}")
+        _check_unit_modulus(self.entries)
         gram = self.entries @ self.entries.conj().T
         resid = np.abs(gram - self.K * np.eye(self.K)).max()
         if resid > ORTHOGONALITY_TOL * self.K:
@@ -106,11 +126,15 @@ def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
     """Deformed tensor product of Fourier matrices: entry at row (i, a),
     column (j, b) is Q[i, b] * F_M[i, j] * F_N[a, b], with pair indices
     flattened as i*N + a."""
-    M, N = Q.M, Q.N
+    return HadamardFiber(Q.M * Q.N, _deform(Q.entries))
+
+
+def _deform(phases: np.ndarray) -> np.ndarray:
+    """`dita_deform`'s entries for each (M, N) phase array of a stack."""
+    *lead, M, N = phases.shape
     # axes (i, a, j, b)
     four = _fourier_entries(M)[:, None, :, None] * _fourier_entries(N)[None, :, None, :]
-    deformed = four * Q.entries[:, None, None, :]
-    return HadamardFiber(M * N, deformed.reshape(M * N, M * N))
+    return (four * phases[..., :, None, None, :]).reshape(*lead, M * N, M * N)
 
 
 @dataclass(frozen=True)
@@ -143,8 +167,9 @@ class MagicUnitary:
 
 
 def _row_quotients(H: np.ndarray) -> np.ndarray:
-    """quotients[i, j, :] = H[i, :] / H[j, :] (entrywise, unit modulus)."""
-    return H[:, None, :] / H[None, :, :]
+    """quotients[..., i, j, :] = H[..., i, :] / H[..., j, :] (entrywise, unit
+    modulus), for one matrix or a stack."""
+    return H[..., :, None, :] / H[..., None, :, :]
 
 
 def magic_unitary(H: HadamardFiber) -> MagicUnitary:
@@ -165,11 +190,14 @@ class TransferMatrix:
     entries: np.ndarray
 
 
-def _pair_gram(xi: np.ndarray) -> np.ndarray:
-    """gram[u, v, w, z] = <xi[u, v], xi[w, z]> (conjugate-linear first)."""
-    K = xi.shape[0]
-    pairs = xi.reshape(K * K, K)
-    return (pairs.conj() @ pairs.T).reshape(K, K, K, K)
+def _pair_gram(xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """gram[..., u, v, w, z] = <xi[..., u, v], xi[..., w, z]> (conjugate-linear
+    first), for one quotient array or a stack; `out`, if given, receives the
+    grams as (..., K^2, K^2)."""
+    K = xi.shape[-1]
+    lead = xi.shape[:-3]
+    pairs = xi.reshape(lead + (K * K, K))
+    return np.matmul(pairs.conj(), pairs.swapaxes(-1, -2), out=out).reshape(lead + (K,) * 4)
 
 
 def transfer_fiber(U: MagicUnitary, p: int,
@@ -184,8 +212,11 @@ def transfer_fiber(U: MagicUnitary, p: int,
     _validate_pos(p=p)
     K = U.K
     _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p), budget)
-    indices = _block_indices(1, K, p)  # as large as the matrix at M = 1, so not kept
-    return TransferMatrix(p, K, _transfer_blocks(_pair_gram(U.quotients), indices, 1, K)[0])
+    # The indices are as large as the matrix at M = 1, so they are not kept.
+    indices = _block_indices(1, K, p, transfer=True)
+    stack = _transfer_blocks(_pair_gram(U.quotients[None]), indices, 1, K,
+                             np.empty((1, 1, K**p, K**p), dtype=complex))
+    return TransferMatrix(p, K, stack[0, 0])
 
 
 class McEstimate(NamedTuple):
@@ -213,13 +244,32 @@ def _sample_streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
     return map(rewound, range(samples))
 
 
-def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
+def _chunk_rows(samples: int, sample_bytes: int) -> int:
+    """Samples per chunk: as many as CHUNK_BYTES holds, at least one."""
+    return max(1, min(samples, CHUNK_BYTES // sample_bytes))
+
+
+def _sample_values(streams: Iterator[np.random.Generator], samples: int, rows: int,
+                   shape: tuple[int, ...], evaluate) -> np.ndarray:
+    """Each sample's value, `rows` samples at a time: `evaluate` takes the
+    stacked phases of a chunk, `shape` per sample drawn from the sample's own
+    stream, and returns the chunk's values."""
+    values = np.empty(samples)
+    for start in range(0, samples, rows):
+        phases = _random_phases(streams, min(rows, samples - start), shape)
+        values[start:start + len(phases)] = evaluate(phases)
+    return values
+
+
+def _block_indices(M: int, N: int, n: int, transfer: bool = False) -> tuple[np.ndarray, ...]:
     """Flat indices that gather the diagonal blocks of a slice operator on n
     slices from its factors; the module docstring says why the operator is
     block-diagonal. Class t, the M-tuples t + c, has t[0] = 0, and inside it
     block row (c1, a) has M-tuple t + c1 and N-tuple a. Entry x indexes
     factor x on the frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with
-    unit axes where factor x does not depend on the frame axis."""
+    unit axes where factor x does not depend on the frame axis. A factor's
+    axes are (row_x, row_{x+1}, col_x, col_{x+1}); with `transfer` it is a
+    pair gram, read with axes (row_x, col_x, row_{x+1}, col_{x+1})."""
     K = M * N
     frame_axes = 2 * n + 3
 
@@ -239,35 +289,37 @@ def _block_indices(M: int, N: int, n: int) -> tuple[np.ndarray, ...]:
         row_y = ((ty + c1) % M) * N + on_axis(labels, 2 + y)
         col_x = ((tx + c2) % M) * N + on_axis(labels, n + 3 + x)
         col_y = ((ty + c2) % M) * N + on_axis(labels, n + 3 + y)
-        out.append(((row_x * K + row_y) * K + col_x) * K + col_y)
+        second, third = (col_x, row_y) if transfer else (row_y, col_x)
+        out.append(((row_x * K + second) * K + third) * K + col_y)
     return tuple(out)
 
 
 def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
-                  M: int, N: int, scale: float) -> np.ndarray:
-    """The diagonal blocks of `scale` times a slice operator, as a
-    (M^(n-1), M N^n, M N^n) stack, gathered from the factors by the n
-    `indices` of `_block_indices` without forming the K^n x K^n operator.
+                  M: int, N: int, scale: float, out: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of `scale` times a slice operator for each sample
+    of a chunk, gathered from the factors by the n `indices` of
+    `_block_indices` into `out`, a (samples, M^(n-1), M N^n, M N^n) stack,
+    without forming the K^n x K^n operator.
 
     The slice operator acts on the K^n-dimensional space of a torus slice:
-    `factors[x]` couples slice components (x, x+1 mod n) of the row index
-    with the same components of the column index, in the layout (row_x,
-    row_{x+1}, col_x, col_{x+1}), and an entry is the product of the
-    factors. Block (t, c1, a), (t, c2, b) is the product over x of
-    factors[x][(t_x + c1, a_x), (t_{x+1} + c1, a_{x+1}), (t_x + c2, b_x),
-    (t_{x+1} + c2, b_{x+1})], with pair indices flattened as i*N + a. With
-    M = 1 every index tuple is its own class: one block, the whole operator.
+    `factors[x]`, a (samples, K, K, K, K) stack, couples slice components
+    (x, x+1 mod n) of the row index with the same components of the column
+    index, and an entry is the product of the factors. Block (t, c1, a),
+    (t, c2, b) is the product over x of factors[x][(t_x + c1, a_x),
+    (t_{x+1} + c1, a_{x+1}), (t_x + c2, b_x), (t_{x+1} + c2, b_{x+1})], with
+    pair indices flattened as i*N + a. With M = 1 every index tuple is its
+    own class: one block, the whole operator.
     """
-    n = len(indices)
-    frame = (M**(n - 1), M) + (N,) * n + (M,) + (N,) * n
-    first, *rest = indices
-    acc = np.empty(frame, dtype=complex)
-    acc[...] = factors[0].take(first)
-    for factor, index in zip(factors[1:], rest):
-        acc *= factor.take(index)
+    n, rows = len(indices), len(out)
+    acc = out.reshape((rows, M**(n - 1), M) + (N,) * n + (M,) + (N,) * n)
+    for x, (factor, index) in enumerate(zip(factors, indices)):
+        gathered = factor.reshape(rows, -1).take(index, axis=1)
+        if x:
+            acc *= gathered
+        else:
+            acc[...] = gathered
     acc *= scale
-    side = M * N**n
-    return acc.reshape(M**(n - 1), side, side)
+    return out
 
 
 def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
@@ -277,61 +329,65 @@ def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
     return M**(n - 1) * (M * N**n)**2 * (factors + 48)
 
 
-def _transfer_blocks(gram: np.ndarray, indices: tuple[np.ndarray, ...],
-                     M: int, N: int) -> np.ndarray:
-    """Diagonal blocks of one fiber's transfer matrix, from its pair gram by
-    the p `indices` of `_block_indices`. Rows are the index tuples I, columns
-    J; position y couples (I_y, J_y) to (I_{y+1}, J_{y+1}), so the
-    slice-operator factor at every y is the gram with axes reordered to
-    (row_y, row_{y+1}, col_y, col_{y+1}), made contiguous once instead of at
-    each of its p gathers."""
-    factor = gram.transpose(0, 2, 1, 3).copy()
+def _transfer_blocks(grams: np.ndarray, indices: tuple[np.ndarray, ...],
+                     M: int, N: int, out: np.ndarray) -> np.ndarray:
+    """Diagonal blocks of each fiber's transfer matrix, from a stack of pair
+    grams by the p `indices` of `_block_indices(..., transfer=True)`, into
+    `out`. Rows are the index tuples I, columns J; position y couples
+    (I_y, J_y) to (I_{y+1}, J_{y+1}), so the slice-operator factor at every
+    y is the gram, read with its axes reordered."""
     p = len(indices)
-    return _slice_blocks([factor] * p, indices, M, N, (M * N)**-(p + 1))
+    return _slice_blocks([grams] * p, indices, M, N, (M * N)**-(p + 1), out)
 
 
-def _trace_of_product(stacks: list[np.ndarray]) -> complex:
-    """Sum over the blocks of Tr(stacks[0][t] ... stacks[-1][t])."""
-    if len(stacks) == 1:
-        return complex(np.einsum("tii->", stacks[0]))
-    acc = stacks[0]
-    for m in stacks[1:-1]:
-        acc = acc @ m
-    return complex(np.einsum("tij,tji->", acc, stacks[-1]))
-
-
-def _torus_trace(grams: list[np.ndarray], indices: tuple[np.ndarray, ...],
-                 M: int, N: int, p: int) -> complex:
-    """Tr(T_p(Q_1) ... T_p(Q_r)) from the per-fiber pair-gram tensors and
-    the `indices` of _block_indices(M, N, min(p, r)).
+def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
+                  p: int, work: np.ndarray) -> list[complex]:
+    """Tr(T_p(Q_1) ... T_p(Q_r)) for each sample of a chunk, from its
+    (r, samples, K, K, K, K) pair grams, the `indices` of
+    _block_indices(M, N, min(p, r), transfer=r > p) and `work`, three
+    (samples, M^(n-1), M N^n, M N^n) block stacks.
 
     The trace is a torus contraction of r*p four-index tensors; it is swept
     along whichever direction has the smaller slice space. Sweeping along
-    the sample direction multiplies the r distinct transfer matrices;
+    the fiber direction multiplies the r distinct transfer matrices;
     sweeping the other way raises a single K^r-dimensional operator to the
     p-th power. Either operator is block-diagonal (`_block_indices`), and
     products keep the blocks, so the trace is the sum of the block traces:
-    only the M^(n-1) blocks of side M N^n are built and multiplied.
+    only the M^(n-1) blocks of side M N^n are built and multiplied. Each
+    product goes into a stack that holds neither of its operands.
     """
-    r = len(grams)
+    r, rows = grams.shape[:2]
+    first, second, third = work[:, :rows]
     K = M * N
-    # The normalisation K^(-r(p+1)) is applied factor by factor, so the
-    # products stay near the moment's size instead of overflowing.
-    # Multiplying by a real reciprocal is cheaper than a complex division.
     if r <= p:
-        # Factor x couples row components (x, x+1): exactly grams[x].
-        step = _slice_blocks(grams, indices, M, N, K**-r)
-        return _trace_of_product([step] * p) * K**-r
+        # Factor x couples row components (x, x+1): exactly grams[x]. The
+        # normalisation K^(-r(p+1)) is applied factor by factor, so the
+        # products stay near the moment's size instead of overflowing.
+        # Multiplying by a real reciprocal is cheaper than a complex division.
+        step = acc = _slice_blocks(list(grams), indices, M, N, K**-r, first)
+        for k in range(p - 2):
+            acc = np.matmul(acc, step, out=(second, third)[k % 2])
+        # The last contraction runs per sample (module docstring).
+        if p == 1:
+            traces = [complex(np.einsum("tii->", blocks)) for blocks in acc]
+        else:
+            traces = [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, step)]
+        return [trace * K**-r for trace in traces]
     # The x-th slice indexes the rows of fiber x's transfer matrix and the
     # (x+1)-th its columns.
-    return _trace_of_product([_transfer_blocks(g, indices, M, N) for g in grams])
+    acc = _transfer_blocks(grams[0], indices, M, N, first)
+    for x in range(1, r - 1):
+        factor = _transfer_blocks(grams[x], indices, M, N, second)
+        acc = np.matmul(acc, factor, out=(third, first)[(x - 1) % 2])
+    last = _transfer_blocks(grams[r - 1], indices, M, N, second)
+    return [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, last)]
 
 
 def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
                   budget: int = DEFAULT_BUDGET) -> McEstimate:
     """Monte Carlo estimate of c_p^r(M, N): the sample mean over independent
     draws of (Q_1, ..., Q_r) of Tr(T_p(Q_1) ... T_p(Q_r)), each Q a uniform
-    phase matrix. Deterministic for a fixed seed."""
+    phase matrix. Deterministic for a fixed seed, whatever the chunk size."""
     _validate_mn(M, N)
     _validate_pos(p=p, r=r, samples=samples)
     streams = _sample_streams(seed, samples)
@@ -341,34 +397,44 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
     cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
     _check_budget("trace statistic per sample", cost, budget)
     _check_budget(f"{samples} sample values", 8 * samples, budget)  # one op per byte held
-    indices = _block_indices(M, N, n)
-    values = np.empty(samples)
-    for s, rng in enumerate(streams):
-        grams = []
-        for _ in range(r):
-            Q = random_phase_matrix(M, N, rng)
-            xi = _row_quotients(dita_deform(Q).entries)
-            grams.append(_pair_gram(xi))
-        values[s] = _torus_trace(grams, indices, M, N, p).real
-    return _mean_and_error(values)
+    K, blocks = M * N, (M**(n - 1), M * N**n, M * N**n)
+    indices = _block_indices(M, N, n, transfer=r > p)
+    # A sample holds its r grams, quotients and their conjugates, and four
+    # block stacks (three in `work` and a gathered factor), 16 bytes an entry.
+    rows = _chunk_rows(samples, 16 * (r * (K**4 + 2 * K**3) + 4 * math.prod(blocks)))
+    # Fiber-major, so that each fiber's grams are one contiguous stack.
+    grams = np.empty((r, rows, K * K, K * K), dtype=complex)
+    work = np.empty((3, rows) + blocks, dtype=complex)
+
+    def traces(phases: np.ndarray) -> list[float]:
+        fibers = _deform(phases.swapaxes(0, 1))
+        stack = _pair_gram(_row_quotients(fibers), out=grams[:, :len(phases)])
+        return [trace.real for trace in _torus_traces(stack, indices, M, N, p, work)]
+
+    return _mean_and_error(_sample_values(streams, samples, rows, (r, M, N), traces))
 
 
-def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEstimate:
+def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int,
+                      budget: int = DEFAULT_BUDGET) -> McEstimate:
     """Monte Carlo estimate of the limiting moment as the mean of
     Tr((G(Q) / MN)^p), with G(Q) the Gram matrix of the rows of a uniform
     phase matrix Q."""
     _validate_mn(M, N)
     _validate_pos(p=p, samples=samples)
+    streams = _sample_streams(seed, samples)
     cost = 8 * samples + M * M * N + M**3 * p.bit_length()  # values' bytes, a gram, its power
-    _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost, DEFAULT_BUDGET)
-    values = np.empty(samples)
-    for s, rng in enumerate(_sample_streams(seed, samples)):
-        Q = random_phase_matrix(M, N, rng).entries
+    _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost, budget)
+    # A sample holds its phases and their conjugates, its gram and the
+    # products of its power, 16 bytes an entry.
+    rows = _chunk_rows(samples, 16 * (2 * M * N + 4 * M * M))
+
+    def traces(Q: np.ndarray) -> np.ndarray:
         # G / MN has trace 1 and no negative eigenvalue, so its powers
         # cannot overflow, whatever p.
-        gram = Q @ Q.conj().T / (M * N)
-        values[s] = np.trace(np.linalg.matrix_power(gram, p)).real
-    return _mean_and_error(values)
+        gram = Q @ Q.conj().swapaxes(-1, -2) / (M * N)
+        return np.trace(np.linalg.matrix_power(gram, p), axis1=-2, axis2=-1).real
+
+    return _mean_and_error(_sample_values(streams, samples, rows, (M, N), traces))
 
 
 def _mean_and_error(values: np.ndarray) -> McEstimate:

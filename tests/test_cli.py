@@ -255,6 +255,15 @@ def test_mc_model_beyond_count_budget(capsys):
     assert math.isfinite(float(row["std_error"]))
 
 
+def test_mc_gram_budget_exit_code(capsys):
+    argv = ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "3",
+            "--samples", "100", "--seed", "1"]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, _, err = run_cli(argv + ["--budget", "100"], capsys)
+    assert code == 3 and "100 gram samples at (2,2,3)" in err
+
+
 def test_mc_gram_long_p(capsys):
     code, out, _ = run_cli(
         ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "600",
@@ -309,6 +318,7 @@ TEN_20 = str(10**20)
     ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "2", "--threads", "2"],
     ["estimate", "--kind", "rs", "--N", "3", "--k", str(10**400)],
     ["estimate", "--kind", "decay", "--N", str(10**300), "--p", "100000"],
+    ["estimate", "--kind", "decay", "--N", "1000", "--p", "1000000"],
     ["mc", "--kind", "gram", "--M", TEN_20, "--N", "2", "--p", "3", "--samples", "2", "--seed", "1"],
     ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "2", "--r", "2",
      "--samples", str(10**12), "--seed", "1"],

@@ -225,10 +225,24 @@ def test_delta_m2_float_buffers_do_not_grow_with_n(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
     kmax = 10**4 // 2
-    # the decay law puts this value near e^-1718, below the float range
+    # the decay law puts this value near e^-1718, below the float range, and
+    # the bound of `_rounds_to_zero` sees it without a transform
+    assert delta_m2_float(1000, 10**4) == 0.0 and not sizes
+    monkeypatch.setattr(limits, "_rounds_to_zero", lambda N, p: False)
     value = delta_m2_float(1000, 10**4)
     assert math.isfinite(value) and value >= 0
     assert sizes and max(sizes) <= 4 * (kmax + 1)
+
+
+def test_delta_m2_float_rounds_to_zero_only_below_the_float_range(monkeypatch):
+    # where the bound answers 0 at once, the FFT route reads 0 as well; at
+    # (100, 10^5), about 8e-173, the bound stays silent
+    points = [(1000, 10**4), (300, 10**5), (100, 10**5)]
+    below = [point for point in points if limits._rounds_to_zero(*point)]
+    assert below == points[:2]
+    monkeypatch.setattr(limits, "_rounds_to_zero", lambda N, p: False)
+    assert [delta_m2_float(*point) for point in below] == [0.0, 0.0]
+    assert delta_m2_float(*points[2]) > 0
 
 
 def test_delta_m2_float_monotone_observation():

@@ -16,7 +16,7 @@ from fouriermoments.model import (
     _pair_gram,
     _row_quotients,
     _sample_streams,
-    _torus_trace,
+    _torus_traces,
     dita_deform,
     flat_phase_matrix,
     fourier_matrix,
@@ -259,7 +259,10 @@ def test_torus_trace_matches_transfer_products():
             product = product @ mat
         dense = np.trace(product)
         oracle = dense_torus_trace(grams, K, p)
-        fast = _torus_trace(grams, _block_indices(M, N, min(p, r)), M, N, p)
+        n = min(p, r)
+        work = np.empty((3, 1, M**(n - 1), M * N**n, M * N**n), dtype=complex)
+        (fast,) = _torus_traces(np.stack(grams)[:, None], _block_indices(M, N, n, r > p),
+                                M, N, p, work)
         assert abs(fast - oracle) <= 1e-12 * abs(oracle), (M, N, p, r)
         assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
         # moment of a self-adjoint element: real for every sampled tuple
@@ -268,7 +271,7 @@ def test_torus_trace_matches_transfer_products():
 
 def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
     # both sweeps (r <= p and r > p) run on the diagonal blocks alone: every
-    # stack gathered is M^(n-1) blocks of side M N^n, never one K^n block
+    # stack gathered ends in M^(n-1) blocks of side M N^n, never one K^n block
     shapes = []
     gather = model._slice_blocks
 
@@ -296,20 +299,73 @@ def _estimator_values(monkeypatch, estimate, *args) -> np.ndarray:
     return seen.pop()
 
 
+def _recorded_chunks(monkeypatch) -> list[int]:
+    """The sample count of every chunk drawn from here on, in order."""
+    chunks = []
+    draw = model._random_phases
+
+    def recording(streams, rows, shape):
+        chunks.append(rows)
+        return draw(streams, rows, shape)
+
+    monkeypatch.setattr(model, "_random_phases", recording)
+    return chunks
+
+
 @pytest.mark.parametrize("seed", MC_SEEDS)
 def test_estimator_values_equal_the_one_sample_loop(monkeypatch, seed):
     # at criterion 7's deterministic points (p = 1 or r = 1) the mean passes
     # only when it equals the exact value to the last bit, so every sample's
-    # value must stay byte for byte that of the one-sample loop
+    # value must stay byte for byte that of the one-sample loop. The counts
+    # span at least two chunks, and the last is ragged unless a chunk holds
+    # one sample.
+    chunks = _recorded_chunks(monkeypatch)
     for M, N, p, r in itertools.product((2, 3), (2, 3), (1, 2, 3), (1, 2, 3)):
         samples = 3 if (M, N, p, r) == (3, 3, 3, 3) else 299
+        chunks.clear()
         values = _estimator_values(monkeypatch, mc_estimate_c, M, N, p, r, samples, seed)
         oracle = mc_sample_values_c(M, N, p, r, samples, seed)
         assert values.tobytes() == oracle.tobytes(), (M, N, p, r)
+        assert len(chunks) >= 2 and (chunks[0] == 1 or chunks[-1] < chunks[0]), (M, N, p, r)
     for M, N, p in itertools.product((2, 3), (2, 3), (1, 2, 3)):
+        chunks.clear()
         values = _estimator_values(monkeypatch, mc_estimate_delta, M, N, p, 3001, seed)
         oracle = mc_sample_values_delta(M, N, p, 3001, seed)
         assert values.tobytes() == oracle.tobytes(), (M, N, p)
+        assert len(chunks) >= 2 and chunks[-1] < chunks[0], (M, N, p)
+
+
+def test_one_sample_chunks_give_the_same_estimates(monkeypatch):
+    model_points = [(2, 2, 2, 2, 200), (2, 2, 1, 3, 150), (3, 2, 2, 3, 40), (2, 3, 3, 1, 90)]
+    gram_points = [(2, 3, 3, 3000), (3, 3, 2, 500)]
+
+    def estimates():
+        return ([mc_estimate_c(*point, seed=8) for point in model_points]
+                + [mc_estimate_delta(*point, seed=8) for point in gram_points])
+
+    chunks = _recorded_chunks(monkeypatch)
+    chunked = estimates()
+    assert max(chunks) > 1
+    chunks.clear()
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1)
+    assert estimates() == chunked
+    assert set(chunks) == {1}
+
+
+def test_mc_estimate_c_holds_at_most_one_chunk():
+    # a chunk holds at most CHUNK_BYTES of working arrays, or one sample
+    for point in ((3, 3, 2, 3), (2, 3, 3, 2)):
+        mc_estimate_c(*point, samples=1, seed=3)  # one-time allocations of a first call
+        peaks = []
+        for samples in (1, 2000):
+            tracemalloc.start()
+            try:
+                mc_estimate_c(*point, samples=samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, many = peaks
+        assert many < model.CHUNK_BYTES + one, (point, one, many)
 
 
 def test_mc_estimate_c_deterministic():
