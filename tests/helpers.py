@@ -261,11 +261,20 @@ def _one_sample_trace(stacks) -> complex:
     return complex(np.einsum("tij,tji->", acc, stacks[-1]))
 
 
+def sample_generator(seed: int, sample: int):
+    """Sample `sample`'s stream: a fresh numpy Philox keyed by the seed (mod
+    2^64) with counter [0, 0, 0, sample]."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1)),
+                                                counter=[0, 0, 0, sample]))
+
+
 def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
     """Each sample's Tr(T_p(Q_1) ... T_p(Q_r)), one sample at a time: r phase
-    matrices drawn from the sample's stream, one `uniform` call each, the
-    deformed fibers, their row quotients and pair grams, and the block
-    traces over min(p, r) slices. Kept as the oracle for the chunked
+    matrices drawn from the sample's `sample_generator`, one `uniform` call
+    each, the deformed fibers, their row quotients and pair grams, and the
+    block traces over min(p, r) slices. Kept as the oracle for the chunked
     estimator, whose values must equal these byte for byte."""
     import numpy as np
 
@@ -276,7 +285,8 @@ def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
         * model.fourier_matrix(N).entries[None, :, None, :]
     indices = model._block_indices(M, N, n)
     values = np.empty(samples)
-    for s, rng in enumerate(model._sample_streams(seed, samples)):
+    for s in range(samples):
+        rng = sample_generator(seed, s)
         grams = []
         for _ in range(r):
             Q = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N)))
@@ -299,11 +309,9 @@ def mc_sample_values_delta(M: int, N: int, p: int, samples: int, seed: int):
     oracle for the chunked gram estimator."""
     import numpy as np
 
-    from fouriermoments import model
-
     values = np.empty(samples)
-    for s, rng in enumerate(model._sample_streams(seed, samples)):
-        Q = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N)))
+    for s in range(samples):
+        Q = np.exp(1j * sample_generator(seed, s).uniform(0.0, 2.0 * math.pi, size=(M, N)))
         gram = Q @ Q.conj().T / (M * N)
         values[s] = np.trace(np.linalg.matrix_power(gram, p)).real
     return values
