@@ -6,14 +6,18 @@ Tolerances (double precision, accumulation over K terms):
 unit modulus 1e-12, row orthogonality 1e-9 * K, projection residual 1e-10,
 magic row/column sums 1e-9, flat-fiber reproduction 1e-12.
 
-Sampling uses one counter-based stream per sample derived from
-(seed, sample index), so results do not depend on evaluation order. The
-estimators draw and contract samples in chunks of at most CHUNK_BYTES of
-working arrays (or one sample), every array after the draws carrying a
-sample axis. Stacked elementwise operations, matmul, matrix_power and
-trace act on each sample exactly as on it alone; a batched einsum would
-sum in another order, so the last contraction of the torus trace runs
-sample by sample, and values do not depend on the chunk size.
+Sample s of an estimator draws the stream of numpy's Philox keyed by the
+seed with counter [0, 0, 0, s]. Philox4x64-10 is counter-based, so a draw
+is a pure function of (seed, s, position): `_sample_angles` computes a
+batch of samples' draws in one vectorised evaluation, bit for bit those of
+the generator, and results do not depend on evaluation order. The
+estimators draw samples in batches and contract them in chunks of at most
+CHUNK_BYTES of working arrays (or one sample), every array after the draws
+carrying a sample axis. Stacked elementwise operations, matmul,
+matrix_power and trace act on each sample exactly as on it alone; a
+batched einsum would sum in another order, so the last contraction of the
+torus trace runs sample by sample, and values do not depend on the chunk
+size.
 
 The model estimator sums block traces. The F_M factor of a deformed
 fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
@@ -31,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,16 +78,11 @@ def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
 def random_phase_matrix(M: int, N: int, rng: np.random.Generator) -> PhaseMatrix:
     """Independent uniform phase per entry, one angle draw each."""
     _validate_mn(M, N)
-    return PhaseMatrix(M, N, _random_phases(iter([rng]), 1, (M, N))[0])
+    return PhaseMatrix(M, N, _unit_phases(rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
 
 
-def _random_phases(streams: Iterator[np.random.Generator], rows: int,
-                   shape: tuple[int, ...]) -> np.ndarray:
-    """(rows,) + shape unit-modulus phases: each row takes the next stream
-    and draws one uniform angle per entry from it, in one call."""
-    angles = np.empty((rows,) + shape)
-    for row, rng in zip(angles, streams):  # stops before taking a further stream
-        row[...] = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    """exp(i angle) for each angle, checked to lie on the unit circle."""
     phases = np.exp(1j * angles)
     _check_unit_modulus(phases)
     return phases
@@ -224,24 +223,60 @@ class McEstimate(NamedTuple):
     std_error: float
 
 
-def _sample_streams(seed: int, samples: int) -> Iterator[np.random.Generator]:
-    """One generator per sample index s, in order. A single Philox keyed by
-    the seed is rewound to counter [0, 0, 0, s] before sample s: the high
-    counter word carries the sample index, so streams never overlap and each
-    sample's draws do not depend on evaluation order."""
+# Philox4x64-10 as numpy's Philox computes it: multipliers, key bumps, rounds.
+_PHILOX_MULTIPLIERS = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# numpy element operations per draw: a block of four draws takes 10 rounds
+# of two 15-operation multiplies and four xors, and each draw four more to
+# become an angle.
+_DRAW_OPS = _PHILOX_ROUNDS * (2 * 15 + 4) // 4 + 4
+# Bytes a batch of draws is priced at per draw: the kernel's arrays peak
+# near 40 (tracemalloc), and the previous batch's angles are still held.
+_DRAW_BYTES = 96
+
+
+def _philox_key(seed: int) -> int:
     if not _is_int(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
-    bitgen = np.random.Philox(key=np.uint64(seed & (2**64 - 1)))
-    rng = np.random.Generator(bitgen)
-    # The state of a fresh Philox: counter 0, key, and an empty output buffer.
-    fresh = bitgen.state
+    return seed & (2**64 - 1)
 
-    def rewound(sample: int) -> np.random.Generator:
-        fresh["state"]["counter"] = np.array([0, 0, 0, sample], dtype=np.uint64)
-        bitgen.state = fresh
-        return rng
 
-    return map(rewound, range(samples))
+def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of multiplier * x, from 32-bit halves in uint64."""
+    m_lo, m_hi = multiplier & _LOW32, multiplier >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo, hi_lo = m_lo * x_lo, m_hi * x_lo
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + m_lo * x_hi  # below 2^64
+    return m_hi * x_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), multiplier * x
+
+
+def _sample_angles(key: int, first: int, count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """(count,) + shape uniform angles in [0, 2 pi): row i holds the first
+    draws of `Generator(Philox(key=key, counter=[0, 0, 0, first + i]))
+    .uniform(0, 2 pi, shape)`, bit for bit.
+
+    That generator bumps its counter before each block of four words, so
+    block j = 1, 2, ... is Philox4x64-10 of counters (j, 0, 0, s) under key
+    (key, 0), and draw 4(j - 1) + i is its word i. A draw w becomes the
+    double (w >> 11) 2^-53, and the angle 0.0 + 2 pi u. Every operand is a
+    uint64 array or an np.uint64 constant, so no word is promoted to a float
+    and no scalar overflows."""
+    draws = math.prod(shape)
+    blocks = -(-draws // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c3 = np.arange(first, first + count, dtype=np.uint64)[:, None]
+    c1 = c2 = np.zeros((count, blocks), dtype=np.uint64)
+    k0, k1 = key, 0
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIERS[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIERS[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_BUMPS[0]) % 2**64, (k1 + _PHILOX_BUMPS[1]) % 2**64
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, -1)
+    uniforms = (words[:, :draws] >> np.uint64(11)) * 2.0**-53
+    return (uniforms * (2.0 * math.pi)).reshape((count,) + shape)
 
 
 def _chunk_rows(samples: int, sample_bytes: int) -> int:
@@ -249,15 +284,22 @@ def _chunk_rows(samples: int, sample_bytes: int) -> int:
     return max(1, min(samples, CHUNK_BYTES // sample_bytes))
 
 
-def _sample_values(streams: Iterator[np.random.Generator], samples: int, rows: int,
+def _sample_values(key: int, samples: int, rows: int, sample_bytes: int,
                    shape: tuple[int, ...], evaluate) -> np.ndarray:
     """Each sample's value, `rows` samples at a time: `evaluate` takes the
-    stacked phases of a chunk, `shape` per sample drawn from the sample's own
-    stream, and returns the chunk's values."""
+    stacked phases of a chunk, `shape` per sample drawn from the sample's
+    own stream, and returns the chunk's values. The draws come a batch of
+    whole chunks at a time, as many as the bytes that the chunk's
+    `sample_bytes` a sample leave free hold (at least one chunk): a kernel
+    call has about 0.4 ms of fixed cost, and a chunk may be one sample."""
+    spare = (CHUNK_BYTES - (rows - 1) * sample_bytes) // (_DRAW_BYTES * math.prod(shape))
+    batch = max(rows, spare - spare % rows)
     values = np.empty(samples)
-    for start in range(0, samples, rows):
-        phases = _random_phases(streams, min(rows, samples - start), shape)
-        values[start:start + len(phases)] = evaluate(phases)
+    for first in range(0, samples, batch):
+        angles = _sample_angles(key, first, min(batch, samples - first), shape)
+        for start in range(0, len(angles), rows):
+            phases = _unit_phases(angles[start:start + rows])
+            values[first + start:first + start + len(phases)] = evaluate(phases)
     return values
 
 
@@ -390,18 +432,21 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
     phase matrix. Deterministic for a fixed seed, whatever the chunk size."""
     _validate_mn(M, N)
     _validate_pos(p=p, r=r, samples=samples)
-    streams = _sample_streams(seed, samples)
+    key = _philox_key(seed)
     # The block loop's work per sample: max(1, q - 2) products of the
     # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
     n, q = min(p, r), max(p, r)
     cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
     _check_budget("trace statistic per sample", cost, budget)
-    _check_budget(f"{samples} sample values", 8 * samples, budget)  # one op per byte held
     K, blocks = M * N, (M**(n - 1), M * N**n, M * N**n)
+    # One op per byte of the values, and the kernel's for each of r K draws.
+    _check_budget(f"{samples} sample values and draws", samples * (8 + _DRAW_OPS * r * K),
+                  budget)
     indices = _block_indices(M, N, n, transfer=r > p)
     # A sample holds its r grams, quotients and their conjugates, and four
     # block stacks (three in `work` and a gathered factor), 16 bytes an entry.
-    rows = _chunk_rows(samples, 16 * (r * (K**4 + 2 * K**3) + 4 * math.prod(blocks)))
+    sample_bytes = 16 * (r * (K**4 + 2 * K**3) + 4 * math.prod(blocks))
+    rows = _chunk_rows(samples, sample_bytes)
     # Fiber-major, so that each fiber's grams are one contiguous stack.
     grams = np.empty((r, rows, K * K, K * K), dtype=complex)
     work = np.empty((3, rows) + blocks, dtype=complex)
@@ -411,7 +456,8 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
         stack = _pair_gram(_row_quotients(fibers), out=grams[:, :len(phases)])
         return [trace.real for trace in _torus_traces(stack, indices, M, N, p, work)]
 
-    return _mean_and_error(_sample_values(streams, samples, rows, (r, M, N), traces))
+    return _mean_and_error(_sample_values(key, samples, rows, sample_bytes, (r, M, N),
+                                          traces))
 
 
 def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int,
@@ -421,12 +467,14 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int,
     phase matrix Q."""
     _validate_mn(M, N)
     _validate_pos(p=p, samples=samples)
-    streams = _sample_streams(seed, samples)
-    cost = 8 * samples + M * M * N + M**3 * p.bit_length()  # values' bytes, a gram, its power
+    key = _philox_key(seed)
+    # The values' bytes and the kernel's ops for M N draws a sample, a gram, its power.
+    cost = samples * (8 + _DRAW_OPS * M * N) + M * M * N + M**3 * p.bit_length()
     _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost, budget)
     # A sample holds its phases and their conjugates, its gram and the
     # products of its power, 16 bytes an entry.
-    rows = _chunk_rows(samples, 16 * (2 * M * N + 4 * M * M))
+    sample_bytes = 16 * (2 * M * N + 4 * M * M)
+    rows = _chunk_rows(samples, sample_bytes)
 
     def traces(Q: np.ndarray) -> np.ndarray:
         # G / MN has trace 1 and no negative eigenvalue, so its powers
@@ -434,7 +482,7 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int,
         gram = Q @ Q.conj().swapaxes(-1, -2) / (M * N)
         return np.trace(np.linalg.matrix_power(gram, p), axis1=-2, axis2=-1).real
 
-    return _mean_and_error(_sample_values(streams, samples, rows, (M, N), traces))
+    return _mean_and_error(_sample_values(key, samples, rows, sample_bytes, (M, N), traces))
 
 
 def _mean_and_error(values: np.ndarray) -> McEstimate:

@@ -1,8 +1,14 @@
 """The package's modules import one way: each from modules strictly below
-it, and only at module level, so no import cycle can form at run time."""
+it, and only at module level, so no import cycle can form at run time. The
+Monte Carlo estimators leave `numpy.random` unimported."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fouriermoments"
 
@@ -50,3 +56,21 @@ def test_imports_run_down_the_order_at_module_level():
             if target not in BELOW[module]:
                 problems.append(f"{module}:{node.lineno} imports {target}, not below it")
     assert problems == []
+
+
+def test_estimators_do_not_import_numpy_random():
+    # the Monte Carlo draws come from the package's own Philox kernel
+    probe = ("import sys, numpy\n"
+             "loaded = 'numpy.random' in sys.modules\n"
+             "from fouriermoments.model import mc_estimate_c, mc_estimate_delta\n"
+             "mc_estimate_c(2, 2, 2, 2, samples=3, seed=1)\n"
+             "mc_estimate_delta(2, 2, 3, samples=3, seed=1)\n"
+             "print(loaded, 'numpy.random' in sys.modules)\n")
+    src = PACKAGE.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    loaded_by_numpy, loaded = done.stdout.split()
+    if loaded_by_numpy == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert loaded == "False"

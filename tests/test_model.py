@@ -15,7 +15,7 @@ from fouriermoments.model import (
     _gather_cost,
     _pair_gram,
     _row_quotients,
-    _sample_streams,
+    _sample_angles,
     _torus_traces,
     dita_deform,
     flat_phase_matrix,
@@ -29,7 +29,7 @@ from fouriermoments.model import (
 from fouriermoments.truncated import DEFAULT_BUDGET, alpha, c_from_d, count_d
 
 from helpers import (dense_slice_operator, dense_torus_trace, mc_sample_values_c,
-                     mc_sample_values_delta)
+                     mc_sample_values_delta, sample_generator)
 
 # Criterion 7's seed and its retry seed.
 MC_SEEDS = (20260808, 424243)
@@ -229,19 +229,21 @@ def test_transfer_matrix_is_block_diagonal_over_translates():
         assert off.max(initial=0.0) < 1e-12, (M, N, p)
 
 
-def test_philox_counter_reset_matches_fresh_stream():
-    # each sample rewinds one shared Philox; the draws must be those of a
-    # fresh Philox keyed by the seed with counter [0, 0, 0, s]
-    wanted = (0, 1, 2, 999)
-    for seed in (0, 7, -1, 2**64 + 5):
-        for s, rng in enumerate(_sample_streams(seed, wanted[-1] + 1)):
-            if s not in wanted:
-                continue
-            fresh = np.random.Generator(np.random.Philox(
-                key=np.uint64(seed & (2**64 - 1)), counter=[0, 0, 0, s]))
-            assert np.array_equal(rng.uniform(0.0, 1.0, size=(3, 3)),
-                                  fresh.uniform(0.0, 1.0, size=(3, 3)))
-            rng.uniform(size=5)  # leave the stream mid-buffer before the next rewind
+def test_philox_kernel_matches_numpy_generator():
+    # row i of a batch starting at sample s is, to the bit, what numpy's
+    # Philox keyed by the seed with counter [0, 0, 0, s + i] draws
+    wanted = (0, 1, 2, 999, 2**32 + 1, 2**40)
+    for seed in (0, 7, -1, 2**63, 2**64 + 5):
+        key = seed & (2**64 - 1)
+        for d in (*range(1, 10), 27):
+            for s in wanted:
+                # a batch of one, and one of up to three that ends at s
+                for first in {s, max(0, s - 2)}:
+                    batch = _sample_angles(key, first, s - first + 1, (d,))
+                    for row, angles in enumerate(batch):
+                        fresh = sample_generator(seed, first + row).uniform(
+                            0.0, 2.0 * np.pi, size=d)
+                        assert angles.tobytes() == fresh.tobytes(), (seed, first + row, d)
 
 
 def test_torus_trace_matches_transfer_products():
@@ -302,13 +304,13 @@ def _estimator_values(monkeypatch, estimate, *args) -> np.ndarray:
 def _recorded_chunks(monkeypatch) -> list[int]:
     """The sample count of every chunk drawn from here on, in order."""
     chunks = []
-    draw = model._random_phases
+    phases = model._unit_phases
 
-    def recording(streams, rows, shape):
-        chunks.append(rows)
-        return draw(streams, rows, shape)
+    def recording(angles):
+        chunks.append(len(angles))
+        return phases(angles)
 
-    monkeypatch.setattr(model, "_random_phases", recording)
+    monkeypatch.setattr(model, "_unit_phases", recording)
     return chunks
 
 
@@ -442,6 +444,12 @@ def test_mc_budget_and_validation():
         mc_estimate_c(4, 4, 5, 5, samples=10, seed=0)
     with pytest.raises(ParameterError):
         mc_estimate_c(2, 2, 2, 2, samples=0, seed=0)
+    # the gates price samples * (8 bytes + the kernel's ops for each of r M N draws)
+    for estimate, args, draws in ((mc_estimate_c, (2, 2, 2, 2), 8),
+                                  (mc_estimate_delta, (2, 2, 3), 4)):
+        with pytest.raises(BudgetError) as info:
+            estimate(*args, samples=10**8, seed=1)
+        assert info.value.estimated_ops >= 10**8 * (8 + model._DRAW_OPS * draws)
     for seed in (True, 1.9, "1", None):
         with pytest.raises(ParameterError):
             mc_estimate_c(2, 2, 2, 2, samples=1, seed=seed)
@@ -456,6 +464,20 @@ def test_mc_budget_and_validation():
         flat = np.ones((2, 2), dtype=complex) * 1.5
         from fouriermoments.model import PhaseMatrix
         PhaseMatrix(2, 2, flat)
+
+
+def test_seed_type_is_checked_before_the_budget_and_the_draws(monkeypatch):
+    # the calls below are far over the budget; a bad seed must be named first
+    def refuse(*args):
+        raise AssertionError("reached the budget gate or the draws")
+
+    monkeypatch.setattr(model, "_check_budget", refuse)
+    monkeypatch.setattr(model, "_sample_angles", refuse)
+    for seed in (True, 1.5, "1", None):
+        with pytest.raises(ParameterError, match="seed"):
+            mc_estimate_c(4, 4, 5, 5, samples=10**12, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            mc_estimate_delta(2, 2, 3, samples=10**12, seed=seed)
 
 
 def test_projection_residuals_over_seeds():
