@@ -9,7 +9,7 @@ seeded Monte Carlo, so each route cross-validates the other.
 
 __version__ = "0.1.0"
 
-from .errors import BudgetError, CrossCheckError, ParameterError, ValidationError
+from .errors import BudgetError, CrossCheckError, ParameterError, ValidationError, budget
 from .partitions import (
     SetPartition,
     PartitionStats,

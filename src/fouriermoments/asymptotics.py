@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, ParameterError, _check_budget, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_pos
 from .limits import delta_exact
 from .partitions import _narayana_profile
 
@@ -42,8 +42,7 @@ def stirling_polynomial(p: int) -> StirlingPolynomial:
     """Exact block-count profile of the non-crossing partitions."""
     _validate_pos(p=p)
     # p ratio steps on integers of up to 2p bits
-    _check_budget(f"Narayana profile of p={p}",
-                  p * (1 + 2 * p // sys.int_info.bits_per_digit), DEFAULT_BUDGET)
+    _check_budget(f"Narayana profile of p={p}", p * (1 + 2 * p // sys.int_info.bits_per_digit))
     return StirlingPolynomial(p, tuple(_narayana_profile(p)))
 
 
@@ -57,7 +56,7 @@ def free_poisson_moment(t: Fraction | int, p: int) -> Fraction:
     # p Horner steps on integers of up to p (2 + bits of t) bits
     bits = 2 + t.numerator.bit_length() + t.denominator.bit_length()
     _check_budget(f"free Poisson moment at p={p}",
-                  p * (1 + p * bits // sys.int_info.bits_per_digit), DEFAULT_BUDGET)
+                  p * (1 + p * bits // sys.int_info.bits_per_digit))
     return stirling_polynomial(p)(t)
 
 

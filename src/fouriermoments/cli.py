@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from . import __version__
 from .asymptotics import delta_decay_estimate, regime_check, richmond_shallit
-from .errors import DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _validate_pos
+from .errors import (DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _validate_pos,
+                     budget)
 from .limits import (
     decompose,
     delta_binomial,
@@ -166,9 +167,8 @@ def _cross_check(records: list[RunRecord]) -> None:
                 f"exact methods disagree:\n{lines}")
 
 
-def _delta_for(M: int, N: int, p: int, budget: int, cache: Cache) -> Fraction:
-    return _cached(cache, ("delta:auto", M, N, p, None),
-                   lambda: delta_exact(M, N, p, budget))
+def _delta_for(M: int, N: int, p: int, cache: Cache) -> Fraction:
+    return _cached(cache, ("delta:auto", M, N, p, None), lambda: delta_exact(M, N, p))
 
 
 def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
@@ -185,7 +185,7 @@ def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
 
 
 def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
-    M, N, p, r, budget = args.M, args.N, args.p, args.r, args.budget
+    M, N, p, r = args.M, args.N, args.p, args.r
 
     def d42():
         if (p, r) != (4, 2):
@@ -193,10 +193,9 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
         return d42_closed(M, N)
 
     records = _run_methods("truncated", {
-        "direct": lambda: _cached(cache, ("d:direct", M, N, p, r),
-                                  lambda: count_d(M, N, p, r, budget)),
+        "direct": lambda: _cached(cache, ("d:direct", M, N, p, r), lambda: count_d(M, N, p, r)),
         "alpha": lambda: alpha(M, N, p, r),
-        "beta": lambda: beta(M, N, p, r, _delta_for(M, N, p, budget, cache)),
+        "beta": lambda: beta(M, N, p, r, _delta_for(M, N, p, cache)),
         "d42": d42,
     }, args, r=r)
     # A closed form reproduces the direct count only where it is exact.
@@ -206,15 +205,15 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_limit(args, cache: Cache) -> list[RunRecord]:
-    M, N, p, budget = args.M, args.N, args.p, args.budget
+    M, N, p = args.M, args.N, args.p
 
     def cached(method, compute):
         return lambda: _cached(cache, (f"delta:{method}", M, N, p, None), compute)
 
     records = _run_methods("limit", {
-        "direct": cached("direct", lambda: delta_direct(M, N, p, budget)),
-        "partition": cached("partition", lambda: delta_partition(M, N, p, budget)),
-        "binomial": cached("binomial", lambda: delta_binomial(M, N, p, budget)),
+        "direct": cached("direct", lambda: delta_direct(M, N, p)),
+        "partition": cached("partition", lambda: delta_partition(M, N, p)),
+        "binomial": cached("binomial", lambda: delta_binomial(M, N, p)),
         "bound": lambda: delta_upper_bound(M, N, p),
     }, args)
     # The bound method is an upper estimate, not another route to the value.
@@ -230,35 +229,37 @@ def cmd_limit(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_converge(args, cache: Cache) -> list[RunRecord]:
-    M, N, p, budget = args.M, args.N, args.p, args.budget
+    M, N, p = args.M, args.N, args.p
     _validate_pos(r_max=args.r_max)
-    delta = _delta_for(M, N, p, budget, cache)
+    delta = _delta_for(M, N, p, cache)
     records = []
+    # Values grow with r: stop at the first rung too long to print, not after the last.
+    too_long = sys.get_int_max_str_digits() * math.log2(10) + 1  # bits of such a term
     for r in range(1, args.r_max + 1):
         (d, b), ms = _timed(lambda: (
-            _cached(cache, ("d:direct", M, N, p, r), lambda: count_d(M, N, p, r, budget)),
+            _cached(cache, ("d:direct", M, N, p, r), lambda: count_d(M, N, p, r)),
             beta(M, N, p, r, delta)))
         common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms)
-        records.append(RunRecord("converge", "direct", value_exact=d, **common))
-        records.append(RunRecord("converge", "beta", value_exact=b, **common))
-        records.append(RunRecord("converge", "delta", value_exact=delta, **common))
-        records.append(RunRecord("converge", "gap", value_exact=d - delta, **common))
+        for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
+            if 1 < too_long <= max(abs(value.numerator), value.denominator).bit_length():
+                _ratio_str(value)  # raises the ParameterError of printing it
+            records.append(RunRecord("converge", method, value_exact=value, **common))
     return records
 
 
 def cmd_mc(args, cache: Cache) -> list[RunRecord]:
-    M, N, p, budget = args.M, args.N, args.p, args.budget
+    M, N, p = args.M, args.N, args.p
     if args.kind == "model":
         r = args.r
         if r is None:
             raise ParameterError("mc --kind model requires --r")
-        estimate = lambda: mc_estimate_c(M, N, p, r, args.samples, args.seed, budget)
+        estimate = lambda: mc_estimate_c(M, N, p, r, args.samples, args.seed)
         exact = lambda: c_from_d(_cached(cache, ("d:direct", M, N, p, r),
-                                         lambda: count_d(M, N, p, r, budget)), M, N, p)
+                                         lambda: count_d(M, N, p, r)), M, N, p)
     else:
         r = None
-        estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed, budget)
-        exact = lambda: _delta_for(M, N, p, budget, cache)
+        estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed)
+        exact = lambda: _delta_for(M, N, p, cache)
     est, ms = _timed(estimate)
     record = RunRecord("mc", f"mc-{args.kind}", M=M, N=N, p=p, r=r,
                        value_float=est.mean, std_error=est.std_error,
@@ -291,7 +292,7 @@ def cmd_estimate(args, cache: Cache) -> list[RunRecord]:
         # Past the bottom of the float range the law reads 0 and gives no ratio.
         return [RunRecord("estimate", "decay", M=2, N=args.N, p=args.p, value_float=value,
                           z=value / ref if ref else None, runtime_ms=ms)]
-    value, ms = _timed(lambda: moment_integral(args.N, args.k, args.budget))
+    value, ms = _timed(lambda: moment_integral(args.N, args.k))
     ref = richmond_shallit(args.N, args.k)
     return [RunRecord("estimate", "rs", N=args.N, p=args.k,
                       value_float=float(value), z=float(value) / ref,
@@ -395,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"estimate --kind {args.kind} requires --{needed}")
     try:
         cache = Cache(args.cache or os.environ.get(CACHE_ENV_VAR))
-        records = args.func(args, cache)
+        with budget(args.budget):
+            records = args.func(args, cache)
         _emit(records, args.format, args.out)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

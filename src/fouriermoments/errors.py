@@ -1,15 +1,18 @@
-"""Shared exception types and the argument and budget checks that raise
-them. It imports no other module of the package.
+"""Shared exception types, the argument checks, and the scoped budget with
+the gate that reads it. It imports no other module of the package.
 
 Exit-code mapping used by the CLI: ParameterError -> 2, BudgetError -> 3,
 CrossCheckError -> 4.
 """
 
+import contextlib
+import contextvars
 import math
 
-# Each exact kernel estimates its own work and refuses it above this many
-# elementary operations.
+# Each exact kernel refuses work estimated above this many elementary
+# operations, or above the limit of the `budget` block its thread is in.
 DEFAULT_BUDGET = 10**9
+_BUDGET = contextvars.ContextVar("budget", default=DEFAULT_BUDGET)
 
 
 class ParameterError(ValueError):
@@ -19,10 +22,10 @@ class ParameterError(ValueError):
 class BudgetError(RuntimeError):
     """A computation was refused because its estimated cost exceeds the budget."""
 
-    def __init__(self, message: str, estimated_ops: int, budget: int):
+    def __init__(self, message: str, estimated_ops: int, limit: int):
         super().__init__(message)
         self.estimated_ops = estimated_ops
-        self.budget = budget
+        self.budget = limit
 
 
 class ValidationError(ValueError):
@@ -48,12 +51,25 @@ def _validate_pos(**kwargs: int) -> None:
             raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _check_budget(what: str, cost: int, budget: int, log10_cost=None) -> None:
-    if cost > budget:
+@contextlib.contextmanager
+def budget(ops: int):
+    """Within the block, exact kernels refuse work estimated above `ops` operations."""
+    if not (_is_int(ops) and ops >= 0):
+        raise ParameterError(f"the budget must be a nonnegative integer, got {ops!r}")
+    token = _BUDGET.set(ops)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def _check_budget(what: str, cost: int, log10_cost=None) -> None:
+    limit = _BUDGET.get()
+    if cost > limit:
         raise BudgetError(
             f"{what} needs ~{_scientific(cost, log10_cost)} elementary operations, over the "
-            f"budget of {_scientific(budget)}; raise the budget to force it",
-            estimated_ops=cost, budget=budget)
+            f"budget of {_scientific(limit)}; raise the budget to force it",
+            estimated_ops=cost, limit=limit)
 
 
 def _scientific(n: int, log10=None) -> str:

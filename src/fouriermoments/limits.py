@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DEFAULT_BUDGET, ParameterError, _check_budget, _is_int, _validate_mn,
-                     _validate_pos)
+from .errors import ParameterError, _check_budget, _is_int, _validate_mn, _validate_pos
 from .partitions import stirling_number, triangle_pair_counts
 from .truncated import _order_histogram
 
@@ -25,7 +24,7 @@ from .truncated import _order_histogram
 FLOAT_P_CAP = 10**6
 
 
-def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def delta_direct(M: int, N: int, p: int) -> Fraction:
     """Exact fraction of (a, b) index pairs satisfying the base multiset
     condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, by direct enumeration:
     the pairs whose solution set is all of Z_M."""
@@ -35,18 +34,18 @@ def delta_direct(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fracti
         return Fraction(1)
     # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
     # translation invariant in a and in b separately, so scale by M*N.
-    hits = _order_histogram(M, N, p, budget).get(M, 0)
+    hits = _order_histogram(M, N, p).get(M, 0)
     return Fraction(hits * M * N, (M * N)**p)
 
 
-def delta_partition(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def delta_partition(M: int, N: int, p: int) -> Fraction:
     """The limiting moment as a sum over shift-compatible partition pairs,
     weighted by falling factorials of M and N; 1 when a side has one row."""
     _validate_mn(M, N)
     _validate_pos(p=p)
     if M == 1 or N == 1:
         return Fraction(1)
-    table = triangle_pair_counts(p, min(p, M), min(p, N), budget)
+    table = triangle_pair_counts(p, min(p, M), min(p, N))
     total = sum(math.perm(M, s) * math.perm(N, t) * pairs for (s, t), pairs in table.items())
     return Fraction(total, (M * N)**p)
 
@@ -100,7 +99,7 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
                                total=sum(contributions.values(), Fraction(0)))
 
 
-def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def moment_integral(N: int, k: int) -> Fraction:
     """Normalized 2k-th moment of |q_1 + ... + q_N| / N over independent
     uniform phases: N^(-2k) * sum over compositions of k into N parts of the
     squared multinomial coefficient."""
@@ -111,18 +110,18 @@ def moment_integral(N: int, k: int, budget: int = DEFAULT_BUDGET) -> Fraction:
         return Fraction(1)
     if N == 2:  # about d^2 digit steps for C(2k, k), d the digits of a 2k-bit integer
         digits = 1 + 2 * k // sys.int_info.bits_per_digit
-        _check_budget("central binomial coefficient", digits * digits, budget)
+        _check_budget("central binomial coefficient", digits * digits)
         return Fraction(math.comb(2 * k, k), 4**k)
-    return Fraction(_squared_multinomial_row(N, k, budget)[k], N**(2 * k))
+    return Fraction(_squared_multinomial_row(N, k)[k], N**(2 * k))
 
 
-def _squared_multinomial_row(N: int, k: int, budget: int) -> list[int]:
+def _squared_multinomial_row(N: int, k: int) -> list[int]:
     """A_N(m) for m = 0..k: the sum over compositions of m into N parts of
     the squared multinomial coefficient."""
     # About N (k + 1)^2 bigint products, each of integers of up to 2k log2 N
     # bits (A_N(m) <= N^(2m)), which the interpreter multiplies digit by digit.
     digits = 1 + math.ceil(2 * k * Fraction(math.log2(N)) / sys.int_info.bits_per_digit)
-    _check_budget("squared-multinomial dynamic program", N * (k + 1)**2 * digits, budget)
+    _check_budget("squared-multinomial dynamic program", N * (k + 1)**2 * digits)
     # A_1(m) = 1 and A_2(m) = C(2m, m); peeling the last part gives
     # A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i).
     row = [math.comb(2 * m, m) if N > 1 else 1 for m in range(k + 1)]
@@ -132,27 +131,27 @@ def _squared_multinomial_row(N: int, k: int, budget: int) -> list[int]:
     return row
 
 
-def delta_m2(N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def delta_m2(N: int, p: int) -> Fraction:
     """Exact limiting moment at M = 2 through the binomial route:
     2^(1-p) * sum_k C(p, 2k) * moment_integral(N, k)."""
     _validate_pos(N=N, p=p)
     kmax = p // 2
-    row = _squared_multinomial_row(N, kmax, budget)
+    row = _squared_multinomial_row(N, kmax)
     # moment_integral(N, k) = row[k] / N^(2k), over the common denominator.
     total = sum(math.comb(p, 2 * k) * row[k] * N**(2 * (kmax - k))
                 for k in range(kmax + 1))
     return Fraction(total, 2**(p - 1) * N**(2 * kmax))
 
 
-def delta_binomial(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def delta_binomial(M: int, N: int, p: int) -> Fraction:
     """Exact limiting moment through the binomial route, which needs a side
     equal to 2. The pair-compatibility problem is symmetric in the two
     sides, so a two-row N works the same as a two-row M."""
     _validate_mn(M, N)
     if M == 2:
-        return delta_m2(N, p, budget)
+        return delta_m2(N, p)
     if N == 2:
-        return delta_m2(M, p, budget)
+        return delta_m2(M, p)
     raise ParameterError("the binomial route requires M = 2 or N = 2")
 
 
@@ -173,7 +172,7 @@ def delta_m2_float(N: int, p: int) -> float:
     if N > 2:  # FFT products: a squaring per bit of N and a product per 1 bit, past the first
         L = 1 << (2 * kmax + 1).bit_length()  # each at FFT length L, ~L log2 L
         cost = (N.bit_length() + N.bit_count() - 2) * L * (L.bit_length() - 1)
-        _check_budget(f"FFT power of a {N.bit_length()}-bit N at p={p}", cost, DEFAULT_BUDGET)
+        _check_budget(f"FFT power of a {N.bit_length()}-bit N at p={p}", cost)
     lf = np.array([math.lgamma(n + 1) for n in range(p + 1)])
     ks = np.arange(kmax + 1)
     log_comb = lf[p] - lf[2 * ks] - lf[p - 2 * ks]
@@ -244,12 +243,12 @@ def delta_upper_bound(M: int, N: int, p: int) -> Fraction:
     return 1 - (1 - Fraction(1, M**(p - 1))) * (1 - Fraction(1, N**(p - 1))) * (1 - eps22)
 
 
-def delta_exact(M: int, N: int, p: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def delta_exact(M: int, N: int, p: int) -> Fraction:
     """The limiting moment by the binomial route when the smaller side is 2,
     else by the partition sum. With both sides >= 3 the period histogram of
     direct enumeration always costs more than the partition-pair scan."""
     _validate_mn(M, N)
     _validate_pos(p=p)
     if min(M, N) == 2:
-        return delta_binomial(M, N, p, budget)
-    return delta_partition(M, N, p, budget)
+        return delta_binomial(M, N, p)
+    return delta_partition(M, N, p)

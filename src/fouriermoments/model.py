@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DEFAULT_BUDGET, ParameterError, ValidationError, _check_budget, _is_int,
-                     _validate_mn, _validate_pos)
+from .errors import (ParameterError, ValidationError, _check_budget, _is_int, _validate_mn,
+                     _validate_pos)
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -199,8 +199,7 @@ def _pair_gram(xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(pairs.conj(), pairs.swapaxes(-1, -2), out=out).reshape(lead + (K,) * 4)
 
 
-def transfer_fiber(U: MagicUnitary, p: int,
-                   budget: int = DEFAULT_BUDGET) -> TransferMatrix:
+def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
     """Transfer matrix with entry (I, J) = normalized trace of
     U[I_1, J_1] ... U[I_p, J_p].
 
@@ -210,7 +209,7 @@ def transfer_fiber(U: MagicUnitary, p: int,
     """
     _validate_pos(p=p)
     K = U.K
-    _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p), budget)
+    _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p))
     # The indices are as large as the matrix at M = 1, so they are not kept.
     indices = _block_indices(1, K, p, transfer=True)
     stack = _transfer_blocks(_pair_gram(U.quotients[None]), indices, 1, K,
@@ -425,8 +424,7 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
     return [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, last)]
 
 
-def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
-                  budget: int = DEFAULT_BUDGET) -> McEstimate:
+def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of c_p^r(M, N): the sample mean over independent
     draws of (Q_1, ..., Q_r) of Tr(T_p(Q_1) ... T_p(Q_r)), each Q a uniform
     phase matrix. Deterministic for a fixed seed, whatever the chunk size."""
@@ -437,11 +435,10 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
     # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
     n, q = min(p, r), max(p, r)
     cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
-    _check_budget("trace statistic per sample", cost, budget)
+    _check_budget("trace statistic per sample", cost)
     K, blocks = M * N, (M**(n - 1), M * N**n, M * N**n)
     # One op per byte of the values, and the kernel's for each of r K draws.
-    _check_budget(f"{samples} sample values and draws", samples * (8 + _DRAW_OPS * r * K),
-                  budget)
+    _check_budget(f"{samples} sample values and draws", samples * (8 + _DRAW_OPS * r * K))
     indices = _block_indices(M, N, n, transfer=r > p)
     # A sample holds its r grams, quotients and their conjugates, and four
     # block stacks (three in `work` and a gathered factor), 16 bytes an entry.
@@ -460,8 +457,7 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int,
                                           traces))
 
 
-def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int,
-                      budget: int = DEFAULT_BUDGET) -> McEstimate:
+def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the limiting moment as the mean of
     Tr((G(Q) / MN)^p), with G(Q) the Gram matrix of the rows of a uniform
     phase matrix Q."""
@@ -470,7 +466,7 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int,
     key = _philox_key(seed)
     # The values' bytes and the kernel's ops for M N draws a sample, a gram, its power.
     cost = samples * (8 + _DRAW_OPS * M * N) + M * M * N + M**3 * p.bit_length()
-    _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost, budget)
+    _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost)
     # A sample holds its phases and their conjugates, its gram and the
     # products of its power, 16 bytes an entry.
     sample_bytes = 16 * (2 * M * N + 4 * M * M)

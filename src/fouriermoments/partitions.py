@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, ParameterError, _check_budget, _validate_pos
+from .errors import _BUDGET, ParameterError, _check_budget, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -241,7 +241,7 @@ def stirling_number(p: int, s: int) -> int:
     """Number of partitions of {0,...,p-1} with exactly s blocks."""
     if s < 0 or s > p:
         return 0
-    _check_budget(f"Stirling row of p={p}", _stirling_cost(p), DEFAULT_BUDGET)
+    _check_budget(f"Stirling row of p={p}", _stirling_cost(p))
     return _stirling_row(p)[s]
 
 
@@ -331,8 +331,7 @@ def _orbit_scan(a_rows, count: int, M: int, p: int, T: int, classify) -> np.ndar
     return tally
 
 
-def triangle_pair_counts(p: int, smax: int, tmax: int,
-                         budget: int = DEFAULT_BUDGET) -> dict[tuple[int, int], int]:
+def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     """Exact number of shift-compatible pairs (pi, sigma) with |pi| = s,
     |sigma| = t, for every s <= smax and t <= tmax.
 
@@ -343,24 +342,23 @@ def triangle_pair_counts(p: int, smax: int, tmax: int,
     compatibility and block counts (reflection and the pi <-> sigma swap do
     not), so _orbit_scan tables one pi per rotation orbit against blocks of
     sigmas. The budget refuses a scan, but the tables are cached per
-    (p, smax, tmax) whatever the budget; `cache_info` and `cache_clear` are
-    those of that cache.
+    (p, smax, tmax) and a cached table is never refused; `cache_info` and
+    `cache_clear` are those of that cache.
     """
     _validate_pos(p=p)
-    smax, tmax = min(smax, p), min(tmax, p)
-    # The Stirling row, priced alone past the budget. Then R_x rows (R_x:
-    # partitions with <= x blocks) at p^2 each, 5 R_s p^2 to find orbits,
-    # R_s / p orbits times R_t sigmas.
-    cost = _stirling_cost(p)
-    if min(smax, tmax) > 1 and cost <= budget:
-        R_s, R_t = (sum(_stirling_row(p)[1:x + 1]) for x in (smax, tmax))
-        cost += R_s * R_t + (5 * R_s + R_t) * p * p
-    _check_budget(f"partition-pair scan of ({p},{smax},{tmax})", cost, budget)
-    return _pair_table(p, smax, tmax)
+    return _pair_table(p, min(smax, p), min(tmax, p))
 
 
 @lru_cache(maxsize=256)
 def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
+    # The Stirling row, priced alone past the budget. Then R_x rows (R_x:
+    # partitions with <= x blocks) at p^2 each, 5 R_s p^2 to find orbits,
+    # R_s / p orbits times R_t sigmas.
+    cost = _stirling_cost(p)
+    if min(smax, tmax) > 1 and cost <= _BUDGET.get():
+        R_s, R_t = (sum(_stirling_row(p)[1:x + 1]) for x in (smax, tmax))
+        cost += R_s * R_t + (5 * R_s + R_t) * p * p
+    _check_budget(f"partition-pair scan of ({p},{smax},{tmax})", cost)
     if min(smax, tmax) == 1:
         row = _stirling_row(p)
         return {(s, t): row[s] * row[t] for s in range(1, smax + 1) for t in range(1, tmax + 1)}

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, ParameterError, _check_budget, _validate_mn, _validate_pos
+from .errors import _BUDGET, ParameterError, _check_budget, _validate_mn, _validate_pos
 from .partitions import _difference_tables, _orbit_scan, _stirling_row
 
 
@@ -95,12 +96,8 @@ def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int, r: i
     return Fraction(sum(_pair_periods(a, b, M, N)), M)**(r - 1)
 
 
-_HISTOGRAM_CACHE_SIZE = 256  # (M, N, p) histograms kept; the oldest goes first
-_HISTOGRAM_CACHE: dict[tuple[int, int, int], dict[int, int]] = {}
-
-
-def _order_histogram(M: int, N: int, p: int,
-                     budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+@lru_cache(maxsize=256)
+def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
     """{|H|: number of (a, b) pairs with a_1 = b_1 = 0 whose solution set
     has order |H|}, cached per (M, N, p).
 
@@ -115,34 +112,26 @@ def _order_histogram(M: int, N: int, p: int,
     """
     if M == 1 or N == 1 or p == 1:  # Z_M is trivial, or f vanishes: H = Z_M
         return {M: (M * N)**(p - 1)}
-    key = (M, N, p)
-    cached = _HISTOGRAM_CACHE.get(key)
-    if cached is not None:
-        return cached
     T, what = min(N, p), f"period histogram of ({M},{N},{p})"
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
     # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. R
     # costs O(p^2) to count, so past a_rows > budget the bound R = 1 is named.
     # Where bit lengths show a_rows = M^(p-1) > budget, it is not formed.
-    if (p - 1) * (M.bit_length() - 1) > budget.bit_length():
+    limit = _BUDGET.get()
+    if (p - 1) * (M.bit_length() - 1) > limit.bit_length():
         log10 = (p - 1) * Fraction(math.log10(M)) + Fraction(math.log10(2 + M * M * T / p))
-        _check_budget(what, budget + 1, budget, log10)
+        _check_budget(what, limit + 1, log10)
     a_rows = M**(p - 1)
-    R = sum(_stirling_row(p)[1:T + 1]) if a_rows <= budget else 1
-    _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p, budget)
+    R = sum(_stirling_row(p)[1:T + 1]) if a_rows <= limit else 1
+    _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p)
     by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
         lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
         a_rows, M, p, T, lambda f, index: _periods(f).sum(axis=1))
     counts = sum(math.perm(N - 1, t - 1) * by_t[t].astype(object) for t in range(1, T + 1))
-    histogram = {h: int(mult) for h, mult in enumerate(counts) if mult}
-    if len(_HISTOGRAM_CACHE) >= _HISTOGRAM_CACHE_SIZE:
-        del _HISTOGRAM_CACHE[next(iter(_HISTOGRAM_CACHE))]
-    _HISTOGRAM_CACHE[key] = histogram
-    return histogram
+    return {h: int(mult) for h, mult in enumerate(counts) if mult}
 
 
-def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
-            threads: int = 1) -> Fraction:
+def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
     """Exact normalized truncated moment d_p^r(M, N): the number of index
     configurations (i, a, b) satisfying counting_condition, divided by
     M^(p+r) * N^p.
@@ -155,7 +144,7 @@ def count_d(M: int, N: int, p: int, r: int, budget: int = DEFAULT_BUDGET,
     _validate_pos(p=p, r=r)
     if M == 1 or N == 1 or r == 1:
         return Fraction(1)
-    histogram = _order_histogram(M, N, p, budget)
+    histogram = _order_histogram(M, N, p)
     total = sum(mult * h**(r - 1) for h, mult in histogram.items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.
     return Fraction(total * M * M * N, M**(p + r) * N**p)
@@ -177,7 +166,7 @@ def alpha(M: int, N: int, p: int, r: int) -> Fraction:
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
     bits = (p + r) * M.bit_length() + p * N.bit_length()  # its gcd costs ~(bits / 300)^2
-    _check_budget(f"alpha at ({M},{N},{p},{r})", (bits // 300)**2, DEFAULT_BUDGET)
+    _check_budget(f"alpha at ({M},{N},{p},{r})", (bits // 300)**2)
     return 1 - Fraction((M**p - M) * (M**r - M) * (N**p - N), M**(p + r) * N**p)
 
 

@@ -15,6 +15,7 @@ import pytest
 from fouriermoments import cli
 from fouriermoments.cli import CSV_HEADER, main
 from fouriermoments.limits import delta_partition
+from fouriermoments.partitions import triangle_pair_counts
 
 
 def run_cli(argv, capsys):
@@ -63,15 +64,60 @@ def test_budget_exit_code(capsys):
 
 def test_pair_scan_budget_exit_code(capsys):
     argv = ["limit", "--M", "3", "--N", "3", "--p", "10", "--method", "partition"]
+    triangle_pair_counts.cache_clear()  # refused before it is cached: a cached table is not
+    code, _, err = run_cli(argv + ["--budget", "1000"], capsys)
+    assert code == 3 and "partition-pair scan of (10,3,3)" in err
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert Fraction(parse_csv(out)[0]["value"]) == delta_partition(3, 3, 10)
-    code, _, err = run_cli(argv + ["--budget", "1000"], capsys)
-    assert code == 3 and "partition-pair scan of (10,3,3)" in err
     code, _, err = run_cli(["limit", "--M", "4", "--N", "4", "--p", "10",
                             "--method", "partition"], capsys)
     assert code == 3
     assert "partition-pair scan of (10,4,4) needs ~1.958e+09" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "bound", "--budget", "1"],
+    # the direct route fits 200 operations (110); the decomposition's scan (236) does not
+    ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "direct",
+     "--report", "decomposition", "--budget", "200"],
+    ["asymptotic", "--t", "1", "--p", "3", "--N", "4,8,16", "--budget", "1"],
+    ["estimate", "--kind", "decay", "--N", "3", "--p", "40000", "--budget", "1"],
+    # alpha's gcd is priced at (8004 // 300)^2 = 676 operations
+    ["truncated", "--M", "2", "--N", "2", "--p", "2000", "--r", "2", "--method", "alpha",
+     "--budget", "600"],
+])
+def test_every_route_honours_the_budget(argv, capsys):
+    triangle_pair_counts.cache_clear()  # a cached pair table is never refused
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "", err
+    assert "budget error" in err
+
+
+def test_budget_value_is_checked(capsys):
+    for argv in (["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "bound"],
+                 ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "2",
+                  "--method", "beta"]):
+        code, out, err = run_cli(argv + ["--budget", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert "budget must be a nonnegative integer, got -1" in err
+
+
+def test_converge_stops_at_the_first_rung_too_long_to_print(capsys):
+    # the values pass the int-to-str limit near r = 14 300; counting all 10^5
+    # rungs before printing failed took about 100 s
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(["converge", "--M", "2", "--N", "2", "--p", "3",
+                                  "--r-max", "100000"], capsys)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert "about 4301 digits, over the limit of 4300" in err
+    assert elapsed < 10
 
 
 def test_parameter_exit_code(capsys):
@@ -132,7 +178,7 @@ def test_argparse_error_exit_code(capsys):
 
 
 def test_cross_check_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "delta_partition", lambda M, N, p, budget: Fraction(1, 7))
+    monkeypatch.setattr(cli, "delta_partition", lambda M, N, p: Fraction(1, 7))
     code, _, err = run_cli(
         ["limit", "--M", "2", "--N", "2", "--p", "3",
          "--method", "direct,partition"], capsys)

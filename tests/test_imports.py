@@ -1,6 +1,7 @@
 """The package's modules import one way: each from modules strictly below
 it, and only at module level, so no import cycle can form at run time. The
-Monte Carlo estimators leave `numpy.random` unimported."""
+Monte Carlo estimators leave `numpy.random` unimported. No function takes a
+budget: every gate reads the scoped one in `errors`."""
 
 import ast
 import os
@@ -55,6 +56,26 @@ def test_imports_run_down_the_order_at_module_level():
                 continue
             if target not in BELOW[module]:
                 problems.append(f"{module}:{node.lineno} imports {target}, not below it")
+    assert problems == []
+
+
+def test_no_function_takes_a_budget():
+    # the limit is set by `with budget(ops)` and read by the gates; only
+    # `errors` (its default) and `cli` (the default of --budget) name DEFAULT_BUDGET
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+                names += [arg.arg for arg in (args.vararg, args.kwarg) if arg]
+                if "budget" in names:
+                    problems.append(f"{module}:{node.lineno} takes a budget parameter")
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or \
+                (node.name if isinstance(node, ast.alias) else None)
+            if name == "DEFAULT_BUDGET" and module not in ("errors", "cli"):
+                problems.append(f"{module}:{node.lineno} names DEFAULT_BUDGET")
     assert problems == []
 
 

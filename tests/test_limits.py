@@ -10,7 +10,7 @@ import pytest
 
 from fouriermoments import limits
 from fouriermoments.asymptotics import delta_decay_estimate
-from fouriermoments.errors import BudgetError, ParameterError
+from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import stirling_number, triangle_pair_counts
 from fouriermoments.limits import (
     _squared_multinomial_row,
@@ -69,8 +69,19 @@ def test_delta_partition_budget():
     assert info.value.estimated_ops == 100 * (1 + 10 * 4 // sys.int_info.bits_per_digit) // 2 \
         + R * R + 6 * R * 100
     assert "partition-pair scan of (10,4,4)" in str(info.value)
-    with pytest.raises(BudgetError):
-        delta_partition(3, 3, 10, budget=1000)
+    triangle_pair_counts.cache_clear()  # a cached table is never refused
+    with budget(1000), pytest.raises(BudgetError):
+        delta_partition(3, 3, 10)
+
+
+def test_cached_pair_table_is_never_refused():
+    triangle_pair_counts.cache_clear()
+    warm = triangle_pair_counts(7, 3, 3), delta_partition(3, 3, 7)
+    with budget(1):
+        assert (triangle_pair_counts(7, 3, 3), delta_partition(3, 3, 7)) == warm
+    triangle_pair_counts.cache_clear()
+    with budget(1), pytest.raises(BudgetError):
+        delta_partition(3, 3, 7)
 
 
 def test_delta_direct_budget():
@@ -120,7 +131,8 @@ def test_partition_routes_share_one_scan():
     assert (info.hits, info.misses) == (2, 1)
     # the budget gates a scan but does not key its table
     triangle_pair_counts.cache_clear()
-    delta_partition(3, 3, 8, 2 * 10**9)
+    with budget(2 * 10**9):
+        delta_partition(3, 3, 8)
     decompose(3, 3, 8)
     info = triangle_pair_counts.cache_info()
     assert (info.hits, info.misses) == (1, 1)
@@ -137,16 +149,32 @@ def test_moment_integral_values():
 def test_moment_integral_paths_agree():
     # composition scan and dynamic program compute the same big integers
     for N in (3, 4):
-        row = _squared_multinomial_row(N, 8, budget=10**6)
+        with budget(10**6):
+            row = _squared_multinomial_row(N, 8)
         for k in range(9):
             scan = squared_multinomial_scan(N, k)
             assert scan == row[k]
             assert moment_integral(N, k) == Fraction(scan, N**(2 * k))
 
 
+def test_budget_blocks_check_their_value_and_nest():
+    for ops in (True, 1.5, -1, "5", None):
+        with pytest.raises(ParameterError), budget(ops):
+            pass
+    # the dynamic program at (3, 8) is priced at 3 * 9^2 * 2 = 486 operations
+    value = moment_integral(3, 8)
+    with budget(10**6):
+        with pytest.raises(BudgetError), budget(485):
+            moment_integral(3, 8)
+        assert moment_integral(3, 8) == value  # the outer limit is back
+        with budget(0), pytest.raises(BudgetError) as info:
+            moment_integral(3, 8)
+        assert (info.value.estimated_ops, info.value.budget) == (486, 0)
+
+
 def test_moment_integral_budget():
-    with pytest.raises(BudgetError):
-        moment_integral(6, 10**6, budget=10**6)
+    with budget(10**6), pytest.raises(BudgetError):
+        moment_integral(6, 10**6)
     # the DP's entries reach 2k log2 N bits, so its 3 * 10001^2 products at
     # (3, 20000), k = 10^4, are priced by the digits of such an integer
     with pytest.raises(BudgetError) as info:
@@ -190,7 +218,7 @@ def test_phase_moments_are_powers_of_the_bessel_series():
     power = [Fraction(1)] + [Fraction(0)] * (size - 1)
     for N in range(1, 7):
         power = [sum(power[i] * base[m - i] for i in range(m + 1)) for m in range(size)]
-        row = _squared_multinomial_row(N, size - 1, 10**9)
+        row = _squared_multinomial_row(N, size - 1)
         assert [c * math.factorial(m)**2 for m, c in enumerate(power)] == row, N
 
 
@@ -274,10 +302,11 @@ def test_delta_exact_routes():
     # a side of 2 takes the binomial route
     assert delta_exact(2, 2, 10) == delta_m2(2, 10)
     # two-row route used when enumeration is out of budget
-    assert delta_exact(2, 2, 40, budget=10**6) == delta_m2(2, 40)
-    assert delta_exact(3, 2, 40, budget=10**6) == delta_m2(3, 40)
-    with pytest.raises(BudgetError):
-        delta_exact(3, 3, 40, budget=10**6)
+    with budget(10**6):
+        assert delta_exact(2, 2, 40) == delta_m2(2, 40)
+        assert delta_exact(3, 2, 40) == delta_m2(3, 40)
+        with pytest.raises(BudgetError):
+            delta_exact(3, 3, 40)
 
 
 def test_delta_exact_falls_back_when_histogram_refused():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fouriermoments import model
-from fouriermoments.errors import BudgetError, ParameterError, ValidationError
+from fouriermoments.errors import (DEFAULT_BUDGET, BudgetError, ParameterError, ValidationError,
+                                   budget)
 from fouriermoments.limits import delta_partition
 from fouriermoments.model import (
     HadamardFiber,
@@ -26,7 +27,7 @@ from fouriermoments.model import (
     random_phase_matrix,
     transfer_fiber,
 )
-from fouriermoments.truncated import DEFAULT_BUDGET, alpha, c_from_d, count_d
+from fouriermoments.truncated import alpha, c_from_d, count_d
 
 from helpers import (dense_slice_operator, dense_torus_trace, mc_sample_values_c,
                      mc_sample_values_delta, sample_generator)
@@ -164,9 +165,10 @@ def test_transfer_budget_limit():
     # the one-block gather: p * K^(2p) operations and 48 bytes per entry,
     # so K = 4, p = 2 fits a budget of 4^4 * 50 = 12800 exactly
     unit = magic_unitary(dita_deform(flat_phase_matrix(2, 2)))
-    assert transfer_fiber(unit, 2, budget=12800).entries.shape == (16, 16)
-    with pytest.raises(BudgetError) as info:
-        transfer_fiber(unit, 2, budget=12799)
+    with budget(12800):
+        assert transfer_fiber(unit, 2).entries.shape == (16, 16)
+    with budget(12799), pytest.raises(BudgetError) as info:
+        transfer_fiber(unit, 2)
     assert info.value.estimated_ops == 12800
 
 
@@ -433,9 +435,10 @@ def test_mc_estimate_delta_smoke():
 def test_torus_budget_limit():
     # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^n = 8, so
     # 2 * 8^3 * 1 + 2 * 8^2 * (6 + 48) = 7936 operations and bytes per sample
-    mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=7936)
-    with pytest.raises(BudgetError) as info:
-        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0, budget=7935)
+    with budget(7936):
+        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
+    with budget(7935), pytest.raises(BudgetError) as info:
+        mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
     assert info.value.estimated_ops == 7936
 
 

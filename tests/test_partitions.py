@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fouriermoments import partitions
-from fouriermoments.errors import BudgetError, ParameterError
+from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import (
     SetPartition,
     _pair_table,
@@ -24,7 +24,7 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
-from fouriermoments.truncated import _difference_tables
+from fouriermoments.truncated import _difference_tables, _order_histogram
 
 from helpers import (
     bell_numbers,
@@ -207,10 +207,13 @@ def test_pair_scan_budget():
     # R_s R_t + (5 R_s + R_t) p^2 and the Stirling row, with R = 2^(p-1) at two blocks
     R = 2**9
     cost = 100 + R * R + 6 * R * 100
-    assert triangle_pair_counts(10, 2, 2, cost)[(2, 2)] == two_block_pairs(10)
-    with pytest.raises(BudgetError) as info:
-        triangle_pair_counts(10, 2, 2, cost - 1)
+    # refused before it is admitted, since a cached table is never refused
+    triangle_pair_counts.cache_clear()
+    with budget(cost - 1), pytest.raises(BudgetError) as info:
+        triangle_pair_counts(10, 2, 2)
     assert info.value.estimated_ops == cost
+    with budget(cost):
+        assert triangle_pair_counts(10, 2, 2)[(2, 2)] == two_block_pairs(10)
     # at p = 10^5 the Stirling row alone is over the budget; it is not built
     with pytest.raises(BudgetError) as info:
         triangle_pair_counts(10**5, 2, 2)
@@ -263,7 +266,7 @@ def test_rotation_orbits_partition_the_rgs_rows():
 
 
 def test_partition_table_caches_are_bounded():
-    for cached in (_stirling_row, _rgs_array, _rgs_orbits, _pair_table):
+    for cached in (_stirling_row, _rgs_array, _rgs_orbits, _pair_table, _order_histogram):
         assert cached.cache_parameters()["maxsize"] is not None, cached
 
 

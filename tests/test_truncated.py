@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from fouriermoments import partitions, truncated
-from fouriermoments.errors import BudgetError, ParameterError
+from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
-    _HISTOGRAM_CACHE,
     _difference_tables,
     _order_histogram,
     _periods,
@@ -197,9 +196,9 @@ def test_count_d_agrees_with_i_tuple_average():
 
 
 def test_count_d_thread_invariance():
-    _HISTOGRAM_CACHE.clear()
+    _order_histogram.cache_clear()
     serial = count_d(3, 3, 4, 2)
-    _HISTOGRAM_CACHE.clear()
+    _order_histogram.cache_clear()
     threaded = count_d(3, 3, 4, 2, threads=2)
     assert serial == threaded
 
@@ -257,33 +256,20 @@ def test_trivial_sides_build_no_partitions(monkeypatch):
 
 
 def test_count_d_large_r_from_histogram():
-    _HISTOGRAM_CACHE.clear()
+    _order_histogram.cache_clear()
     histogram = _order_histogram(2, 2, 10)
     total = sum(mult * h**29 for h, mult in histogram.items())
     assert count_d(2, 2, 10, 30) == Fraction(total * 2 * 2 * 2, 2**40 * 2**10)
 
 
 def test_cached_histogram_is_never_refused():
-    _HISTOGRAM_CACHE.clear()
-    warm = count_d(2, 2, 10, 2)
-    assert count_d(2, 2, 10, 2, budget=1) == warm
-    assert delta_direct(2, 2, 10, budget=1) == delta_direct(2, 2, 10)
-    _HISTOGRAM_CACHE.clear()
-    with pytest.raises(BudgetError):
-        count_d(2, 2, 10, 2, budget=1)
-
-
-def test_histogram_cache_evicts_the_oldest(monkeypatch):
-    points = [(2, 2, 3), (2, 3, 3), (3, 2, 3)]
-    _HISTOGRAM_CACHE.clear()
-    values = [count_d(M, N, p, 3) for M, N, p in points]
-    _HISTOGRAM_CACHE.clear()
-    monkeypatch.setattr(truncated, "_HISTOGRAM_CACHE_SIZE", 2)
-    assert [count_d(M, N, p, 3) for M, N, p in points] == values
-    assert list(_HISTOGRAM_CACHE) == points[1:]
-    assert count_d(*points[0], 3) == values[0]
-    assert list(_HISTOGRAM_CACHE) == [points[2], points[0]]
-    _HISTOGRAM_CACHE.clear()
+    _order_histogram.cache_clear()
+    warm = count_d(2, 2, 10, 2), delta_direct(2, 2, 10)
+    with budget(1):
+        assert (count_d(2, 2, 10, 2), delta_direct(2, 2, 10)) == warm
+    _order_histogram.cache_clear()
+    with budget(1), pytest.raises(BudgetError):
+        count_d(2, 2, 10, 2)
 
 
 def test_c_from_d():
