@@ -272,6 +272,23 @@ def test_cached_histogram_is_never_refused():
         count_d(2, 2, 10, 2)
 
 
+def test_histogram_cache_evicts_the_oldest():
+    maxsize = _order_histogram.cache_parameters()["maxsize"]
+    _order_histogram.cache_clear()
+    value = count_d(2, 2, 3, 3)
+    # maxsize trivial points after (2, 2, 3) push it out; the rest stay held
+    trivial = [(1, N, 1) for N in range(1, maxsize + 1)]
+    for point in trivial:
+        _order_histogram(*point)
+    info = _order_histogram.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (maxsize, maxsize + 1, 0)
+    _order_histogram(*trivial[0])
+    assert _order_histogram.cache_info().hits == 1
+    assert count_d(2, 2, 3, 3) == value
+    assert _order_histogram.cache_info().misses == maxsize + 2
+    _order_histogram.cache_clear()
+
+
 def test_c_from_d():
     assert c_from_d(Fraction(1), 2, 2, 3) == 16
     assert c_from_d(Fraction(3, 4), 5, 7, 1) == Fraction(3, 4)
