@@ -63,8 +63,13 @@ def budget(ops: int):
         _BUDGET.reset(token)
 
 
-def _check_budget(what: str, cost: int, log10_cost=None) -> None:
+def _check_budget(what: str, cost: int | None, log10_cost=None) -> None:
+    """Refuse `what` if its estimated cost is over the scoped budget. With
+    cost=None, `log10_cost` is the log10 of a floor under an estimate too
+    large to form, and a floor over the budget is refused at budget + 1."""
     limit = _BUDGET.get()
+    if cost is None:
+        cost = limit + 1 if not limit or log10_cost > math.log10(limit) else 0
     if cost > limit:
         raise BudgetError(
             f"{what} needs ~{_scientific(cost, log10_cost)} elementary operations, over the "

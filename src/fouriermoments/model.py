@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -433,9 +434,12 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     key = _philox_key(seed)
     # The block loop's work per sample: max(1, q - 2) products of the
     # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
-    n, q = min(p, r), max(p, r)
+    # Its floor, from logarithms, is checked before the price is formed.
+    n, q, what = min(p, r), max(p, r), "trace statistic per sample"
+    _check_budget(what, None, n * Fraction(math.log10(M * N**3))
+                  + Fraction(math.log10(M * M * max(1, q - 2))))
     cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
-    _check_budget("trace statistic per sample", cost)
+    _check_budget(what, cost)
     K, blocks = M * N, (M**(n - 1), M * N**n, M * N**n)
     # One op per byte of the values, and the kernel's for each of r K draws.
     _check_budget(f"{samples} sample values and draws", samples * (8 + _DRAW_OPS * r * K))

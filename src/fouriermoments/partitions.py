@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import _BUDGET, ParameterError, _check_budget, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -222,7 +222,9 @@ def triangle_relation(pi: SetPartition, sigma: SetPartition) -> bool:
 
 @lru_cache(maxsize=64)
 def _stirling_row(p: int) -> tuple[int, ...]:
-    # S(p, s) for s = 0..p via S(p, s) = s*S(p-1, s) + S(p-1, s-1).
+    # S(p, s) for s = 0..p via S(p, s) = s*S(p-1, s) + S(p-1, s-1), priced
+    # on a miss only, so a cached row is never refused.
+    _check_budget(f"Stirling row of p={p}", _stirling_cost(p))
     row = [1]
     for n in range(1, p + 1):
         prev = row
@@ -241,7 +243,6 @@ def stirling_number(p: int, s: int) -> int:
     """Number of partitions of {0,...,p-1} with exactly s blocks."""
     if s < 0 or s > p:
         return 0
-    _check_budget(f"Stirling row of p={p}", _stirling_cost(p))
     return _stirling_row(p)[s]
 
 
@@ -351,17 +352,14 @@ def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], 
 
 @lru_cache(maxsize=256)
 def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
-    # The Stirling row, priced alone past the budget. Then R_x rows (R_x:
-    # partitions with <= x blocks) at p^2 each, 5 R_s p^2 to find orbits,
-    # R_s / p orbits times R_t sigmas.
-    cost = _stirling_cost(p)
-    if min(smax, tmax) > 1 and cost <= _BUDGET.get():
-        R_s, R_t = (sum(_stirling_row(p)[1:x + 1]) for x in (smax, tmax))
-        cost += R_s * R_t + (5 * R_s + R_t) * p * p
-    _check_budget(f"partition-pair scan of ({p},{smax},{tmax})", cost)
+    row = _stirling_row(p)
     if min(smax, tmax) == 1:
-        row = _stirling_row(p)
         return {(s, t): row[s] * row[t] for s in range(1, smax + 1) for t in range(1, tmax + 1)}
+    # The Stirling row, R_x rows (R_x: partitions with <= x blocks) at p^2
+    # each, 5 R_s p^2 to find orbits, R_s / p orbits times R_t sigmas.
+    R_s, R_t = (sum(row[1:x + 1]) for x in (smax, tmax))
+    _check_budget(f"partition-pair scan of ({p},{smax},{tmax})",
+                  _stirling_cost(p) + R_s * R_t + (5 * R_s + R_t) * p * p)
     sigmas, sigma_counts = _rgs_array(p, tmax)
     # A vanishing table is counted in its sigma's block count, the others in 0.
     tally = _orbit_scan(lambda index: sigmas[index], len(sigmas), tmax, p, smax,

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _BUDGET, ParameterError, _check_budget, _validate_mn, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_mn, _validate_pos
 from .partitions import _difference_tables, _orbit_scan, _stirling_row
 
 
@@ -114,15 +114,12 @@ def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
         return {M: (M * N)**(p - 1)}
     T, what = min(N, p), f"period histogram of ({M},{N},{p})"
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
-    # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. R
-    # costs O(p^2) to count, so past a_rows > budget the bound R = 1 is named.
-    # Where bit lengths show a_rows = M^(p-1) > budget, it is not formed.
-    limit = _BUDGET.get()
-    if (p - 1) * (M.bit_length() - 1) > limit.bit_length():
-        log10 = (p - 1) * Fraction(math.log10(M)) + Fraction(math.log10(2 + M * M * T / p))
-        _check_budget(what, limit + 1, log10)
+    # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. Its
+    # floor at R = 1 comes first, so a_rows = M^(p-1) and R are formed after.
+    _check_budget(what, None, (p - 1) * Fraction(math.log10(M))
+                  + Fraction(math.log10(2 * p + M * M * T) - math.log10(p)))
     a_rows = M**(p - 1)
-    R = sum(_stirling_row(p)[1:T + 1]) if a_rows <= limit else 1
+    R = sum(_stirling_row(p)[1:T + 1])
     _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p)
     by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
         lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
@@ -136,15 +133,17 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
     configurations (i, a, b) satisfying counting_condition, divided by
     M^(p+r) * N^p.
 
-    Equals 1 whenever M = 1, N = 1, p = 1 or r = 1. The budget applies to
-    the period histogram, so it does not depend on r. `threads` is accepted
-    and ignored: the count is vectorised in one process.
+    Equals 1 whenever M = 1, N = 1, p = 1 or r = 1. The period histogram's
+    price does not depend on r; the powers of r formed from it are priced by
+    their bits after it. `threads` is accepted and ignored: the count is
+    vectorised in one process.
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
     if M == 1 or N == 1 or r == 1:
         return Fraction(1)
     histogram = _order_histogram(M, N, p)
+    _check_bits(f"d_p^r at ({M},{N},{p},{r})", (p + r) * M.bit_length() + p * N.bit_length())
     total = sum(mult * h**(r - 1) for h, mult in histogram.items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.
     return Fraction(total * M * M * N, M**(p + r) * N**p)
@@ -154,6 +153,7 @@ def c_from_d(d: Fraction, M: int, N: int, p: int) -> Fraction:
     """Rescale a normalized moment back to c_p^r = (MN)^(p-1) * d."""
     _validate_mn(M, N)
     _validate_pos(p=p)
+    _check_bits(f"c_p^r at ({M},{N},{p})", (p - 1) * (M * N).bit_length())
     return d * (M * N)**(p - 1)
 
 
@@ -165,8 +165,7 @@ def alpha(M: int, N: int, p: int, r: int) -> Fraction:
     """
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
-    bits = (p + r) * M.bit_length() + p * N.bit_length()  # its gcd costs ~(bits / 300)^2
-    _check_budget(f"alpha at ({M},{N},{p},{r})", (bits // 300)**2)
+    _check_bits(f"alpha at ({M},{N},{p},{r})", (p + r) * M.bit_length() + p * N.bit_length())
     return 1 - Fraction((M**p - M) * (M**r - M) * (N**p - N), M**(p + r) * N**p)
 
 
@@ -181,6 +180,7 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
     _validate_mn(M, N)
     _validate_pos(p=p, r=r)
     delta_p = Fraction(delta_p)
+    _check_bits(f"beta at ({M},{N},{p},{r})", (r - 1) * M.bit_length())
     return delta_p + Fraction(1, M**(r - 1)) * (1 - delta_p)
 
 
@@ -216,3 +216,8 @@ def closed_form_is_exact(method: str, M: int, N: int, p: int, r: int) -> bool:
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _check_bits(what: str, bits: int) -> None:
+    # A Fraction of `bits`-bit integers: forming it and its gcd cost ~(bits / 300)^2.
+    _check_budget(what, (bits // 300)**2)

@@ -357,6 +357,19 @@ DRAWS_OVER_BUDGET = [
 ]
 
 
+TEN_400 = str(10**400)
+# Each is over the budget before its estimate, or the integers it prices,
+# can be formed: priced from a logarithm or by bit lengths.
+PRICED_BEFORE_FORMED = [
+    ["truncated", "--M", TEN_400, "--N", "3", "--p", "2", "--r", "2"],
+    ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9), "--method", "beta",
+     "--budget", "1"],
+    ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9)],
+    ["mc", "--kind", "model", "--M", str(10**18), "--N", "5", "--p", str(10**6),
+     "--r", TEN_400, "--samples", "1", "--seed", "1", "--budget", "1000"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--kind", "decay", "--N", "1000", "--p", "10"],
     ["estimate", "--kind", "rs", "--N", "2000", "--k", "3"],
@@ -379,6 +392,7 @@ DRAWS_OVER_BUDGET = [
     ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "3", "--samples", str(10**12),
      "--seed", "1"],
     *DRAWS_OVER_BUDGET,
+    *PRICED_BEFORE_FORMED,
 ])
 def test_huge_arguments_end_in_an_exit_code(argv):
     src = Path(__file__).resolve().parents[1] / "src"
@@ -387,7 +401,8 @@ def test_huge_arguments_end_in_an_exit_code(argv):
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert time.perf_counter() - start < 1.0
-    assert done.returncode in ((3,) if argv in DRAWS_OVER_BUDGET else (0, 2, 3)), done.stderr
+    refused = argv in DRAWS_OVER_BUDGET + PRICED_BEFORE_FORMED
+    assert done.returncode in ((3,) if refused else (0, 2, 3)), done.stderr
     assert "Traceback" not in done.stderr
 
 

@@ -37,6 +37,15 @@ def _package_imports(tree: ast.Module):
                     yield node, parts[1] if len(parts) > 1 else "__init__"
 
 
+def _names(path: Path):
+    """(line, name) for every name, attribute and imported alias in a module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or \
+            (node.name if isinstance(node, ast.alias) else None)
+        if name:
+            yield node.lineno, name
+
+
 def test_every_module_has_a_place_in_the_order():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(BELOW)
@@ -72,10 +81,16 @@ def test_no_function_takes_a_budget():
                 names += [arg.arg for arg in (args.vararg, args.kwarg) if arg]
                 if "budget" in names:
                     problems.append(f"{module}:{node.lineno} takes a budget parameter")
-            name = getattr(node, "id", None) or getattr(node, "attr", None) or \
-                (node.name if isinstance(node, ast.alias) else None)
-            if name == "DEFAULT_BUDGET" and module not in ("errors", "cli"):
-                problems.append(f"{module}:{node.lineno} names DEFAULT_BUDGET")
+        problems += [f"{module}:{line} names DEFAULT_BUDGET" for line, name in _names(path)
+                     if name == "DEFAULT_BUDGET" and module not in ("errors", "cli")]
+    assert problems == []
+
+
+def test_only_errors_reads_the_budget():
+    # every gate goes through `errors._check_budget`, so no kernel keeps a
+    # short-circuit of its own on the scoped limit
+    problems = [f"{path.stem}:{line} names _BUDGET" for path in sorted(PACKAGE.glob("*.py"))
+                for line, name in _names(path) if name == "_BUDGET" and path.stem != "errors"]
     assert problems == []
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fouriermoments import limits
+from fouriermoments import limits, partitions
 from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import stirling_number, triangle_pair_counts
@@ -82,6 +82,20 @@ def test_cached_pair_table_is_never_refused():
     triangle_pair_counts.cache_clear()
     with budget(1), pytest.raises(BudgetError):
         delta_partition(3, 3, 7)
+
+
+def test_cached_stirling_rows_are_never_refused():
+    # the row prices its own miss, so after one decompose its table and row
+    # answer any budget, and so does a one-block table built from that row
+    partitions._stirling_row.cache_clear()
+    triangle_pair_counts.cache_clear()
+    report = decompose(3, 3, 7)
+    with budget(1):
+        assert decompose(3, 3, 7) == report
+        assert delta_partition(3, 3, 7) == report.total
+        assert epsilon(7, 1, 3) == 1
+        with pytest.raises(BudgetError, match="Stirling row of p=8"):
+            epsilon(8, 1, 3)
 
 
 def test_delta_direct_budget():

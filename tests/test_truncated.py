@@ -236,6 +236,19 @@ def test_huge_p_is_refused_or_answered_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def test_powers_are_priced_by_their_bits():
+    # (MN)^(p-1), M^(r-1) and h^(r-1) would take seconds to form; the gates
+    # read their bit lengths first
+    for call in (lambda: c_from_d(Fraction(1, 3), 2, 2, 10**9),
+                 lambda: beta(3, 5, 1, 10**9, Fraction(1)),
+                 lambda: count_d(3, 5, 1, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            call()
+        assert time.perf_counter() - start < 0.1
+    assert c_from_d(Fraction(1, 3), 2, 2, 3) == Fraction(16, 3)
+
+
 def test_count_d_budget_does_not_depend_on_r():
     refused = []
     for r in (2, 50):
