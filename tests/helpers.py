@@ -198,6 +198,43 @@ def labelled_order_histogram(M: int, N: int, p: int) -> dict:
     return dict(Counter(orders.tolist()))
 
 
+def code_word_digits(p: int) -> int:
+    """Digits c in one word of a row code of a length-p pair: the largest
+    c >= 1 with p (2p + 1)^c <= 2^53, so a float64 sum of p terms each
+    below (2p + 1)^c in size is exact."""
+    c = 1
+    while p * (2 * p + 1)**(c + 1) <= 2**53:
+        c += 1
+    return c
+
+
+def table_row_codes(f, p: int):
+    """Row m of each difference table f (shape (rows, M, N), entries at
+    most p in size) read in base 2p + 1, c = code_word_digits(p) digits a
+    word: int64 codes of shape (rows, M, W), word w holding the digits
+    f(m, wc), ..., f(m, wc + c - 1)."""
+    import numpy as np
+
+    c, N = code_word_digits(p), f.shape[2]
+    column = np.arange(N)
+    digits = np.where(column // c == np.arange(-(-N // c))[:, None],
+                      (2 * p + 1)**(column % c), 0)
+    return np.einsum("kmn,wn->kmw", f.astype(np.int64), digits)
+
+
+def assert_codes_name_rows(f, codes) -> None:
+    """A code is zero exactly when its table row is, and two codes are
+    equal exactly when their rows are, over every row of every table."""
+    import numpy as np
+
+    rows, words = f.reshape(-1, f.shape[2]), codes.reshape(-1, codes.shape[2])
+    assert ((words == 0).all(axis=1) == (rows == 0).all(axis=1)).all()
+    by_row = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    by_code = np.unique(words, axis=0, return_inverse=True)[1].ravel()
+    assert len(set(zip(by_row.tolist(), by_code.tolist()))) == \
+        by_row.max() + 1 == by_code.max() + 1
+
+
 def dense_slice_operator(factors, n: int, K: int):
     """The K^n x K^n slice operator whose entry at row tuple (r_0 .. r_{n-1}),
     column tuple (c_0 .. c_{n-1}) is the product over x of

@@ -27,6 +27,7 @@ from fouriermoments.partitions import (
 from fouriermoments.truncated import _difference_tables, _order_histogram
 
 from helpers import (
+    assert_codes_name_rows,
     bell_numbers,
     catalan,
     crossing_by_quadruples,
@@ -35,6 +36,7 @@ from helpers import (
     rotate_partition,
     rotation_orbits,
     stirling2,
+    table_row_codes,
     two_block_pairs,
 )
 
@@ -240,6 +242,15 @@ def test_difference_table_vanishes_exactly_on_compatible_pairs():
             f = _difference_tables(rows, np.tile(pi_row, (len(rows), 1)), p, p)
             assert (~f.any(axis=(1, 2))).tolist() == \
                 [triangle_relation(pi, sigma) for sigma in parts], pi
+
+
+def test_row_codes_name_the_rows_of_partition_tables():
+    # every pair of partitions of p <= 6, as labels a = sigma and b = pi
+    for p in range(1, 7):
+        rows = _rgs_array(p, p)[0]
+        f = _difference_tables(np.repeat(rows, len(rows), axis=0),
+                               np.tile(rows, (len(rows), 1)), p, p)
+        assert_codes_name_rows(f, table_row_codes(f, p))
 
 
 def test_reflection_and_swap_are_not_symmetries():

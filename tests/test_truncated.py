@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,13 @@ from fouriermoments.truncated import (
     solution_set,
 )
 
-from helpers import counter_condition, labelled_order_histogram
+from helpers import (
+    assert_codes_name_rows,
+    code_word_digits,
+    counter_condition,
+    labelled_order_histogram,
+    table_row_codes,
+)
 
 
 def _grid_pairs(M, N, p):
@@ -81,6 +88,58 @@ def test_table_at_the_partitions_own_width_keeps_its_periods():
             assert not wide[:, :, t:].any() and (wide[:, :, :t] == own).all(), (M, N, p, b)
             assert (_periods(own) == _periods(wide)).all(), (M, N, p, b)
             assert (own.any(axis=(1, 2)) == wide.any(axis=(1, 2))).all(), (M, N, p, b)
+
+
+def test_row_codes_name_the_rows_of_pinned_tables():
+    # row m of a table read in base 2p + 1 is zero exactly when the row is,
+    # and equal to another row's code exactly when the rows are equal
+    for M, N, p in STRUCTURE_POINTS:
+        a, b = _pinned_pairs(M, N, p)
+        f = _difference_tables(a, b, M, N)
+        assert_codes_name_rows(f, table_row_codes(f, p))
+
+
+def _segment_pairs(seed, M, N, p, count):
+    """Seeded pairs with most of b's p labels distinct. Every other pair
+    splits the positions into M cyclic segments, segment k labelled k in a,
+    so row k of its table telescopes to e(b at its start) - e(b at the next
+    start); with those b's alternating u, v, u, ... every even shift is a
+    period, and every shift when u = v. The rest have a drawn at random."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        b = rng.permutation(N)[:p]
+        if k % 2:
+            yield rng.integers(0, M, p), b
+            continue
+        starts = np.concatenate(([0], np.sort(rng.choice(np.arange(1, p), M - 1, replace=False))))
+        u, v = rng.integers(0, N, 2)
+        b[starts] = np.where(np.arange(M) % 2, u if k % 4 else v, u)
+        yield np.repeat(np.arange(M), np.diff(np.append(starts, p))), b
+
+
+def test_base_condition_on_rows_of_two_words():
+    # length 16 keeps 9 base-33 digits a word, and these b have more labels
+    p, hits = 16, 0
+    for M in (2, 3, 4):
+        for a, b in _segment_pairs(M, M, p, p, 100):
+            assert len(set(b.tolist())) > code_word_digits(p)
+            expected = not _difference_tables(a[None], b[None], p, p).any()
+            assert base_condition(a.tolist(), b.tolist()) == expected, (a, b)
+            hits += expected
+    assert hits >= 50
+
+
+def test_solution_set_on_rows_of_two_words():
+    p = N = 20
+    orders = Counter()
+    for M in (4, 5, 6):
+        for a, b in _segment_pairs(10 + M, M, N, p, 100):
+            assert len(set(b.tolist())) > code_word_digits(p)
+            f = _difference_tables(a[None], b[None], M, N)[0]
+            expected = {s for s in range(M) if (np.roll(f, -s, axis=0) == f).all()}
+            assert solution_set(a.tolist(), b.tolist(), M, N) == expected, (a, b)
+            orders[M, len(expected)] += 1
+    assert orders[4, 2] and orders[6, 3] and orders[5, 5]
 
 
 def test_order_histogram_matches_labelled_enumeration():
