@@ -9,6 +9,7 @@ for large-p evaluation and is validated against the exact one.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,12 +124,20 @@ def _squared_multinomial_row(N: int, k: int) -> list[int]:
     digits = 1 + math.ceil(2 * k * Fraction(math.log2(N)) / sys.int_info.bits_per_digit)
     _check_budget("squared-multinomial dynamic program", N * (k + 1)**2 * digits)
     # A_1(m) = 1 and A_2(m) = C(2m, m); peeling the last part gives
-    # A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i).
-    row = [math.comb(2 * m, m) if N > 1 else 1 for m in range(k + 1)]
-    for _ in range(N - 2):
-        row = [sum(math.comb(m, i)**2 * row[m - i] for i in range(m + 1))
-               for m in range(k + 1)]
-    return row
+    # A_N(m) = sum_i C(m, i)^2 * A_{N-1}(m - i). The C(m, i) come from one
+    # Pascal row per m, which serves every N, and C(m, i) = C(m, m - i)
+    # pairs the terms i and m - i: m / 2 products for each A_N(m).
+    rows = [[math.comb(2 * m, m) if N > 1 else 1 for m in range(k + 1)]]
+    rows += [[] for _ in range(N - 2)]
+    pascal = []
+    for m in range(k + 1 if N > 2 else 0):
+        pascal = [1, *map(operator.add, pascal, pascal[1:]), 1] if m else [1]
+        squares = [c * c for c in pascal[:m // 2 + 1]]
+        for prev, row in zip(rows, rows[1:]):
+            pairs = map(operator.add, prev[:(m + 1) // 2], prev[m:m // 2:-1])
+            middle = 0 if m % 2 else squares[-1] * prev[m // 2]
+            row.append(sum(map(operator.mul, squares, pairs), middle))
+    return rows[-1]
 
 
 def delta_m2(N: int, p: int) -> Fraction:

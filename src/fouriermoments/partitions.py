@@ -1,8 +1,9 @@
 """Set partitions of {0,...,p-1}: enumeration, non-crossing structure,
 Kreweras complementation, Stirling/Narayana counts, the cyclic-shift
-compatibility relation, and the counting kernel: the difference table of an
-(a, b) pair and the orbit-scan loop behind both the pair table and
-truncated's period histogram. All values are immutable after construction.
+compatibility relation, and the counting kernel: the rows of an (a, b)
+pair's difference table coded as integers, for every orbit representative b
+in one float64 product, and the orbit-scan loop behind both the pair table
+and truncated's period histogram. All values are immutable after construction.
 Enumeration streams stop at ENUMERATION_CAP and are single-consumer, but
 independent streams may run concurrently; the pair scan and the Stirling
 counts are refused by their estimated work.
@@ -24,8 +25,9 @@ from .errors import ParameterError, _check_budget, _validate_pos
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
 ENUMERATION_CAP = 12
 
-# Difference-table cells an orbit scan holds per block of pairs, so its peak
-# memory does not grow with the number of pairs and a block stays in cache.
+# Row codes (float64) an orbit scan holds per block of pairs, so its peak
+# memory grows neither with the rows of a nor with the representatives, and
+# a block stays in cache.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -298,37 +300,70 @@ def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[is_rep], np.bincount(np.searchsorted(least[is_rep], least))
 
 
-def _difference_tables(a: np.ndarray, b: np.ndarray, M: int, N: int) -> np.ndarray:
-    """The tables f(m, n) of a block of pairs, one (a, b) per row of the 2-d
-    integer arrays `a` (labels in [0, M)) and `b` (labels in [0, N), or one
-    row for every a); shape (rows, M, N)."""
-    rows = a.shape[0]
-    cell = a * N + np.arange(0, rows * M * N, M * N)[:, None]
-    same = np.bincount((cell + b).ravel(), minlength=rows * M * N)
-    # np.roll would cost five times as much on the one-row b of a lumped scan.
-    b_next = np.concatenate((b[:, 1:], b[:, :1]), axis=1)
-    same -= np.bincount((cell + b_next).ravel(), minlength=rows * M * N)
-    return same.reshape(rows, M, N)
+@lru_cache(maxsize=256)
+def _word_digits(p: int) -> int:
+    # The most base-(2p + 1) digits c >= 1 a word holds with p B^c <= 2^53.
+    c = 1
+    while p * (2 * p + 1)**(c + 1) <= 2**53:
+        c += 1
+    return c
+
+
+def _code_weights(b: np.ndarray, T: int) -> tuple[np.ndarray, int]:
+    """The weights h_y = B^(b_y) - B^(b_(y+1)), B = 2p + 1, of each row of
+    the (reps, p) integer array b (labels below T), and the word count W:
+    the T digits are split into W words of c = _word_digits(p) digits each.
+    Shape (p, W * reps), word-major."""
+    p = b.shape[1]
+    B, c = 2 * p + 1, _word_digits(p)
+    W = -(-T // c)
+    label = np.arange(T)
+    digits = np.zeros((W, T))  # digits[w, n] = B^(n - wc) for n in word w
+    digits[label // c, label] = float(B)**(label % c)
+    # np.roll would cost several times as much on the one-row b of a single pair.
+    h = digits.take(b, axis=1) - digits.take(np.concatenate((b[:, 1:], b[:, :1]), axis=1), axis=1)
+    return np.ascontiguousarray(h.transpose(2, 0, 1).reshape(p, -1)), W
+
+
+def _row_codes(a: np.ndarray, weights: np.ndarray, M: int, W: int) -> np.ndarray:
+    """codes[k, m, w, j]: word w of F(m) = sum_n f(m, n) B^n, row m of the
+    difference table f of the pair (a[k], b_j), for the rows of the 2-d
+    integer array `a` (labels below M) against the b of `weights`
+    (_code_weights). Every |f| <= p < B / 2, so F(m) is zero exactly when
+    the row is, and two codes are equal exactly when their rows are. Since
+    F(m) = sum_y [a_y = m] h_y, the codes are one float64 product of a's
+    one-hot rows with the weights. It is exact: every partial sum is an
+    integer below 2^53, in whatever order it is summed."""
+    rows, p = a.shape
+    onehot = (a[:, None, :] == np.arange(M)[:, None]).astype(np.float64)
+    return (onehot.reshape(rows * M, p) @ weights).reshape(rows, M, W, -1)
 
 
 def _orbit_scan(a_rows, count: int, M: int, p: int, T: int, classify) -> np.ndarray:
-    """tally[t, c]: the pairs (a, b) that classify(f, index) puts in class
-    c <= M, a = a_rows(index) a block of the `count` rows (labels below M), b
-    one least row per rotation orbit of the partitions of p with t <= T
-    blocks, weighted by the orbit size. b's labels stay below t, so its
-    tables f are built t columns wide."""
+    """tally[t, c]: the pairs (a, b) that classify(codes, index) puts in
+    class c <= M, a = a_rows(index) a block of the `count` rows (labels
+    below M), b one least row per rotation orbit of the partitions of p with
+    t <= T blocks, weighted by the orbit size. classify takes the block's
+    _row_codes, shape (rows, M, W, reps), and returns classes of shape
+    (rows, reps)."""
     reps, orbit_sizes = _rgs_orbits(p, T)
+    weights, W = _code_weights(reps, T)
+    # A block codes `width` representatives, all of them unless one row of a
+    # against all of them is already over _BLOCK_CELLS, for `step` rows of a.
+    width = min(len(reps), max(1, _BLOCK_CELLS // (M * W)))
+    step = max(1, _BLOCK_CELLS // (M * W * width))
+    hits = np.zeros((len(reps), M + 1), dtype=np.int64)
+    for first in range(0, len(reps), width):
+        part = weights.reshape(p, W, -1)[:, :, first:first + width].reshape(p, -1)
+        n = part.shape[1] // W
+        key = (M + 1) * np.arange(n)
+        for start in range(0, count, step):
+            index = np.arange(start, min(start + step, count))
+            classes = classify(_row_codes(a_rows(index), part, M, W), index)
+            hits[first:first + n] += np.bincount(
+                (classes + key).ravel(), minlength=n * (M + 1)).reshape(n, M + 1)
     tally = np.zeros((T + 1, M + 1), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // (M * T))
-    for start in range(0, count, step):
-        index = np.arange(start, min(start + step, count))
-        a = a_rows(index)
-        for b, orbit_size in zip(reps, orbit_sizes.tolist()):
-            t = b.max() + 1
-            # Bound to f, a table lives until the next one is built, so glibc
-            # does not trim the heap top and fault it in again per table.
-            f = _difference_tables(a, b[None, :], M, t)
-            tally[t] += orbit_size * np.bincount(classify(f, index), minlength=M + 1)
+    np.add.at(tally, reps.max(axis=1) + 1, orbit_sizes[:, None] * hits)
     return tally
 
 
@@ -338,11 +373,12 @@ def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], 
 
     A one-block partition is compatible with every partition, so a table
     with smax or tmax = 1 is a Stirling row. Otherwise a pair is compatible
-    iff the difference table of the labels a = sigma, b = pi vanishes
-    (_difference_tables). Rotating pi and sigma together keeps
-    compatibility and block counts (reflection and the pi <-> sigma swap do
-    not), so _orbit_scan tables one pi per rotation orbit against blocks of
-    sigmas. The budget refuses a scan, but the tables are cached per
+    iff the difference table of the labels a = sigma, b = pi vanishes, that
+    is iff every one of its row codes is zero (_row_codes). Rotating pi and
+    sigma together keeps compatibility and block counts (reflection and the
+    pi <-> sigma swap do not), so _orbit_scan codes one pi per rotation
+    orbit, all of them in one product per block of sigmas. The budget
+    refuses a scan, but the tables are cached per
     (p, smax, tmax) and a cached table is never refused; `cache_info` and
     `cache_clear` are those of that cache.
     """
@@ -361,9 +397,10 @@ def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     _check_budget(f"partition-pair scan of ({p},{smax},{tmax})",
                   _stirling_cost(p) + R_s * R_t + (5 * R_s + R_t) * p * p)
     sigmas, sigma_counts = _rgs_array(p, tmax)
-    # A vanishing table is counted in its sigma's block count, the others in 0.
+    # A table whose codes all vanish counts in its sigma's block count, others in 0.
     tally = _orbit_scan(lambda index: sigmas[index], len(sigmas), tmax, p, smax,
-                        lambda f, index: np.where(f.any(axis=(1, 2)), 0, sigma_counts[index]))
+                        lambda codes, index: np.where(codes.any(axis=(1, 2)), 0,
+                                                      sigma_counts[index, None]))
     return {(s, t): int(tally[s, t]) for s in range(1, smax + 1) for t in range(1, tmax + 1)}
 
 

@@ -5,13 +5,16 @@ configurations, together with the closed-form bounds alpha/beta, the
 Counting conventions: index x+1 is cyclic mod r, y+1 cyclic mod p, and all
 first components are reduced mod M. Every count goes through one kernel, the
 difference table of an (a, b) pair,
-f(m, n) = #{y : a_y = m, b_y = n} - #{y : a_y = m, b_{y+1} = n}.
-The pair's solution set is the set of periods of f in m, a subgroup H of
-Z_M; the matching condition holds at position x exactly when
-i_x - i_{x+1} lies in H, so M * |H|^(r-1) i-tuples pass. The moments thus
-follow from the histogram of |H| over the (a, b) pairs, which the kernel's
-loop, partitions._orbit_scan, builds from one set partition of b per
-rotation orbit. Everything returns `fractions.Fraction` in lowest terms.
+f(m, n) = #{y : a_y = m, b_y = n} - #{y : a_y = m, b_{y+1} = n},
+read row by row as the integer codes F(m) = sum_n f(m, n) (2p + 1)^n
+(partitions._row_codes): a code is zero exactly when its row is, and two
+codes are equal exactly when their rows are. The pair's solution set is the
+set of periods of f in m, a subgroup H of Z_M; the matching condition holds
+at position x exactly when i_x - i_{x+1} lies in H, so M * |H|^(r-1)
+i-tuples pass. The moments thus follow from the histogram of |H| over the
+(a, b) pairs, which the kernel's loop, partitions._orbit_scan, builds from
+one set partition of b per rotation orbit, every such b coded in one product
+per block of a. Everything returns `fractions.Fraction` in lowest terms.
 """
 
 from __future__ import annotations
@@ -24,20 +27,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, _check_budget, _validate_mn, _validate_pos
-from .partitions import _difference_tables, _orbit_scan, _stirling_row
+from .partitions import _code_weights, _orbit_scan, _row_codes, _stirling_row
 
 
-def _periods(f: np.ndarray) -> np.ndarray:
-    """Boolean mask, shape (rows, M): whether each table f[k] is periodic in
-    m under the shift s."""
-    rows, M, N = f.shape
-    flat = f.reshape(rows, M * N)
-    # Shifting m by s rolls the flattened table by s*N cells, a window of
-    # the table written twice.
+def _code_periods(codes: np.ndarray) -> np.ndarray:
+    """periodic[k, s, j]: whether the table of pair (k, j), given by its row
+    codes (partitions._row_codes), is periodic in m under the shift s."""
+    rows, M, W, reps = codes.shape
+    flat = codes.reshape(rows, M * W, reps)
+    # Shifting m by s moves the words s * W places, a window of the codes
+    # written twice.
     twice = np.concatenate((flat, flat), axis=1)
-    periodic = np.ones((rows, M), dtype=bool)
+    periodic = np.ones((rows, M, reps), dtype=bool)
     for s in range(1, M):
-        periodic[:, s] = (flat == twice[:, s * N:(s + M) * N]).all(axis=1)
+        periodic[:, s] = (twice[:, s * W:(s + M) * W] == flat).all(axis=1)
     return periodic
 
 
@@ -47,9 +50,11 @@ def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bo
     _validate_mn(M, N)
     if len(b) != len(a) or len(a) < 1:
         raise ParameterError("a and b must be nonempty of identical length")
-    f = _difference_tables(np.array([a], dtype=np.int64) % M,
-                           np.array([b], dtype=np.int64) % N, M, N)
-    return _periods(f)[0].tolist()
+    # Renumbering b's labels permutes the table's columns, keeping its periods.
+    b_codes = {label: code for code, label in enumerate({v % N for v in b})}
+    weights, W = _code_weights(np.array([[b_codes[v % N] for v in b]]), len(b_codes))
+    codes = _row_codes(np.array([a], dtype=np.int64) % M, weights, M, W)
+    return _code_periods(codes)[0, :, 0].tolist()
 
 
 def counting_condition(i: Sequence[int], a: Sequence[int], b: Sequence[int],
@@ -75,9 +80,8 @@ def base_condition(a: Sequence[int], b: Sequence[int]) -> bool:
     # Without M and N, number the labels that occur on each side below p.
     a_codes = {label: code for code, label in enumerate(set(a))}
     b_codes = {label: code for code, label in enumerate(set(b))}
-    f = _difference_tables(np.array([[a_codes[v] for v in a]]),
-                           np.array([[b_codes[v] for v in b]]), p, p)
-    return not f.any()
+    weights, W = _code_weights(np.array([[b_codes[v] for v in b]]), len(b_codes))
+    return not _row_codes(np.array([[a_codes[v] for v in a]]), weights, len(a_codes), W).any()
 
 
 def solution_set(a: Sequence[int], b: Sequence[int], M: int, N: int) -> set[int]:
@@ -114,8 +118,8 @@ def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
         return {M: (M * N)**(p - 1)}
     T, what = min(N, p), f"period histogram of ({M},{N},{p})"
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
-    # against a_rows pinned a at 2p bincount inputs and M^2 T table cells. Its
-    # floor at R = 1 comes first, so a_rows = M^(p-1) and R are formed after.
+    # against a_rows pinned a at 2p + M^2 T (a pair's table and its M shifts).
+    # Its floor at R = 1 comes first, so a_rows = M^(p-1) and R are formed after.
     _check_budget(what, None, (p - 1) * Fraction(math.log10(M))
                   + Fraction(math.log10(2 * p + M * M * T) - math.log10(p)))
     a_rows = M**(p - 1)
@@ -123,7 +127,7 @@ def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
     _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p)
     by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
         lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
-        a_rows, M, p, T, lambda f, index: _periods(f).sum(axis=1))
+        a_rows, M, p, T, lambda codes, index: _code_periods(codes).sum(axis=1))
     counts = sum(math.perm(N - 1, t - 1) * by_t[t].astype(object) for t in range(1, T + 1))
     return {h: int(mult) for h, mult in enumerate(counts) if mult}
 
@@ -214,8 +218,30 @@ def closed_form_is_exact(method: str, M: int, N: int, p: int, r: int) -> bool:
     raise ParameterError(f"unknown closed form {method!r}")
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound; the
+# bases up to 37 pass the composite 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    if n < 43 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n >= _MILLER_RABIN_EXACT:  # trial division, priced by its divisors
+        _check_budget(f"trial division of a {n.bit_length()}-bit M", math.isqrt(n))
+        return all(n % q for q in range(43, math.isqrt(n) + 1, 2))
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    for q in _PRIME_BASES:
+        x = pow(q, (n - 1) >> twos, n)
+        if x == 1:
+            continue
+        for _ in range(twos):  # n - 1 must come before 1 among the squares
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def _check_bits(what: str, bits: int) -> None:

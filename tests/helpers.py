@@ -198,6 +198,36 @@ def labelled_order_histogram(M: int, N: int, p: int) -> dict:
     return dict(Counter(orders.tolist()))
 
 
+def _difference_tables(a, b, M: int, N: int):
+    """The tables f(m, n) = #{y : a_y = m, b_y = n} - #{y : a_y = m,
+    b_(y+1) = n} of a block of pairs, one (a, b) per row of the 2-d integer
+    arrays `a` (labels in [0, M)) and `b` (labels in [0, N), or one row for
+    every a), by two bincounts; shape (rows, M, N)."""
+    import numpy as np
+
+    rows = a.shape[0]
+    cell = a * N + np.arange(0, rows * M * N, M * N)[:, None]
+    same = np.bincount((cell + b).ravel(), minlength=rows * M * N)
+    b_next = np.concatenate((b[:, 1:], b[:, :1]), axis=1)
+    same -= np.bincount((cell + b_next).ravel(), minlength=rows * M * N)
+    return same.reshape(rows, M, N)
+
+
+def _periods(f):
+    """Boolean mask, shape (rows, M): whether each table f[k] is periodic in
+    m under the shift s, by comparing its flattened cells with a window of
+    them written twice."""
+    import numpy as np
+
+    rows, M, N = f.shape
+    flat = f.reshape(rows, M * N)
+    twice = np.concatenate((flat, flat), axis=1)
+    periodic = np.ones((rows, M), dtype=bool)
+    for s in range(1, M):
+        periodic[:, s] = (flat == twice[:, s * N:(s + M) * N]).all(axis=1)
+    return periodic
+
+
 def code_word_digits(p: int) -> int:
     """Digits c in one word of a row code of a length-p pair: the largest
     c >= 1 with p (2p + 1)^c <= 2^53, so a float64 sum of p terms each

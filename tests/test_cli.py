@@ -406,6 +406,19 @@ def test_huge_arguments_end_in_an_exit_code(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_beta_at_a_huge_prime_M_is_answered_at_once():
+    # closed_form_is_exact("beta", ...) decides that 2^61 - 1 is prime
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "fouriermoments.cli", "truncated",
+                           "--M", str(2**61 - 1), "--N", "3", "--p", "4", "--r", "2",
+                           "--method", "beta", "--budget", "100000"],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 0, done.stderr
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(
         ["limit", "--M", "2", "--N", "2", "--p", "2", "--format", "json"], capsys)

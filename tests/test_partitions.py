@@ -24,9 +24,10 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
-from fouriermoments.truncated import _difference_tables, _order_histogram
+from fouriermoments.truncated import _order_histogram
 
 from helpers import (
+    _difference_tables,
     assert_codes_name_rows,
     bell_numbers,
     catalan,
@@ -245,12 +246,17 @@ def test_difference_table_vanishes_exactly_on_compatible_pairs():
 
 
 def test_row_codes_name_the_rows_of_partition_tables():
-    # every pair of partitions of p <= 6, as labels a = sigma and b = pi
+    # every pair of partitions of p <= 6, as labels a = sigma and b = pi,
+    # and the kernel's codes are those codes, word by word
     for p in range(1, 7):
         rows = _rgs_array(p, p)[0]
         f = _difference_tables(np.repeat(rows, len(rows), axis=0),
                                np.tile(rows, (len(rows), 1)), p, p)
-        assert_codes_name_rows(f, table_row_codes(f, p))
+        codes = table_row_codes(f, p)
+        assert_codes_name_rows(f, codes)
+        weights, W = partitions._code_weights(rows, p)
+        kernel = partitions._row_codes(rows, weights, p, W)
+        assert (kernel.transpose(0, 3, 1, 2).reshape(codes.shape) == codes).all(), p
 
 
 def test_reflection_and_swap_are_not_symmetries():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,9 +12,7 @@ from fouriermoments import partitions, truncated
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
-    _difference_tables,
     _order_histogram,
-    _periods,
     alpha,
     base_condition,
     beta,
@@ -26,6 +26,8 @@ from fouriermoments.truncated import (
 )
 
 from helpers import (
+    _difference_tables,
+    _periods,
     assert_codes_name_rows,
     code_word_digits,
     counter_condition,
@@ -93,10 +95,16 @@ def test_table_at_the_partitions_own_width_keeps_its_periods():
 def test_row_codes_name_the_rows_of_pinned_tables():
     # row m of a table read in base 2p + 1 is zero exactly when the row is,
     # and equal to another row's code exactly when the rows are equal
+    # and the kernel's codes, of every pinned a against every pinned b, are
+    # those codes, word by word
     for M, N, p in STRUCTURE_POINTS:
         a, b = _pinned_pairs(M, N, p)
         f = _difference_tables(a, b, M, N)
-        assert_codes_name_rows(f, table_row_codes(f, p))
+        codes = table_row_codes(f, p)
+        assert_codes_name_rows(f, codes)
+        weights, W = partitions._code_weights(b[:N**(p - 1)], N)
+        kernel = partitions._row_codes(a[::N**(p - 1)], weights, M, W)
+        assert (kernel.transpose(0, 3, 1, 2).reshape(codes.shape) == codes).all(), (M, N, p)
 
 
 def _segment_pairs(seed, M, N, p, count):
@@ -148,6 +156,33 @@ def test_order_histogram_matches_labelled_enumeration():
                   (4, 5, 4), (6, 5, 4), (2, 7, 5), (2, 4, 6), (4, 2, 5), (6, 2, 4),
                   (4, 3, 4), (3, 3, 3), (1, 5, 4), (4, 1, 4), (1, 1, 3), (3, 2, 1)):
         assert _order_histogram(*point) == labelled_order_histogram(*point), point
+
+
+def test_cold_scans_hold_about_one_block_of_codes():
+    # with the orbit caches warm, a scan holds one block's codes (at most
+    # _BLOCK_CELLS float64, 0.5 MiB) and their temporaries at a time
+    for scan in (lambda: partitions._pair_table.__wrapped__(8, 8, 8),
+                 lambda: _order_histogram.__wrapped__(2, 2, 12),
+                 lambda: _order_histogram.__wrapped__(3, 3, 8)):
+        scan()
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 10**6, peak
+
+
+def test_scans_blocked_over_representatives_keep_their_counts(monkeypatch):
+    # where one row of a against every representative is over the block
+    # bound, the scan takes the representatives a slice at a time
+    tables = {point: partitions._pair_table.__wrapped__(*point) for point in ((6, 6, 6), (7, 3, 4))}
+    monkeypatch.setattr(partitions, "_BLOCK_CELLS", 12)
+    for point, table in tables.items():
+        assert partitions._pair_table.__wrapped__(*point) == table, point
+    for point in ((4, 3, 5), (2, 7, 5), (6, 2, 4)):
+        assert _order_histogram.__wrapped__(*point) == labelled_order_histogram(*point), point
 
 
 def test_counting_condition_trivial_families():
@@ -445,6 +480,23 @@ def test_closed_form_is_exact_where_it_says():
     assert beta(4, 2, 4, 2, delta_partition(4, 2, 4)) != count_d(4, 2, 4, 2)
     with pytest.raises(ParameterError):
         closed_form_is_exact("gamma", 2, 2, 2, 2)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 10**5) if truncated._is_prime(n) != trial(n)] == []
+    # a Carmichael number and strong pseudoprimes to the bases up to 7 and
+    # up to 37, against a Mersenne prime
+    for n in (561, 3215031751, 318665857834031151167461):
+        assert not truncated._is_prime(n), n
+    assert truncated._is_prime(2**61 - 1)
+    # past the bound where the bases are exact, the trial division is priced
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="trial division of a 89-bit M"):
+        truncated._is_prime(2**89 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_even_M_excess_is_order_two_class():
