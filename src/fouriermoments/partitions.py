@@ -339,6 +339,20 @@ def _row_codes(a: np.ndarray, weights: np.ndarray, M: int, W: int) -> np.ndarray
     return (onehot.reshape(rows * M, p) @ weights).reshape(rows, M, W, -1)
 
 
+def _code_periods(codes: np.ndarray) -> np.ndarray:
+    """periodic[k, s, j]: whether the table of pair (k, j), given by its row
+    codes (_row_codes), is periodic in m under the shift s."""
+    rows, M, W, reps = codes.shape
+    flat = codes.reshape(rows, M * W, reps)
+    # Shifting m by s moves the words s * W places, a window of the codes
+    # written twice.
+    twice = np.concatenate((flat, flat), axis=1)
+    periodic = np.ones((rows, M, reps), dtype=bool)
+    for s in range(1, M):
+        periodic[:, s] = (twice[:, s * W:(s + M) * W] == flat).all(axis=1)
+    return periodic
+
+
 def _orbit_scan(a_rows, count: int, M: int, p: int, T: int, classify) -> np.ndarray:
     """tally[t, c]: the pairs (a, b) that classify(codes, index) puts in
     class c <= M, a = a_rows(index) a block of the `count` rows (labels

@@ -27,21 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, _check_budget, _validate_mn, _validate_pos
-from .partitions import _code_weights, _orbit_scan, _row_codes, _stirling_row
-
-
-def _code_periods(codes: np.ndarray) -> np.ndarray:
-    """periodic[k, s, j]: whether the table of pair (k, j), given by its row
-    codes (partitions._row_codes), is periodic in m under the shift s."""
-    rows, M, W, reps = codes.shape
-    flat = codes.reshape(rows, M * W, reps)
-    # Shifting m by s moves the words s * W places, a window of the codes
-    # written twice.
-    twice = np.concatenate((flat, flat), axis=1)
-    periodic = np.ones((rows, M, reps), dtype=bool)
-    for s in range(1, M):
-        periodic[:, s] = (twice[:, s * W:(s + M) * W] == flat).all(axis=1)
-    return periodic
+from .partitions import _code_periods, _code_weights, _orbit_scan, _row_codes, _stirling_row
 
 
 def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bool]:
