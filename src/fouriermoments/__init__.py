@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 from .errors import BudgetError, CrossCheckError, ParameterError, ValidationError, budget
 from .partitions import (
     SetPartition,
-    PartitionStats,
     enumerate_partitions,
     noncrossing_partitions,
     is_noncrossing,
     kreweras_complement,
     shift_block,
     triangle_relation,
-    partition_stats,
 )
 from .truncated import (
     counting_condition,

@@ -47,15 +47,20 @@ def _validate_mn(M: int, N: int) -> None:
 
 def _validate_pos(**kwargs: int) -> None:
     for name, value in kwargs.items():
-        if not (_is_int(value) and value >= 1):
-            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        _validate_int(name, value, 1)
+
+
+def _validate_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a value that is not an int, or is below `least` (0 or 1) if given."""
+    if not (_is_int(value) and (least is None or value >= least)):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
+        raise ParameterError(f"{name} must be {kind} integer, got {value!r}")
 
 
 @contextlib.contextmanager
 def budget(ops: int):
     """Within the block, exact kernels refuse work estimated above `ops` operations."""
-    if not (_is_int(ops) and ops >= 0):
-        raise ParameterError(f"the budget must be a nonnegative integer, got {ops!r}")
+    _validate_int("the budget", ops, 0)
     token = _BUDGET.set(ops)
     try:
         yield

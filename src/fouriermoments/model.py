@@ -213,8 +213,8 @@ def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
     _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p))
     # The indices are as large as the matrix at M = 1, so they are not kept.
     indices = _block_indices(1, K, p, transfer=True)
-    stack = _transfer_blocks(_pair_gram(U.quotients[None]), indices, 1, K,
-                             np.empty((1, 1, K**p, K**p), dtype=complex))
+    stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, 1, K, K**-(p + 1),
+                          np.empty((1, 1, K**p, K**p), dtype=complex))
     return TransferMatrix(p, K, stack[0, 0])
 
 
@@ -371,17 +371,6 @@ def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
     return M**(n - 1) * (M * N**n)**2 * (factors + 48)
 
 
-def _transfer_blocks(grams: np.ndarray, indices: tuple[np.ndarray, ...],
-                     M: int, N: int, out: np.ndarray) -> np.ndarray:
-    """Diagonal blocks of each fiber's transfer matrix, from a stack of pair
-    grams by the p `indices` of `_block_indices(..., transfer=True)`, into
-    `out`. Rows are the index tuples I, columns J; position y couples
-    (I_y, J_y) to (I_{y+1}, J_{y+1}), so the slice-operator factor at every
-    y is the gram, read with its axes reordered."""
-    p = len(indices)
-    return _slice_blocks([grams] * p, indices, M, N, (M * N)**-(p + 1), out)
-
-
 def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
                   p: int, work: np.ndarray) -> list[complex]:
     """Tr(T_p(Q_1) ... T_p(Q_r)) for each sample of a chunk, from its
@@ -389,40 +378,44 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
     _block_indices(M, N, min(p, r), transfer=r > p) and `work`, three
     (samples, M^(n-1), M N^n, M N^n) block stacks.
 
-    The trace is a torus contraction of r*p four-index tensors; it is swept
-    along whichever direction has the smaller slice space. Sweeping along
-    the fiber direction multiplies the r distinct transfer matrices;
-    sweeping the other way raises a single K^r-dimensional operator to the
-    p-th power. Either operator is block-diagonal (`_block_indices`), and
-    products keep the blocks, so the trace is the sum of the block traces:
-    only the M^(n-1) blocks of side M N^n are built and multiplied. Each
-    product goes into a stack that holds neither of its operands.
+    The trace is a torus contraction of r*p four-index tensors, swept along
+    whichever direction has the smaller slice space as the trace of a
+    product of max(p, r) slice operators. With r <= p that is one
+    K^r-dimensional step operator taken p times; with r > p, the r distinct
+    transfer matrices of the fibers. Either operator is block-diagonal
+    (`_block_indices`), and products keep the blocks, so the trace is the
+    sum of the block traces: only the M^(n-1) blocks of side M N^n are built
+    and multiplied. The running product, the next factor and their product
+    each have a stack of their own, and the last contraction runs per sample
+    (module docstring).
     """
     r, rows = grams.shape[:2]
-    first, second, third = work[:, :rows]
-    K = M * N
+    K, q = M * N, max(p, r)
+    acc_stack, factor_stack, product_stack = work[:, :rows]
     if r <= p:
         # Factor x couples row components (x, x+1): exactly grams[x]. The
         # normalisation K^(-r(p+1)) is applied factor by factor, so the
         # products stay near the moment's size instead of overflowing.
         # Multiplying by a real reciprocal is cheaper than a complex division.
-        step = acc = _slice_blocks(list(grams), indices, M, N, K**-r, first)
-        for k in range(p - 2):
-            acc = np.matmul(acc, step, out=(second, third)[k % 2])
-        # The last contraction runs per sample (module docstring).
-        if p == 1:
-            traces = [complex(np.einsum("tii->", blocks)) for blocks in acc]
-        else:
-            traces = [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, step)]
-        return [trace * K**-r for trace in traces]
-    # The x-th slice indexes the rows of fiber x's transfer matrix and the
-    # (x+1)-th its columns.
-    acc = _transfer_blocks(grams[0], indices, M, N, first)
-    for x in range(1, r - 1):
-        factor = _transfer_blocks(grams[x], indices, M, N, second)
-        acc = np.matmul(acc, factor, out=(third, first)[(x - 1) % 2])
-    last = _transfer_blocks(grams[r - 1], indices, M, N, second)
-    return [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, last)]
+        step = _slice_blocks(list(grams), indices, M, N, K**-r, factor_stack)
+
+    def factor(k: int, out: np.ndarray) -> np.ndarray:
+        if r <= p:
+            return step
+        # Fiber k's transfer matrix: the k-th slice indexes its rows, the
+        # (k+1)-th its columns, and the gram is every position's factor.
+        return _slice_blocks([grams[k]] * p, indices, M, N, K**-(p + 1), out)
+
+    acc = factor(0, acc_stack)
+    for k in range(1, q - 1):
+        acc = np.matmul(acc, factor(k, factor_stack), out=product_stack)
+        acc_stack, product_stack = product_stack, acc_stack
+    if q == 1:
+        traces = [complex(np.einsum("tii->", blocks)) for blocks in acc]
+    else:
+        last = factor(q - 1, factor_stack)
+        traces = [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, last)]
+    return traces if r > p else [trace * K**-r for trace in traces]
 
 
 def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> McEstimate:

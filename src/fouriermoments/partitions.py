@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_int, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -97,17 +97,6 @@ class SetPartition:
         return cls(p, tuple((e,) for e in range(p)))
 
 
-@dataclass
-class PartitionStats:
-    """Exact counting data for P(p): Stirling numbers, the Bell number and
-    the block-count profile of the non-crossing partitions."""
-
-    p: int
-    stirling: dict[int, int]
-    bell: int
-    narayana: dict[int, int]
-
-
 def _check_p(p: int) -> None:
     _validate_pos(p=p)
     if p > ENUMERATION_CAP:
@@ -133,14 +122,11 @@ def _rgs_stream(p: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
             b[k] = nb
 
 
-def enumerate_partitions(p: int, max_blocks: int | None = None) -> Iterator[SetPartition]:
+def enumerate_partitions(p: int) -> Iterator[SetPartition]:
     """Yield every partition of {0,...,p-1} exactly once, in restricted
-    growth string order. `max_blocks` restricts the stream to partitions
-    with at most that many blocks."""
+    growth string order."""
     _check_p(p)
-    if max_blocks is None:
-        max_blocks = p
-    for rgs in _rgs_stream(p, max_blocks):
+    for rgs in _rgs_stream(p, p):
         yield SetPartition.from_rgs(rgs)
 
 
@@ -243,13 +229,16 @@ def _stirling_cost(p: int) -> int:
 
 def stirling_number(p: int, s: int) -> int:
     """Number of partitions of {0,...,p-1} with exactly s blocks."""
+    _validate_int("p", p, 0)
+    _validate_int("s", s)
     if s < 0 or s > p:
         return 0
     return _stirling_row(p)[s]
 
 
 def bell_number(p: int) -> int:
-    return sum(stirling_number(p, s) for s in range(p + 1))
+    _validate_int("p", p, 0)
+    return sum(_stirling_row(p))
 
 
 def _narayana_profile(p: int) -> tuple[int, ...]:
@@ -257,19 +246,6 @@ def _narayana_profile(p: int) -> tuple[int, ...]:
     # one ratio step each: N(p, k+1) = N(p, k) (p-k)(p-k+1) / (k(k+1)).
     return (0, *accumulate(range(1, p), lambda count, k:
                            count * (p - k) * (p - k + 1) // (k * (k + 1)), initial=1))
-
-
-def partition_stats(p: int) -> PartitionStats:
-    """Exact Stirling table, Bell number and non-crossing block profile."""
-    _validate_pos(p=p)
-    stirling = {s: stirling_number(p, s) for s in range(1, p + 1)}
-    profile = _narayana_profile(p)
-    return PartitionStats(
-        p=p,
-        stirling=stirling,
-        bell=sum(stirling.values()),
-        narayana={k: profile[k] for k in range(1, p + 1) if profile[k]},
-    )
 
 
 @lru_cache(maxsize=64)

@@ -30,16 +30,22 @@ from .errors import ParameterError, _check_budget, _validate_mn, _validate_pos
 from .partitions import _code_periods, _code_weights, _orbit_scan, _row_codes, _stirling_row
 
 
+def _pair_codes(a: Sequence[int], b: Sequence[int], M: int) -> np.ndarray:
+    """The row codes (partitions._row_codes) of the single pair (a, b), a's
+    labels below M. Renumbering b's labels below their count permutes the
+    table's columns, which keeps its zero rows and its equal rows."""
+    if len(b) != len(a) or len(a) < 1:
+        raise ParameterError("a and b must be nonempty of identical length")
+    labels = {label: code for code, label in enumerate(set(b))}
+    weights, W = _code_weights(np.array([[labels[v] for v in b]]), len(labels))
+    return _row_codes(np.array([a], dtype=np.int64), weights, M, W)
+
+
 def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bool]:
     """Whether each shift in Z_M is a period of the pair's table, with the
     labels reduced mod M and N."""
     _validate_mn(M, N)
-    if len(b) != len(a) or len(a) < 1:
-        raise ParameterError("a and b must be nonempty of identical length")
-    # Renumbering b's labels permutes the table's columns, keeping its periods.
-    b_codes = {label: code for code, label in enumerate({v % N for v in b})}
-    weights, W = _code_weights(np.array([[b_codes[v % N] for v in b]]), len(b_codes))
-    codes = _row_codes(np.array([a], dtype=np.int64) % M, weights, M, W)
+    codes = _pair_codes([v % M for v in a], [v % N for v in b], M)
     return _code_periods(codes)[0, :, 0].tolist()
 
 
@@ -60,14 +66,9 @@ def base_condition(a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff the multisets {(a_y, b_y)}_y and {(a_y, b_{y+1})}_y agree
     (the condition whose probability is the limiting moment), that is, the
     difference table vanishes."""
-    p = len(a)
-    if len(b) != p or p < 1:
-        raise ParameterError("a and b must be nonempty of identical length")
-    # Without M and N, number the labels that occur on each side below p.
+    # Without M, number the labels that occur in a below their count.
     a_codes = {label: code for code, label in enumerate(set(a))}
-    b_codes = {label: code for code, label in enumerate(set(b))}
-    weights, W = _code_weights(np.array([[b_codes[v] for v in b]]), len(b_codes))
-    return not _row_codes(np.array([[a_codes[v] for v in a]]), weights, len(a_codes), W).any()
+    return not _pair_codes([a_codes[v] for v in a], b, len(a_codes)).any()
 
 
 def solution_set(a: Sequence[int], b: Sequence[int], M: int, N: int) -> set[int]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fouriermoments import partitions
+from fouriermoments.asymptotics import stirling_polynomial
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import (
     SetPartition,
@@ -18,7 +19,6 @@ from fouriermoments.partitions import (
     is_noncrossing,
     kreweras_complement,
     noncrossing_partitions,
-    partition_stats,
     shift_block,
     stirling_number,
     triangle_pair_counts,
@@ -72,7 +72,7 @@ def test_enumeration_cap_and_bad_p():
     assert triangle_pair_counts(1, 1, 1) == {(1, 1): 1}
     for call in (lambda: list(enumerate_partitions(True)),
                  lambda: triangle_pair_counts(True, 1, 1),
-                 lambda: partition_stats(True)):
+                 lambda: bell_number(True)):
         with pytest.raises(ParameterError):
             call()
 
@@ -288,17 +288,16 @@ def test_partition_table_caches_are_bounded():
 
 
 def test_partition_stats_tables():
-    stats = partition_stats(4)
-    assert stats.stirling == {1: 1, 2: 7, 3: 6, 4: 1}
-    assert stats.narayana == {1: 1, 2: 6, 3: 6, 4: 1}
-    assert partition_stats(3).bell == 5
+    assert [stirling_number(4, s) for s in range(1, 5)] == [1, 7, 6, 1]
+    assert stirling_polynomial(4).coefficients[1:] == (1, 6, 6, 1)
+    assert bell_number(3) == 5
     for p in range(1, 10):
-        stats = partition_stats(p)
-        assert stats.bell == sum(stats.stirling.values()) == bell_numbers(p)[p]
-        assert sum(stats.narayana.values()) == catalan(p)
+        stirling = [stirling_number(p, s) for s in range(1, p + 1)]
+        assert bell_number(p) == sum(stirling) == bell_numbers(p)[p]
+        assert sum(stirling_polynomial(p).coefficients) == catalan(p)
         for s in range(1, p + 1):
-            assert stats.stirling[s] == stirling2(p, s)
-        for k, count in stats.narayana.items():
+            assert stirling[s - 1] == stirling2(p, s)
+        for k, count in enumerate(stirling_polynomial(p).coefficients[1:], 1):
             assert count == narayana(p, k)
 
 
@@ -310,12 +309,11 @@ def test_stirling_number_edges():
 
 def test_stirling_row_is_priced_not_capped():
     # the row is O(p^2) bigint sums: p = 13 is cheap, p = 10^4 is refused at once
-    stats = partition_stats(13)
-    assert stats.bell == bell_number(13) == bell_numbers(13)[13]
-    assert stats.stirling == {s: stirling2(13, s) for s in range(1, 14)}
+    assert bell_number(13) == bell_numbers(13)[13]
+    assert [stirling_number(13, s) for s in range(1, 14)] == \
+        [stirling2(13, s) for s in range(1, 14)]
     start = time.perf_counter()
-    for call in (lambda: bell_number(10**4), lambda: stirling_number(10**4, 2),
-                 lambda: partition_stats(10**4)):
+    for call in (lambda: bell_number(10**4), lambda: stirling_number(10**4, 2)):
         with pytest.raises(BudgetError) as info:
             call()
         assert info.value.estimated_ops == \
