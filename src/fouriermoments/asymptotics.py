@@ -106,10 +106,7 @@ def regime_check(t: Fraction | int, p: int, N_values: list[int]) -> RegimeReport
 def richmond_shallit(N: int, k: int) -> float:
     """Large-k estimate sqrt(N^N / (4 pi k)^(N-1)) of the normalized 2k-th moment
     of |q_1 + ... + q_N| / N: the decay law at p = 4k (4 pi k rounds like pi 4k)."""
-    _validate_pos(N=N)
-    if N == 1:
-        return 1.0
-    _validate_pos(k=k)
+    _validate_pos(N=N, k=k)
     return delta_decay_estimate(N, 4 * k)
 
 
@@ -117,10 +114,9 @@ def delta_decay_estimate(N: int, p: int) -> float:
     """Large-p estimate sqrt(N^N / (pi p)^(N-1)) of the two-row limiting
     moment delta_p(2, N); at N = 2 this is 2 / sqrt(pi p). It is math.inf
     past the float range, and an N or p past it is taken by its logarithm."""
-    _validate_pos(N=N)
+    _validate_pos(N=N, p=p)
     if N == 1:
         return 1.0
-    _validate_pos(p=p)
     log_x = math.log(math.pi * p) if p.bit_length() < 1000 else math.log(math.pi) + math.log(p)
     try:
         return math.exp(0.5 * (N * math.log(N) - (N - 1) * log_x))

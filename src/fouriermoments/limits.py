@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _is_int, _validate_mn, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_int, _validate_mn, _validate_pos
 from .partitions import stirling_number, triangle_pair_counts
 from .truncated import _order_histogram
 
@@ -105,8 +105,7 @@ def moment_integral(N: int, k: int) -> Fraction:
     uniform phases: N^(-2k) * sum over compositions of k into N parts of the
     squared multinomial coefficient."""
     _validate_pos(N=N)
-    if not (_is_int(k) and k >= 0):
-        raise ParameterError(f"k must be a nonnegative integer, got {k!r}")
+    _validate_int("k", k, 0)
     if k == 0 or N == 1:
         return Fraction(1)
     if N == 2:  # about d^2 digit steps for C(2k, k), d the digits of a 2k-bit integer

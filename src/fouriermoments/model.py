@@ -40,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ParameterError, ValidationError, _check_budget, _is_int, _validate_mn,
-                     _validate_pos)
+from .errors import ValidationError, _check_budget, _validate_int, _validate_mn, _validate_pos
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -49,6 +48,11 @@ PROJECTION_TOL = 1e-10
 MAGIC_SUM_TOL = 1e-9
 FLAT_FIBER_TOL = 1e-12
 CHUNK_BYTES = 2**20  # working arrays a chunk of Monte Carlo samples may hold
+
+
+def _check_entries(what: str, entries: int) -> None:
+    # One operation per byte of the complex array of `entries` entries that `what` holds.
+    _check_budget(what, 16 * entries)
 
 
 def _check_unit_modulus(entries: np.ndarray) -> None:
@@ -73,12 +77,14 @@ class PhaseMatrix:
 
 def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
     _validate_mn(M, N)
+    _check_entries(f"{M} x {N} phase matrix", M * N)
     return PhaseMatrix(M, N, np.ones((M, N), dtype=complex))
 
 
 def random_phase_matrix(M: int, N: int, rng: np.random.Generator) -> PhaseMatrix:
     """Independent uniform phase per entry, one angle draw each."""
     _validate_mn(M, N)
+    _check_entries(f"{M} x {N} phase matrix", M * N)
     return PhaseMatrix(M, N, _unit_phases(rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
 
 
@@ -109,6 +115,7 @@ class HadamardFiber:
 def fourier_matrix(n: int) -> HadamardFiber:
     """The n x n matrix with entry (j, k) = exp(2 pi i j k / n)."""
     _validate_pos(n=n)
+    _check_entries(f"Fourier matrix of side {n}", n * n)
     return HadamardFiber(n, _fourier_entries(n).copy())
 
 
@@ -126,6 +133,7 @@ def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
     """Deformed tensor product of Fourier matrices: entry at row (i, a),
     column (j, b) is Q[i, b] * F_M[i, j] * F_N[a, b], with pair indices
     flattened as i*N + a."""
+    _check_entries(f"deformed fiber of side {Q.M * Q.N}", (Q.M * Q.N)**2)
     return HadamardFiber(Q.M * Q.N, _deform(Q.entries))
 
 
@@ -175,6 +183,7 @@ def _row_quotients(H: np.ndarray) -> np.ndarray:
 def magic_unitary(H: HadamardFiber) -> MagicUnitary:
     """Blocks U_ij = (1/K) xi xi* with xi = H_i / H_j (entrywise quotient of
     rows), held as xi. Validates the Hadamard input and the magic structure."""
+    _check_entries(f"quotients of a fiber of side {H.K}", H.K**3)
     H.validate()
     unit = MagicUnitary(H.K, _row_quotients(H.entries))
     unit.validate()
@@ -210,7 +219,10 @@ def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
     """
     _validate_pos(p=p)
     K = U.K
-    _check_budget(f"transfer matrix at K={K}, p={p}", _gather_cost(1, K, p, p))
+    what = f"transfer matrix at K={K}, p={p}"
+    # Its K^(2p) entries are a floor under the price, checked before it is formed.
+    _check_budget(what, None, 2 * p * Fraction(math.log10(K)))
+    _check_budget(what, _gather_cost(1, K, p, p))
     # The indices are as large as the matrix at M = 1, so they are not kept.
     indices = _block_indices(1, K, p, transfer=True)
     stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, 1, K, K**-(p + 1),
@@ -238,8 +250,7 @@ _DRAW_BYTES = 96
 
 
 def _philox_key(seed: int) -> int:
-    if not _is_int(seed):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
+    _validate_int("seed", seed)
     return seed & (2**64 - 1)
 
 

@@ -185,6 +185,7 @@ def kreweras_complement(part: SetPartition) -> SetPartition:
 
 def shift_block(beta: Iterable[int], p: int) -> set[int]:
     """Cyclic left shift of a block: {(x - 1) mod p for x in beta}."""
+    _validate_pos(p=p)
     beta = set(beta)
     if any(x < 0 or x >= p for x in beta):
         raise ParameterError(f"block not contained in range({p})")
@@ -372,7 +373,7 @@ def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], 
     (p, smax, tmax) and a cached table is never refused; `cache_info` and
     `cache_clear` are those of that cache.
     """
-    _validate_pos(p=p)
+    _validate_pos(p=p, smax=smax, tmax=tmax)
     return _pair_table(p, min(smax, p), min(tmax, p))
 
 

@@ -32,10 +32,12 @@ from .partitions import _code_periods, _code_weights, _orbit_scan, _row_codes, _
 
 def _pair_codes(a: Sequence[int], b: Sequence[int], M: int) -> np.ndarray:
     """The row codes (partitions._row_codes) of the single pair (a, b), a's
-    labels below M. Renumbering b's labels below their count permutes the
-    table's columns, which keeps its zero rows and its equal rows."""
+    labels below M, priced by its M p one-hot entries. Renumbering b's labels
+    below their count permutes the table's columns, which keeps its zero
+    rows and its equal rows."""
     if len(b) != len(a) or len(a) < 1:
         raise ParameterError("a and b must be nonempty of identical length")
+    _check_budget(f"row codes of a pair at M={M}, p={len(a)}", M * len(a))
     labels = {label: code for code, label in enumerate(set(b))}
     weights, W = _code_weights(np.array([[labels[v] for v in b]]), len(labels))
     return _row_codes(np.array([a], dtype=np.int64), weights, M, W)
@@ -46,6 +48,8 @@ def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bo
     labels reduced mod M and N."""
     _validate_mn(M, N)
     codes = _pair_codes([v % M for v in a], [v % N for v in b], M)
+    # Each of the M shifts compares the M rows' W words.
+    _check_budget(f"periods of a pair at M={M}", M * M * codes.shape[2])
     return _code_periods(codes)[0, :, 0].tolist()
 
 
@@ -84,7 +88,9 @@ def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int, r: i
     with the given (a, b): every step i_x - i_{x+1} must lie in the solution
     set H, so M |H|^(r-1) tuples pass, a fraction (|H| / M)^(r-1)."""
     _validate_pos(r=r)
-    return Fraction(sum(_pair_periods(a, b, M, N)), M)**(r - 1)
+    order = sum(_pair_periods(a, b, M, N))
+    _check_bits(f"tuple probability at M={M}, r={r}", (r - 1) * M.bit_length())
+    return Fraction(order, M)**(r - 1)
 
 
 @lru_cache(maxsize=256)
@@ -130,7 +136,7 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
     vectorised in one process.
     """
     _validate_mn(M, N)
-    _validate_pos(p=p, r=r)
+    _validate_pos(p=p, r=r, threads=threads)
     if M == 1 or N == 1 or r == 1:
         return Fraction(1)
     histogram = _order_histogram(M, N, p)
@@ -195,6 +201,8 @@ def d42_closed(M: int, N: int) -> Fraction:
 def closed_form_is_exact(method: str, M: int, N: int, p: int, r: int) -> bool:
     """Whether the closed form `method` ("alpha", "beta" or "d42") equals
     count_d(M, N, p, r) at this point, as stated in its docstring."""
+    _validate_mn(M, N)
+    _validate_pos(p=p, r=r)
     trivial = M == 1 or N == 1 or r == 1
     if method == "alpha":
         return trivial or p <= 2

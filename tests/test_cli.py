@@ -406,17 +406,27 @@ def test_huge_arguments_end_in_an_exit_code(argv):
     assert "Traceback" not in done.stderr
 
 
-def test_beta_at_a_huge_prime_M_is_answered_at_once():
-    # closed_form_is_exact("beta", ...) decides that 2^61 - 1 is prime
+def _run_beta_at(M, *argv):
     src = Path(__file__).resolve().parents[1] / "src"
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "fouriermoments.cli", "truncated",
-                           "--M", str(2**61 - 1), "--N", "3", "--p", "4", "--r", "2",
-                           "--method", "beta", "--budget", "100000"],
+                           "--M", str(M), "--N", "3", "--p", "4", "--r", "2",
+                           "--method", "beta", *argv],
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert time.perf_counter() - start < 2.0
     assert done.returncode == 0, done.stderr
+
+
+def test_beta_at_a_huge_prime_M_is_answered_at_once():
+    _run_beta_at(2**61 - 1, "--budget", "100000")
+
+
+def test_beta_alone_is_not_cross_checked():
+    # Past the Miller-Rabin bound, deciding that M is prime is a trial
+    # division over the budget; with no direct count to compare with,
+    # closed_form_is_exact is not asked.
+    _run_beta_at(2**89 - 1)
 
 
 def test_json_format(capsys):

@@ -548,6 +548,25 @@ def test_i_tuple_probability_closed_form():
             i_tuple_probability(*args)
 
 
+def test_single_pair_work_is_priced():
+    # Each is refused before it is formed: the M^2 W shift comparisons
+    # (4e10 at M = 200000), the M p one-hot rows (745 GiB at M = 10^11) and
+    # the power of r, priced by its bits.
+    calls = [lambda: solution_set((0, 1, 0, 1), (0, 1, 1, 0), 200000, 2),
+             lambda: solution_set((0, 1, 0, 1), (0, 1, 1, 0), 10**11, 2),
+             lambda: counting_condition((0, 1), (0, 1, 0, 1), (0, 1, 1, 0), 10**11, 2),
+             lambda: i_tuple_probability((0, 1), (0, 1), 2, 2, 10**400)]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            call()
+        assert time.perf_counter() - start < 0.1
+    with budget(10**6):
+        assert solution_set((0, 1, 0, 1), (0, 1, 1, 0), 400, 2) == set(range(400))
+        with pytest.raises(BudgetError):
+            base_condition(range(1001), range(1001))
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         count_d(0, 2, 2, 2)
