@@ -113,11 +113,8 @@ class Cache:
     def fetch(self, key: tuple) -> Fraction | None:
         if not self.directory:
             return None
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, encoding="utf-8") as handle:
+        try:  # a missing file is an OSError too
+            with open(self._path(key), encoding="utf-8") as handle:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None

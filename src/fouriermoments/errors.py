@@ -36,23 +36,16 @@ class CrossCheckError(RuntimeError):
     """Two exact methods disagreed on a value that must be identical."""
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is not a moment parameter.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate_mn(M: int, N: int) -> None:
-    _validate_pos(M=M, N=N)
-
-
 def _validate_pos(**kwargs: int) -> None:
     for name, value in kwargs.items():
         _validate_int(name, value, 1)
 
 
 def _validate_int(name: str, value, least: int | None = None) -> None:
-    """Refuse a value that is not an int, or is below `least` (0 or 1) if given."""
-    if not (_is_int(value) and (least is None or value >= least)):
+    """Refuse a value that is not an int, or is below `least` (0 or 1) if
+    given. bool is an int subclass, but True is not a moment parameter."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and (least is None or value >= least)):
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
         raise ParameterError(f"{name} must be {kind} integer, got {value!r}")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _validate_int, _validate_mn, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_int, _validate_pos
 from .partitions import stirling_number, triangle_pair_counts
 from .truncated import _order_histogram
 
@@ -29,8 +29,7 @@ def delta_direct(M: int, N: int, p: int) -> Fraction:
     """Exact fraction of (a, b) index pairs satisfying the base multiset
     condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, by direct enumeration:
     the pairs whose solution set is all of Z_M."""
-    _validate_mn(M, N)
-    _validate_pos(p=p)
+    _validate_pos(M=M, N=N, p=p)
     if M == 1 or N == 1:
         return Fraction(1)
     # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
@@ -42,8 +41,7 @@ def delta_direct(M: int, N: int, p: int) -> Fraction:
 def delta_partition(M: int, N: int, p: int) -> Fraction:
     """The limiting moment as a sum over shift-compatible partition pairs,
     weighted by falling factorials of M and N; 1 when a side has one row."""
-    _validate_mn(M, N)
-    _validate_pos(p=p)
+    _validate_pos(M=M, N=N, p=p)
     if M == 1 or N == 1:
         return Fraction(1)
     table = triangle_pair_counts(p, min(p, M), min(p, N))
@@ -89,8 +87,7 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
     """Populate the full (s, t) contribution table
     falling(M,s) * S_ps / M^p * falling(N,t) * S_pt / N^p * epsilon_p(s,t)
     for s <= min(p, M), t <= min(p, N)."""
-    _validate_mn(M, N)
-    _validate_pos(p=p)
+    _validate_pos(M=M, N=N, p=p)
     table = triangle_pair_counts(p, min(p, M), min(p, N))  # keyed (s, t) in row order
     eps = {(s, t): Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
            for (s, t), pairs in table.items()}
@@ -155,7 +152,7 @@ def delta_binomial(M: int, N: int, p: int) -> Fraction:
     """Exact limiting moment through the binomial route, which needs a side
     equal to 2. The pair-compatibility problem is symmetric in the two
     sides, so a two-row N works the same as a two-row M."""
-    _validate_mn(M, N)
+    _validate_pos(M=M, N=N)
     if M == 2:
         return delta_m2(N, p)
     if N == 2:
@@ -242,7 +239,7 @@ def _fft_product(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]):
 def delta_upper_bound(M: int, N: int, p: int) -> Fraction:
     """Exact upper bound for the limiting moment:
     1 - (1 - M^(1-p)) (1 - N^(1-p)) (1 - epsilon_p(2, 2))."""
-    _validate_mn(M, N)
+    _validate_pos(M=M, N=N)
     if M < 2 or N < 2:
         raise ParameterError("the bound requires M, N >= 2")
     if p < 2:
@@ -255,8 +252,7 @@ def delta_exact(M: int, N: int, p: int) -> Fraction:
     """The limiting moment by the binomial route when the smaller side is 2,
     else by the partition sum. With both sides >= 3 the period histogram of
     direct enumeration always costs more than the partition-pair scan."""
-    _validate_mn(M, N)
-    _validate_pos(p=p)
+    _validate_pos(M=M, N=N, p=p)
     if min(M, N) == 2:
         return delta_binomial(M, N, p)
     return delta_partition(M, N, p)

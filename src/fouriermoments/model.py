@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _check_budget, _validate_int, _validate_mn, _validate_pos
+from .errors import ValidationError, _check_budget, _validate_int, _validate_pos
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -76,16 +76,16 @@ class PhaseMatrix:
 
 
 def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
-    _validate_mn(M, N)
+    _validate_pos(M=M, N=N)
     _check_entries(f"{M} x {N} phase matrix", M * N)
     return PhaseMatrix(M, N, np.ones((M, N), dtype=complex))
 
 
 def random_phase_matrix(M: int, N: int, rng: np.random.Generator) -> PhaseMatrix:
     """Independent uniform phase per entry, one angle draw each."""
-    _validate_mn(M, N)
+    _validate_pos(M=M, N=N)
     _check_entries(f"{M} x {N} phase matrix", M * N)
-    return PhaseMatrix(M, N, _unit_phases(rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
+    return PhaseMatrix(M, N, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
 
 
 def _unit_phases(angles: np.ndarray) -> np.ndarray:
@@ -433,8 +433,7 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     """Monte Carlo estimate of c_p^r(M, N): the sample mean over independent
     draws of (Q_1, ..., Q_r) of Tr(T_p(Q_1) ... T_p(Q_r)), each Q a uniform
     phase matrix. Deterministic for a fixed seed, whatever the chunk size."""
-    _validate_mn(M, N)
-    _validate_pos(p=p, r=r, samples=samples)
+    _validate_pos(M=M, N=N, p=p, r=r, samples=samples)
     key = _philox_key(seed)
     # The block loop's work per sample: max(1, q - 2) products of the
     # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
@@ -469,8 +468,7 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
     """Monte Carlo estimate of the limiting moment as the mean of
     Tr((G(Q) / MN)^p), with G(Q) the Gram matrix of the rows of a uniform
     phase matrix Q."""
-    _validate_mn(M, N)
-    _validate_pos(p=p, samples=samples)
+    _validate_pos(M=M, N=N, p=p, samples=samples)
     key = _philox_key(seed)
     # The values' bytes and the kernel's ops for M N draws a sample, a gram, its power.
     cost = samples * (8 + _DRAW_OPS * M * N) + M * M * N + M**3 * p.bit_length()

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _validate_mn, _validate_pos
+from .errors import ParameterError, _check_budget, _validate_pos
 from .partitions import _code_periods, _code_weights, _orbit_scan, _row_codes, _stirling_row
 
 
@@ -46,7 +46,7 @@ def _pair_codes(a: Sequence[int], b: Sequence[int], M: int) -> np.ndarray:
 def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bool]:
     """Whether each shift in Z_M is a period of the pair's table, with the
     labels reduced mod M and N."""
-    _validate_mn(M, N)
+    _validate_pos(M=M, N=N)
     codes = _pair_codes([v % M for v in a], [v % N for v in b], M)
     # Each of the M shifts compares the M rows' W words.
     _check_budget(f"periods of a pair at M={M}", M * M * codes.shape[2])
@@ -135,8 +135,7 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
     their bits after it. `threads` is accepted and ignored: the count is
     vectorised in one process.
     """
-    _validate_mn(M, N)
-    _validate_pos(p=p, r=r, threads=threads)
+    _validate_pos(M=M, N=N, p=p, r=r, threads=threads)
     if M == 1 or N == 1 or r == 1:
         return Fraction(1)
     histogram = _order_histogram(M, N, p)
@@ -148,8 +147,7 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
 
 def c_from_d(d: Fraction, M: int, N: int, p: int) -> Fraction:
     """Rescale a normalized moment back to c_p^r = (MN)^(p-1) * d."""
-    _validate_mn(M, N)
-    _validate_pos(p=p)
+    _validate_pos(M=M, N=N, p=p)
     _check_bits(f"c_p^r at ({M},{N},{p})", (p - 1) * (M * N).bit_length())
     return d * (M * N)**(p - 1)
 
@@ -160,8 +158,7 @@ def alpha(M: int, N: int, p: int, r: int) -> Fraction:
 
     Equals d_p^r(M, N) when M = 1, N = 1, r = 1 or p <= 2.
     """
-    _validate_mn(M, N)
-    _validate_pos(p=p, r=r)
+    _validate_pos(M=M, N=N, p=p, r=r)
     _check_bits(f"alpha at ({M},{N},{p},{r})", (p + r) * M.bit_length() + p * N.bit_length())
     return 1 - Fraction((M**p - M) * (M**r - M) * (N**p - N), M**(p + r) * N**p)
 
@@ -174,8 +171,7 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
     when M = 1, N = 1, r = 1 or p <= 3, and for every p when M is prime,
     because Z_M then has only the trivial subgroups.
     """
-    _validate_mn(M, N)
-    _validate_pos(p=p, r=r)
+    _validate_pos(M=M, N=N, p=p, r=r)
     delta_p = Fraction(delta_p)
     _check_bits(f"beta at ({M},{N},{p},{r})", (r - 1) * M.bit_length())
     return delta_p + Fraction(1, M**(r - 1)) * (1 - delta_p)
@@ -189,7 +185,7 @@ def d42_closed(M: int, N: int) -> Fraction:
     p = 4 pair table, 1 at (1,1), (1,4), (4,1); 7 at (1,2), (2,1); 6 at
     (1,3), (2,3), (3,1), (3,2); 20 at (2,2). Expanded, that is MN times the
     numerator below."""
-    _validate_mn(M, N)
+    _validate_pos(M=M, N=N)
     delta_4 = Fraction(M**3 + N**3 + 6 * M * N * (M + N) - 6 * (M * M + N * N)
                        - 16 * M * N + 10 * (M + N) - 5, (M * N)**3)
     value = beta(M, N, 4, 2, delta_4)
@@ -201,8 +197,7 @@ def d42_closed(M: int, N: int) -> Fraction:
 def closed_form_is_exact(method: str, M: int, N: int, p: int, r: int) -> bool:
     """Whether the closed form `method` ("alpha", "beta" or "d42") equals
     count_d(M, N, p, r) at this point, as stated in its docstring."""
-    _validate_mn(M, N)
-    _validate_pos(p=p, r=r)
+    _validate_pos(M=M, N=N, p=p, r=r)
     trivial = M == 1 or N == 1 or r == 1
     if method == "alpha":
         return trivial or p <= 2
