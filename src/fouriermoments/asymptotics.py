@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, _check_budget, _validate_pos
+from .errors import ParameterError, _check_budget, _name, _validate_pos
 from .limits import delta_exact
 from .partitions import _narayana_profile
 
@@ -42,7 +42,8 @@ def stirling_polynomial(p: int) -> StirlingPolynomial:
     """Exact block-count profile of the non-crossing partitions."""
     _validate_pos(p=p)
     # p ratio steps on integers of up to 2p bits
-    _check_budget(f"Narayana profile of p={p}", p * (1 + 2 * p // sys.int_info.bits_per_digit))
+    _check_budget(f"Narayana profile of p={_name(p)}",
+                  p * (1 + 2 * p // sys.int_info.bits_per_digit))
     return StirlingPolynomial(p, tuple(_narayana_profile(p)))
 
 
@@ -51,11 +52,11 @@ def free_poisson_moment(t: Fraction | int, p: int) -> Fraction:
     t: the block-count polynomial of the non-crossing lattice at t."""
     t = Fraction(t)
     if t <= 0:
-        raise ParameterError(f"t must be positive, got {t}")
+        raise ParameterError(f"t must be positive, got {_name(t)}")
     _validate_pos(p=p)
     # p Horner steps on integers of up to p (2 + bits of t) bits
     bits = 2 + t.numerator.bit_length() + t.denominator.bit_length()
-    _check_budget(f"free Poisson moment at p={p}",
+    _check_budget(f"free Poisson moment at p={_name(p)}",
                   p * (1 + p * bits // sys.int_info.bits_per_digit))
     return stirling_polynomial(p)(t)
 
@@ -91,7 +92,7 @@ def regime_check(t: Fraction | int, p: int, N_values: list[int]) -> RegimeReport
         _validate_pos(N=N)
         M_exact = t * N
         if M_exact.denominator != 1 or M_exact < 1:
-            raise ParameterError(f"t*N = {M_exact} is not a positive integer")
+            raise ParameterError(f"t*N = {_name(M_exact)} is not a positive integer")
         M = int(M_exact)
         delta = delta_exact(M, N, p)
         predicted = moment * Fraction(N, M**p)

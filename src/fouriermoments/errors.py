@@ -1,6 +1,11 @@
 """Shared exception types, the argument checks, and the scoped budget with
 the gate that reads it. It imports no other module of the package.
 
+`_validate_int` (and `_validate_pos`, its keyword form for positive sizes)
+is the library's one integer check, and `_name` is how every message shows
+an argument: an integer past 10^17 as d.ddde+XX, so that one past the
+interpreter's 4300-digit string limit is still named.
+
 Exit-code mapping used by the CLI: ParameterError -> 2, BudgetError -> 3,
 CrossCheckError -> 4.
 """
@@ -8,6 +13,7 @@ CrossCheckError -> 4.
 import contextlib
 import contextvars
 import math
+from fractions import Fraction
 
 # Each exact kernel refuses work estimated above this many elementary
 # operations, or above the limit of the `budget` block its thread is in.
@@ -47,7 +53,19 @@ def _validate_int(name: str, value, least: int | None = None) -> None:
     if not (isinstance(value, int) and not isinstance(value, bool)
             and (least is None or value >= least)):
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
-        raise ParameterError(f"{name} must be {kind} integer, got {value!r}")
+        raise ParameterError(f"{name} must be {kind} integer, got {_name(value)}")
+
+
+def _name(value) -> str:
+    """How a message shows an argument: by repr, except that an integer past
+    10^17, alone or as a term of a Fraction (shown as str shows it), goes
+    through _scientific, because str refuses one of over 4300 digits."""
+    if isinstance(value, Fraction):
+        terms = (value.numerator,) + (value.denominator,) * (value.denominator != 1)
+        return "/".join(map(_name, terms))
+    if isinstance(value, int) and abs(value) >= 10**17:
+        return "-" * (value < 0) + _scientific(abs(value))
+    return repr(value)
 
 
 @contextlib.contextmanager
@@ -78,10 +96,13 @@ def _check_budget(what: str, cost: int | None, log10_cost=None) -> None:
 def _scientific(n: int, log10=None) -> str:
     """n as d.ddde+XX. Past 10^17 it is named from its log10: a cost can
     outgrow the float range and the length str() converts, and one too large
-    to form at all is passed as a lower bound n with the estimate's log10."""
+    to form at all is passed as a lower bound n with the estimate's log10.
+    An exponent past 10^17 is itself shown this way."""
     if log10 is None and n < 10**17:
         return f"{n:.3e}"
     log10 = math.log10(n) if log10 is None else log10
     shift = math.floor(log10)
     mantissa, exponent = f"{10 ** float(log10 - shift):.3e}".split("e")
-    return f"{mantissa}e{int(exponent) + shift:+03d}"
+    exponent = int(exponent) + shift
+    return f"{mantissa}e{exponent:+03d}" if exponent < 10**17 else \
+        f"{mantissa}e+{_scientific(exponent)}"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _validate_int, _validate_pos
+from .errors import ParameterError, _check_budget, _name, _validate_int, _validate_pos
 from .partitions import stirling_number, triangle_pair_counts
 from .truncated import _order_histogram
 
@@ -54,7 +54,7 @@ def epsilon(p: int, s: int, t: int) -> Fraction:
     |sigma| = t is shift-compatible."""
     _validate_pos(p=p, s=s, t=t)
     if s > p or t > p:
-        raise ParameterError(f"block counts must satisfy s, t <= p, got {(s, t)}")
+        raise ParameterError(f"block counts must satisfy s, t <= p, got ({_name(s)}, {_name(t)})")
     pairs = triangle_pair_counts(p, s, t)[(s, t)]
     return Fraction(pairs, stirling_number(p, s) * stirling_number(p, t))
 
@@ -168,7 +168,7 @@ def delta_m2_float(N: int, p: int) -> float:
     Relative error is below 1e-9 against the exact route for p <= 200."""
     _validate_pos(N=N, p=p)
     if p > FLOAT_P_CAP:
-        raise ParameterError(f"p={p} exceeds the floating-path cap {FLOAT_P_CAP}")
+        raise ParameterError(f"p={_name(p)} exceeds the floating-path cap {FLOAT_P_CAP}")
     if N == 1:
         return 1.0
     if N > 2 and _rounds_to_zero(N, p):
@@ -178,7 +178,7 @@ def delta_m2_float(N: int, p: int) -> float:
         L = 1 << (2 * kmax + 1).bit_length()  # each at FFT length L, ~L log2 L
         cost = (N.bit_length() + N.bit_count() - 2) * L * (L.bit_length() - 1)
         _check_budget(f"FFT power of a {N.bit_length()}-bit N at p={p}", cost)
-    lf = np.array([math.lgamma(n + 1) for n in range(p + 1)])
+    lf = np.fromiter(map(math.lgamma, range(1, p + 2)), float, p + 1)  # log n! for n = 0..p
     ks = np.arange(kmax + 1)
     log_comb = lf[p] - lf[2 * ks] - lf[p - 2 * ks]
     weights, log_a = 1.0, lf[2 * ks] - 2 * lf[ks]  # log A_2(k) = log C(2k, k)

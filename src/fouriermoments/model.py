@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _check_budget, _validate_int, _validate_pos
+from .errors import ValidationError, _check_budget, _name, _validate_int, _validate_pos
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -70,21 +70,23 @@ class PhaseMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        _validate_pos(M=self.M, N=self.N)
         if self.entries.shape != (self.M, self.N):
-            raise ValidationError(f"expected shape {(self.M, self.N)}, got {self.entries.shape}")
+            raise ValidationError(f"expected shape ({_name(self.M)}, {_name(self.N)}), "
+                                  f"got {self.entries.shape}")
         _check_unit_modulus(self.entries)
 
 
 def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
     _validate_pos(M=M, N=N)
-    _check_entries(f"{M} x {N} phase matrix", M * N)
+    _check_entries(f"{_name(M)} x {_name(N)} phase matrix", M * N)
     return PhaseMatrix(M, N, np.ones((M, N), dtype=complex))
 
 
 def random_phase_matrix(M: int, N: int, rng: np.random.Generator) -> PhaseMatrix:
     """Independent uniform phase per entry, one angle draw each."""
     _validate_pos(M=M, N=N)
-    _check_entries(f"{M} x {N} phase matrix", M * N)
+    _check_entries(f"{_name(M)} x {_name(N)} phase matrix", M * N)
     return PhaseMatrix(M, N, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
 
 
@@ -102,9 +104,12 @@ class HadamardFiber:
     K: int
     entries: np.ndarray
 
+    def __post_init__(self):
+        _validate_pos(K=self.K)
+
     def validate(self) -> None:
         if self.entries.shape != (self.K, self.K):
-            raise ValidationError(f"expected shape {(self.K, self.K)}")
+            raise ValidationError(f"expected shape ({_name(self.K)}, {_name(self.K)})")
         _check_unit_modulus(self.entries)
         gram = self.entries @ self.entries.conj().T
         resid = np.abs(gram - self.K * np.eye(self.K)).max()
@@ -115,7 +120,7 @@ class HadamardFiber:
 def fourier_matrix(n: int) -> HadamardFiber:
     """The n x n matrix with entry (j, k) = exp(2 pi i j k / n)."""
     _validate_pos(n=n)
-    _check_entries(f"Fourier matrix of side {n}", n * n)
+    _check_entries(f"Fourier matrix of side {_name(n)}", n * n)
     return HadamardFiber(n, _fourier_entries(n).copy())
 
 
@@ -155,6 +160,9 @@ class MagicUnitary:
     K: int
     quotients: np.ndarray  # (K, K, K)
 
+    def __post_init__(self):
+        _validate_pos(K=self.K)
+
     @property
     def blocks(self) -> np.ndarray:
         """The (K, K, K, K) array of blocks, built afresh on each read."""
@@ -183,7 +191,7 @@ def _row_quotients(H: np.ndarray) -> np.ndarray:
 def magic_unitary(H: HadamardFiber) -> MagicUnitary:
     """Blocks U_ij = (1/K) xi xi* with xi = H_i / H_j (entrywise quotient of
     rows), held as xi. Validates the Hadamard input and the magic structure."""
-    _check_entries(f"quotients of a fiber of side {H.K}", H.K**3)
+    _check_entries(f"quotients of a fiber of side {_name(H.K)}", H.K**3)
     H.validate()
     unit = MagicUnitary(H.K, _row_quotients(H.entries))
     unit.validate()
@@ -219,7 +227,7 @@ def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
     """
     _validate_pos(p=p)
     K = U.K
-    what = f"transfer matrix at K={K}, p={p}"
+    what = f"transfer matrix at K={_name(K)}, p={_name(p)}"
     # Its K^(2p) entries are a floor under the price, checked before it is formed.
     _check_budget(what, None, 2 * p * Fraction(math.log10(K)))
     _check_budget(what, _gather_cost(1, K, p, p))
@@ -445,7 +453,8 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     _check_budget(what, cost)
     K, blocks = M * N, (M**(n - 1), M * N**n, M * N**n)
     # One op per byte of the values, and the kernel's for each of r K draws.
-    _check_budget(f"{samples} sample values and draws", samples * (8 + _DRAW_OPS * r * K))
+    _check_budget(f"{_name(samples)} sample values and draws",
+                  samples * (8 + _DRAW_OPS * r * K))
     indices = _block_indices(M, N, n, transfer=r > p)
     # A sample holds its r grams, quotients and their conjugates, and four
     # block stacks (three in `work` and a gathered factor), 16 bytes an entry.
@@ -472,7 +481,7 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
     key = _philox_key(seed)
     # The values' bytes and the kernel's ops for M N draws a sample, a gram, its power.
     cost = samples * (8 + _DRAW_OPS * M * N) + M * M * N + M**3 * p.bit_length()
-    _check_budget(f"{samples} gram samples at ({M},{N},{p})", cost)
+    _check_budget(f"{_name(samples)} gram samples at ({_name(M)},{_name(N)},{_name(p)})", cost)
     # A sample holds its phases and their conjugates, its gram and the
     # products of its power, 16 bytes an entry.
     sample_bytes = 16 * (2 * M * N + 4 * M * M)

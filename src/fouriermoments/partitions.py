@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _validate_int, _validate_pos
+from .errors import ParameterError, _check_budget, _name, _validate_int, _validate_pos
 
 # Enumeration over all of P(p) is refused above this ground-set size
 # (Bell(12) = 4 213 597 partitions is the largest full stream supported).
@@ -43,6 +43,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _validate_int("p", self.p, 0)
         seen = set()
         for block in self.blocks:
             if not block:
@@ -50,9 +51,10 @@ class SetPartition:
             if tuple(sorted(block)) != block:
                 raise ParameterError("block not sorted; use from_blocks()")
             seen.update(block)
-        if seen != set(range(self.p)):
+        # Sets of different sizes differ, so range(p) is formed only at the union's size.
+        if len(seen) != self.p or seen != set(range(self.p)):
             raise ParameterError(
-                f"blocks do not partition range({self.p}): union={sorted(seen)}")
+                f"blocks do not partition range({_name(self.p)}): union={sorted(seen)}")
         if sum(len(b) for b in self.blocks) != self.p:
             raise ParameterError("blocks are not pairwise disjoint")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
@@ -100,7 +102,7 @@ class SetPartition:
 def _check_p(p: int) -> None:
     _validate_pos(p=p)
     if p > ENUMERATION_CAP:
-        raise ParameterError(f"p={p} exceeds the enumeration cap {ENUMERATION_CAP}")
+        raise ParameterError(f"p={_name(p)} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 def _rgs_stream(p: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
@@ -188,7 +190,7 @@ def shift_block(beta: Iterable[int], p: int) -> set[int]:
     _validate_pos(p=p)
     beta = set(beta)
     if any(x < 0 or x >= p for x in beta):
-        raise ParameterError(f"block not contained in range({p})")
+        raise ParameterError(f"block not contained in range({_name(p)})")
     return {(x - 1) % p for x in beta}
 
 
@@ -213,7 +215,7 @@ def triangle_relation(pi: SetPartition, sigma: SetPartition) -> bool:
 def _stirling_row(p: int) -> tuple[int, ...]:
     # S(p, s) for s = 0..p via S(p, s) = s*S(p-1, s) + S(p-1, s-1), priced
     # on a miss only, so a cached row is never refused.
-    _check_budget(f"Stirling row of p={p}", _stirling_cost(p))
+    _check_budget(f"Stirling row of p={_name(p)}", _stirling_cost(p))
     row = [1]
     for n in range(1, p + 1):
         prev = row

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _validate_pos
+from .errors import ParameterError, _check_budget, _name, _validate_pos
 from .partitions import _code_periods, _code_weights, _orbit_scan, _row_codes, _stirling_row
 
 
@@ -37,7 +37,7 @@ def _pair_codes(a: Sequence[int], b: Sequence[int], M: int) -> np.ndarray:
     rows and its equal rows."""
     if len(b) != len(a) or len(a) < 1:
         raise ParameterError("a and b must be nonempty of identical length")
-    _check_budget(f"row codes of a pair at M={M}, p={len(a)}", M * len(a))
+    _check_budget(f"row codes of a pair at M={_name(M)}, p={len(a)}", M * len(a))
     labels = {label: code for code, label in enumerate(set(b))}
     weights, W = _code_weights(np.array([[labels[v] for v in b]]), len(labels))
     return _row_codes(np.array([a], dtype=np.int64), weights, M, W)
@@ -49,7 +49,7 @@ def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bo
     _validate_pos(M=M, N=N)
     codes = _pair_codes([v % M for v in a], [v % N for v in b], M)
     # Each of the M shifts compares the M rows' W words.
-    _check_budget(f"periods of a pair at M={M}", M * M * codes.shape[2])
+    _check_budget(f"periods of a pair at M={_name(M)}", M * M * codes.shape[2])
     return _code_periods(codes)[0, :, 0].tolist()
 
 
@@ -89,7 +89,7 @@ def i_tuple_probability(a: Sequence[int], b: Sequence[int], M: int, N: int, r: i
     set H, so M |H|^(r-1) tuples pass, a fraction (|H| / M)^(r-1)."""
     _validate_pos(r=r)
     order = sum(_pair_periods(a, b, M, N))
-    _check_bits(f"tuple probability at M={M}, r={r}", (r - 1) * M.bit_length())
+    _check_bits(f"tuple probability at M={_name(M)}, r={_name(r)}", (r - 1) * M.bit_length())
     return Fraction(order, M)**(r - 1)
 
 
@@ -109,7 +109,7 @@ def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
     """
     if M == 1 or N == 1 or p == 1:  # Z_M is trivial, or f vanishes: H = Z_M
         return {M: (M * N)**(p - 1)}
-    T, what = min(N, p), f"period histogram of ({M},{N},{p})"
+    T, what = min(N, p), f"period histogram of ({_name(M)},{_name(N)},{_name(p)})"
     # R partitions: R p^2 to find their orbits, then about R / p of them, each
     # against a_rows pinned a at 2p + M^2 T (a pair's table and its M shifts).
     # Its floor at R = 1 comes first, so a_rows = M^(p-1) and R are formed after.
@@ -139,7 +139,8 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
     if M == 1 or N == 1 or r == 1:
         return Fraction(1)
     histogram = _order_histogram(M, N, p)
-    _check_bits(f"d_p^r at ({M},{N},{p},{r})", (p + r) * M.bit_length() + p * N.bit_length())
+    _check_bits(f"d_p^r at ({_name(M)},{_name(N)},{_name(p)},{_name(r)})",
+                (p + r) * M.bit_length() + p * N.bit_length())
     total = sum(mult * h**(r - 1) for h, mult in histogram.items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.
     return Fraction(total * M * M * N, M**(p + r) * N**p)
@@ -148,7 +149,8 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
 def c_from_d(d: Fraction, M: int, N: int, p: int) -> Fraction:
     """Rescale a normalized moment back to c_p^r = (MN)^(p-1) * d."""
     _validate_pos(M=M, N=N, p=p)
-    _check_bits(f"c_p^r at ({M},{N},{p})", (p - 1) * (M * N).bit_length())
+    _check_bits(f"c_p^r at ({_name(M)},{_name(N)},{_name(p)})",
+                (p - 1) * (M * N).bit_length())
     return d * (M * N)**(p - 1)
 
 
@@ -159,7 +161,8 @@ def alpha(M: int, N: int, p: int, r: int) -> Fraction:
     Equals d_p^r(M, N) when M = 1, N = 1, r = 1 or p <= 2.
     """
     _validate_pos(M=M, N=N, p=p, r=r)
-    _check_bits(f"alpha at ({M},{N},{p},{r})", (p + r) * M.bit_length() + p * N.bit_length())
+    _check_bits(f"alpha at ({_name(M)},{_name(N)},{_name(p)},{_name(r)})",
+                (p + r) * M.bit_length() + p * N.bit_length())
     return 1 - Fraction((M**p - M) * (M**r - M) * (N**p - N), M**(p + r) * N**p)
 
 
@@ -173,7 +176,8 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
     """
     _validate_pos(M=M, N=N, p=p, r=r)
     delta_p = Fraction(delta_p)
-    _check_bits(f"beta at ({M},{N},{p},{r})", (r - 1) * M.bit_length())
+    _check_bits(f"beta at ({_name(M)},{_name(N)},{_name(p)},{_name(r)})",
+                (r - 1) * M.bit_length())
     return delta_p + Fraction(1, M**(r - 1)) * (1 - delta_p)
 
 

@@ -1,9 +1,12 @@
-"""Every integer parameter of the library's public functions, given a bool,
-a float, a negative number, zero or a huge integer, ends in a value (only
-where that value is legal for it) or in ParameterError or BudgetError, under
-a small budget and a time bound."""
+"""Every integer parameter of the library's public functions and of its
+input dataclasses, given a bool, a float, a negative number, zero or an
+integer of either sign past the interpreter's 4300-digit string limit, ends
+in a value (only where that value is legal for it) or in ParameterError or
+BudgetError, under a small budget and a time bound. A constructor may also
+raise ValidationError where a legal integer disagrees with its array."""
 
 import inspect
+import math
 import signal
 from fractions import Fraction
 
@@ -11,18 +14,23 @@ import numpy as np
 
 import fouriermoments
 from fouriermoments import model, partitions
-from fouriermoments.errors import BudgetError, ParameterError, budget
+from fouriermoments.errors import BudgetError, ParameterError, ValidationError, budget
 
-BAD_VALUES = (True, 2.5, -1, 0, 10**400)
-# Per parameter, the values of BAD_VALUES that it takes; others take only 10^400.
-NONNEGATIVE = (0, 10**400)
-ANY_INTEGER = (-1, 0, 10**400)
+BAD_VALUES = (True, 2.5, -1, 0, 10**400, 10**5000, -10**5000)
+# Per parameter, the values of BAD_VALUES that it takes; others take only the
+# huge positive ones.
+HUGE = (10**400, 10**5000)
+NONNEGATIVE = (0, *HUGE)
+ANY_INTEGER = (-1, 0, *HUGE, -10**5000)
 LEGAL = {("budget", "ops"): NONNEGATIVE, ("moment_integral", "k"): NONNEGATIVE,
          ("bell_number", "p"): NONNEGATIVE, ("stirling_number", "p"): NONNEGATIVE,
          ("stirling_number", "s"): ANY_INTEGER, ("mc_estimate_c", "seed"): ANY_INTEGER,
-         ("mc_estimate_delta", "seed"): ANY_INTEGER}
+         ("mc_estimate_delta", "seed"): ANY_INTEGER, ("SetPartition", "p"): NONNEGATIVE}
 # The public functions of `partitions` that the package does not export.
 UNEXPORTED = (partitions.stirling_number, partitions.bell_number, partitions.triangle_pair_counts)
+# The dataclasses that take sizes with their data.
+CONSTRUCTORS = (model.PhaseMatrix, model.HadamardFiber, model.MagicUnitary,
+                partitions.SetPartition)
 
 
 def _legal_arguments():
@@ -68,6 +76,10 @@ def _legal_arguments():
         "stirling_number": dict(p=4, s=2),
         "bell_number": dict(p=4),
         "triangle_pair_counts": dict(p=4, smax=2, tmax=2),
+        "PhaseMatrix": dict(M=1, N=2, entries=np.ones((1, 2), dtype=complex)),
+        "HadamardFiber": dict(K=1, entries=np.ones((1, 1), dtype=complex)),
+        "MagicUnitary": dict(K=1, quotients=np.ones((1, 1, 1), dtype=complex)),
+        "SetPartition": dict(p=3, blocks=((0, 1, 2),)),
     }
 
 
@@ -79,7 +91,8 @@ def _integer_parameters(function):
 def _functions():
     exported = [value for name, value in vars(fouriermoments).items()
                 if inspect.isfunction(value) and not name.startswith("_")]
-    return {function.__name__: function for function in exported + list(UNEXPORTED)
+    return {function.__name__: function
+            for function in exported + list(UNEXPORTED) + list(CONSTRUCTORS)
             if _integer_parameters(function)}
 
 
@@ -91,6 +104,13 @@ def _call(function, arguments):
         with result:
             pass
     return result
+
+
+def _shown(value) -> str:
+    # repr refuses an integer of over 4300 digits
+    if isinstance(value, int) and abs(value) > 10**4000:
+        return f"{'-' * (value < 0)}10**{round(math.log10(abs(value)))}"
+    return repr(value)
 
 
 def _on_alarm(signum, frame):
@@ -108,16 +128,20 @@ def test_every_integer_parameter_refuses_bad_values():
                 _call(function, arguments[name])
             for parameter in _integer_parameters(function):
                 for value in BAD_VALUES:
+                    legal = value in LEGAL.get((name, parameter), HUGE)
                     signal.alarm(2)
                     try:
                         with budget(10**6):
                             _call(function, {**arguments[name], parameter: value})
-                        if value not in LEGAL.get((name, parameter), (10**400,)):
-                            wrong.append((name, parameter, value, "returned"))
+                        if not legal:
+                            wrong.append((name, parameter, _shown(value), "returned"))
                     except (ParameterError, BudgetError):
                         pass
+                    except ValidationError as error:
+                        if not (legal and function in CONSTRUCTORS):
+                            wrong.append((name, parameter, _shown(value), repr(error)[:200]))
                     except Exception as error:
-                        wrong.append((name, parameter, value, repr(error)[:200]))
+                        wrong.append((name, parameter, _shown(value), repr(error)[:200]))
                     finally:
                         signal.alarm(0)
     finally:
