@@ -60,11 +60,13 @@ def _name(value) -> str:
     """How a message shows an argument: by repr, except that an integer past
     10^17, alone or as a term of a Fraction (shown as str shows it), goes
     through _scientific, because str refuses one of over 4300 digits."""
+    if isinstance(value, int):  # first: the gates name small ints on every call
+        if -10**17 < value < 10**17:
+            return repr(value)
+        return "-" * (value < 0) + _scientific(abs(value))
     if isinstance(value, Fraction):
         terms = (value.numerator,) + (value.denominator,) * (value.denominator != 1)
         return "/".join(map(_name, terms))
-    if isinstance(value, int) and abs(value) >= 10**17:
-        return "-" * (value < 0) + _scientific(abs(value))
     return repr(value)
 
 

@@ -54,7 +54,8 @@ class SetPartition:
         # Sets of different sizes differ, so range(p) is formed only at the union's size.
         if len(seen) != self.p or seen != set(range(self.p)):
             raise ParameterError(
-                f"blocks do not partition range({_name(self.p)}): union={sorted(seen)}")
+                f"blocks do not partition range({_name(self.p)}): "
+                f"union=[{', '.join(map(_name, sorted(seen)))}]")
         if sum(len(b) for b in self.blocks) != self.p:
             raise ParameterError("blocks are not pairwise disjoint")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
