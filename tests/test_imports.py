@@ -98,11 +98,10 @@ def test_only_errors_checks_integers():
     # every integer argument goes through `errors._validate_int`, so no module
     # keeps an isinstance check on int or bool of its own
     problems = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "errors.py"}):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
-                    and len(node.args) == 2 and path.stem != "errors":
-                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
                 if {getattr(kind, "id", None) for kind in kinds} & {"int", "bool"}:
                     problems.append(f"{path.stem}:{node.lineno} checks an int")
     assert problems == []
