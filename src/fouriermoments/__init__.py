@@ -48,7 +48,6 @@ from .model import (
     PhaseMatrix,
     HadamardFiber,
     MagicUnitary,
-    TransferMatrix,
     fourier_matrix,
     flat_phase_matrix,
     random_phase_matrix,

@@ -65,29 +65,25 @@ def _check_unit_modulus(entries: np.ndarray) -> None:
 class PhaseMatrix:
     """M x N array of unit-modulus deformation parameters."""
 
-    M: int
-    N: int
     entries: np.ndarray
 
     def __post_init__(self):
-        _validate_pos(M=self.M, N=self.N)
-        if self.entries.shape != (self.M, self.N):
-            raise ValidationError(f"expected shape ({_name(self.M)}, {_name(self.N)}), "
-                                  f"got {self.entries.shape}")
+        if self.entries.ndim != 2 or not self.entries.size:
+            raise ValidationError(f"expected a non-empty M x N array, got {self.entries.shape}")
         _check_unit_modulus(self.entries)
 
 
 def flat_phase_matrix(M: int, N: int) -> PhaseMatrix:
     _validate_pos(M=M, N=N)
     _check_entries(f"{_name(M)} x {_name(N)} phase matrix", M * N)
-    return PhaseMatrix(M, N, np.ones((M, N), dtype=complex))
+    return PhaseMatrix(np.ones((M, N), dtype=complex))
 
 
 def random_phase_matrix(M: int, N: int, rng: np.random.Generator) -> PhaseMatrix:
     """Independent uniform phase per entry, one angle draw each."""
     _validate_pos(M=M, N=N)
     _check_entries(f"{_name(M)} x {_name(N)} phase matrix", M * N)
-    return PhaseMatrix(M, N, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
+    return PhaseMatrix(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N))))
 
 
 def _unit_phases(angles: np.ndarray) -> np.ndarray:
@@ -101,19 +97,18 @@ def _unit_phases(angles: np.ndarray) -> np.ndarray:
 class HadamardFiber:
     """K x K matrix with unit-modulus entries and pairwise orthogonal rows."""
 
-    K: int
     entries: np.ndarray
 
     def __post_init__(self):
-        _validate_pos(K=self.K)
+        if self.entries.ndim != 2 or not self.entries.size or len(set(self.entries.shape)) > 1:
+            raise ValidationError(f"expected a non-empty K x K array, got {self.entries.shape}")
 
     def validate(self) -> None:
-        if self.entries.shape != (self.K, self.K):
-            raise ValidationError(f"expected shape ({_name(self.K)}, {_name(self.K)})")
+        K = len(self.entries)
         _check_unit_modulus(self.entries)
         gram = self.entries @ self.entries.conj().T
-        resid = np.abs(gram - self.K * np.eye(self.K)).max()
-        if resid > ORTHOGONALITY_TOL * self.K:
+        resid = np.abs(gram - K * np.eye(K)).max()
+        if resid > ORTHOGONALITY_TOL * K:
             raise ValidationError(f"rows not orthogonal, residual {resid:.2e}")
 
 
@@ -121,7 +116,7 @@ def fourier_matrix(n: int) -> HadamardFiber:
     """The n x n matrix with entry (j, k) = exp(2 pi i j k / n)."""
     _validate_pos(n=n)
     _check_entries(f"Fourier matrix of side {_name(n)}", n * n)
-    return HadamardFiber(n, _fourier_entries(n).copy())
+    return HadamardFiber(_fourier_entries(n).copy())
 
 
 @functools.lru_cache(maxsize=8)
@@ -138,8 +133,8 @@ def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
     """Deformed tensor product of Fourier matrices: entry at row (i, a),
     column (j, b) is Q[i, b] * F_M[i, j] * F_N[a, b], with pair indices
     flattened as i*N + a."""
-    _check_entries(f"deformed fiber of side {Q.M * Q.N}", (Q.M * Q.N)**2)
-    return HadamardFiber(Q.M * Q.N, _deform(Q.entries))
+    _check_entries(f"deformed fiber of side {Q.entries.size}", Q.entries.size**2)
+    return HadamardFiber(_deform(Q.entries))
 
 
 def _deform(phases: np.ndarray) -> np.ndarray:
@@ -157,22 +152,24 @@ class MagicUnitary:
     the vector xi of entrywise row quotients H_i / H_j, and block (i, j) is
     xi xi* / K. The (K, K, K, K) `blocks` are built only on request."""
 
-    K: int
     quotients: np.ndarray  # (K, K, K)
 
     def __post_init__(self):
-        _validate_pos(K=self.K)
+        xi = self.quotients
+        if xi.ndim != 3 or not xi.size or len(set(xi.shape)) > 1:
+            raise ValidationError(f"expected a non-empty K x K x K array, got {xi.shape}")
 
     @property
     def blocks(self) -> np.ndarray:
         """The (K, K, K, K) array of blocks, built afresh on each read."""
-        return np.einsum("ija,ijb->ijab", self.quotients, self.quotients.conj()) / self.K
+        xi = self.quotients
+        return np.einsum("ija,ijb->ijab", xi, xi.conj()) / len(xi)
 
     def validate(self) -> None:
         """The checks on K^3 data. B = xi xi* / K is self-adjoint by its form,
         and B^2 - B = (|xi|^2 / K - 1) B has largest entry |(|xi|^2 / K - 1)|
         max_a |xi_a|^2 / K. Row and column sums add outer products of xi."""
-        K, xi = self.K, self.quotients
+        K, xi = len(self.quotients), self.quotients
         moduli = np.abs(xi)**2
         if (np.abs(moduli.sum(axis=2) / K - 1) * moduli.max(axis=2) / K).max() > PROJECTION_TOL:
             raise ValidationError("blocks are not idempotent")
@@ -191,20 +188,12 @@ def _row_quotients(H: np.ndarray) -> np.ndarray:
 def magic_unitary(H: HadamardFiber) -> MagicUnitary:
     """Blocks U_ij = (1/K) xi xi* with xi = H_i / H_j (entrywise quotient of
     rows), held as xi. Validates the Hadamard input and the magic structure."""
-    _check_entries(f"quotients of a fiber of side {_name(H.K)}", H.K**3)
+    K = len(H.entries)
+    _check_entries(f"quotients of a fiber of side {K}", K**3)
     H.validate()
-    unit = MagicUnitary(H.K, _row_quotients(H.entries))
+    unit = MagicUnitary(_row_quotients(H.entries))
     unit.validate()
     return unit
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """K^p x K^p matrix of normalized traces of length-p block products."""
-
-    p: int
-    K: int
-    entries: np.ndarray
 
 
 def _pair_gram(xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -217,8 +206,8 @@ def _pair_gram(xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(pairs.conj(), pairs.swapaxes(-1, -2), out=out).reshape(lead + (K,) * 4)
 
 
-def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
-    """Transfer matrix with entry (I, J) = normalized trace of
+def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
+    """The K^p x K^p transfer matrix with entry (I, J) = normalized trace of
     U[I_1, J_1] ... U[I_p, J_p].
 
     Each block is a rank-one projection, so a product trace collapses to a
@@ -226,8 +215,8 @@ def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
     block products are formed.
     """
     _validate_pos(p=p)
-    K = U.K
-    what = f"transfer matrix at K={_name(K)}, p={_name(p)}"
+    K = len(U.quotients)
+    what = f"transfer matrix at K={K}, p={_name(p)}"
     # Its K^(2p) entries are a floor under the price, checked before it is formed.
     _check_budget(what, None, 2 * p * Fraction(math.log10(K)))
     _check_budget(what, _gather_cost(1, K, p, p))
@@ -235,7 +224,7 @@ def transfer_fiber(U: MagicUnitary, p: int) -> TransferMatrix:
     indices = _block_indices(1, K, p, transfer=True)
     stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, 1, K, K**-(p + 1),
                           np.empty((1, 1, K**p, K**p), dtype=complex))
-    return TransferMatrix(p, K, stack[0, 0])
+    return stack[0, 0]
 
 
 class McEstimate(NamedTuple):

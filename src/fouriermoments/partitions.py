@@ -12,7 +12,7 @@ counts are refused by their estimated work.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -33,17 +33,16 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of {0,...,p-1} in canonical form.
+    """A partition of {0,...,p-1}, p the total size of its blocks, in canonical form.
 
     Blocks are sorted tuples, ordered by their minimum element, so equality
     and hashing are structural.
     """
 
-    p: int
     blocks: tuple[tuple[int, ...], ...]
+    p: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        _validate_int("p", self.p, 0)
         seen = set()
         for block in self.blocks:
             if not block:
@@ -51,20 +50,18 @@ class SetPartition:
             if tuple(sorted(block)) != block:
                 raise ParameterError("block not sorted; use from_blocks()")
             seen.update(block)
-        # Sets of different sizes differ, so range(p) is formed only at the union's size.
-        if len(seen) != self.p or seen != set(range(self.p)):
-            raise ParameterError(
-                f"blocks do not partition range({_name(self.p)}): "
-                f"union=[{', '.join(map(_name, sorted(seen)))}]")
-        if sum(len(b) for b in self.blocks) != self.p:
+        object.__setattr__(self, "p", sum(map(len, self.blocks)))
+        if len(seen) != self.p:
             raise ParameterError("blocks are not pairwise disjoint")
+        if seen != set(range(self.p)):
+            raise ParameterError(f"blocks do not partition range({self.p}): "
+                                 f"union=[{', '.join(map(_name, sorted(seen)))}]")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ParameterError("blocks not sorted by minimum; use from_blocks()")
 
     @classmethod
-    def from_blocks(cls, p: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(p, canon)
+    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
+        return cls(tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])))
 
     @classmethod
     def from_rgs(cls, rgs: Iterable[int]) -> "SetPartition":
@@ -74,7 +71,7 @@ class SetPartition:
         blocks = [[] for _ in range(nblocks)]
         for element, block_id in enumerate(rgs):
             blocks[block_id].append(element)
-        return cls(len(rgs), tuple(tuple(b) for b in blocks))
+        return cls(tuple(tuple(b) for b in blocks))
 
     def rgs(self) -> tuple[int, ...]:
         """Restricted growth string: position e holds the id of e's block."""
@@ -87,17 +84,6 @@ class SetPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(b) for b in self.blocks))
-
-    @classmethod
-    def one_block(cls, p: int) -> "SetPartition":
-        return cls(p, (tuple(range(p)),))
-
-    @classmethod
-    def singletons(cls, p: int) -> "SetPartition":
-        return cls(p, tuple((e,) for e in range(p)))
 
 
 def _check_p(p: int) -> None:
@@ -183,7 +169,7 @@ def kreweras_complement(part: SetPartition) -> SetPartition:
     Satisfies |part| + |complement| = p + 1."""
     if not is_noncrossing(part):
         raise ParameterError("Kreweras complement requires a non-crossing partition")
-    return SetPartition.from_blocks(part.p, _kreweras_cycles(part))
+    return SetPartition.from_blocks(_kreweras_cycles(part))
 
 
 def shift_block(beta: Iterable[int], p: int) -> set[int]:

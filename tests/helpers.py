@@ -124,14 +124,12 @@ def counter_delta_back_shift(M: int, N: int, p: int) -> Fraction:
 def rotate_partition(part):
     """The partition pi∘rho, rho(e) = e + 1 mod p: element e joins the block
     of e + 1, so every block moves one step left."""
-    return type(part).from_blocks(part.p, [[(x - 1) % part.p for x in block]
-                                           for block in part.blocks])
+    return type(part).from_blocks([[(x - 1) % part.p for x in block] for block in part.blocks])
 
 
 def reflect_partition(part):
     """The mirror image e -> p - 1 - e."""
-    return type(part).from_blocks(part.p, [[part.p - 1 - x for x in block]
-                                           for block in part.blocks])
+    return type(part).from_blocks([[part.p - 1 - x for x in block] for block in part.blocks])
 
 
 def _first_occurrence(labels) -> tuple:

@@ -1,9 +1,9 @@
-"""Every integer parameter of the library's public functions and of its
-input dataclasses, given a bool, a float, a negative number, zero or an
-integer of either sign past the interpreter's 4300-digit string limit, ends
-in a value (only where that value is legal for it) or in ParameterError or
-BudgetError, under a small budget and a time bound. A constructor may also
-raise ValidationError where a legal integer disagrees with its array."""
+"""Every integer parameter of the library's public functions, given a bool,
+a float, a negative number, zero or an integer of either sign past the
+interpreter's 4300-digit string limit, ends in a value (only where that
+value is legal for it) or in ParameterError or BudgetError, under a small
+budget and a time bound. The input dataclasses take no integer: their
+arrays and blocks fix their sizes."""
 
 import inspect
 import math
@@ -14,7 +14,7 @@ import numpy as np
 
 import fouriermoments
 from fouriermoments import model, partitions
-from fouriermoments.errors import BudgetError, ParameterError, ValidationError, budget
+from fouriermoments.errors import BudgetError, ParameterError, budget
 
 BAD_VALUES = (True, 2.5, -1, 0, 10**400, 10**5000, -10**5000)
 # Per parameter, the values of BAD_VALUES that it takes; others take only the
@@ -25,12 +25,9 @@ ANY_INTEGER = (-1, 0, *HUGE, -10**5000)
 LEGAL = {("budget", "ops"): NONNEGATIVE, ("moment_integral", "k"): NONNEGATIVE,
          ("bell_number", "p"): NONNEGATIVE, ("stirling_number", "p"): NONNEGATIVE,
          ("stirling_number", "s"): ANY_INTEGER, ("mc_estimate_c", "seed"): ANY_INTEGER,
-         ("mc_estimate_delta", "seed"): ANY_INTEGER, ("SetPartition", "p"): NONNEGATIVE}
+         ("mc_estimate_delta", "seed"): ANY_INTEGER}
 # The public functions of `partitions` that the package does not export.
 UNEXPORTED = (partitions.stirling_number, partitions.bell_number, partitions.triangle_pair_counts)
-# The dataclasses that take sizes with their data.
-CONSTRUCTORS = (model.PhaseMatrix, model.HadamardFiber, model.MagicUnitary,
-                partitions.SetPartition)
 
 
 def _legal_arguments():
@@ -76,10 +73,6 @@ def _legal_arguments():
         "stirling_number": dict(p=4, s=2),
         "bell_number": dict(p=4),
         "triangle_pair_counts": dict(p=4, smax=2, tmax=2),
-        "PhaseMatrix": dict(M=1, N=2, entries=np.ones((1, 2), dtype=complex)),
-        "HadamardFiber": dict(K=1, entries=np.ones((1, 1), dtype=complex)),
-        "MagicUnitary": dict(K=1, quotients=np.ones((1, 1, 1), dtype=complex)),
-        "SetPartition": dict(p=3, blocks=((0, 1, 2),)),
     }
 
 
@@ -92,7 +85,7 @@ def _functions():
     exported = [value for name, value in vars(fouriermoments).items()
                 if inspect.isfunction(value) and not name.startswith("_")]
     return {function.__name__: function
-            for function in exported + list(UNEXPORTED) + list(CONSTRUCTORS)
+            for function in exported + list(UNEXPORTED)
             if _integer_parameters(function)}
 
 
@@ -137,9 +130,6 @@ def test_every_integer_parameter_refuses_bad_values():
                             wrong.append((name, parameter, _shown(value), "returned"))
                     except (ParameterError, BudgetError):
                         pass
-                    except ValidationError as error:
-                        if not (legal and function in CONSTRUCTORS):
-                            wrong.append((name, parameter, _shown(value), repr(error)[:200]))
                     except Exception as error:
                         wrong.append((name, parameter, _shown(value), repr(error)[:200]))
                     finally:
@@ -148,3 +138,10 @@ def test_every_integer_parameter_refuses_bad_values():
         signal.signal(signal.SIGALRM, previous)
     assert not wrong, wrong
 
+
+
+def test_input_dataclasses_take_no_size():
+    # a size next to the data could disagree with it
+    for cls in (model.PhaseMatrix, model.HadamardFiber, model.MagicUnitary,
+                partitions.SetPartition):
+        assert not _integer_parameters(cls), cls

@@ -76,7 +76,7 @@ def test_magic_unitary_structure():
 
 
 def test_magic_unitary_rejects_non_hadamard():
-    bad = HadamardFiber(2, np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+    bad = HadamardFiber(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
     with pytest.raises(ValidationError):
         magic_unitary(bad)
 
@@ -97,29 +97,47 @@ def test_magic_unitary_holds_only_quotients():
 def test_magic_validate_rejects_bad_quotients():
     # all-ones rows: idempotent blocks, but every row sum is the all-ones
     # matrix, off the identity by 1
-    ones = model.MagicUnitary(2, _row_quotients(np.ones((2, 2), dtype=complex)))
+    ones = model.MagicUnitary(_row_quotients(np.ones((2, 2), dtype=complex)))
     with pytest.raises(ValidationError, match="row/column sums"):
         ones.validate()
     # scaled quotients: |xi|^2 / K = 1.001^2, so B^2 != B
     xi = _row_quotients(dita_deform(flat_phase_matrix(2, 3)).entries)
     with pytest.raises(ValidationError, match="not idempotent"):
-        model.MagicUnitary(6, 1.001 * xi).validate()
-    model.MagicUnitary(6, xi).validate()
+        model.MagicUnitary(1.001 * xi).validate()
+    model.MagicUnitary(xi).validate()
+
+
+def test_malformed_arrays_are_refused_at_construction():
+    # the arrays are the only sizes: a cube of quotients, a square fiber and
+    # a non-empty M x N phase matrix
+    for quotients in (np.ones((3, 2, 2)), np.ones((2, 2)), np.ones((0, 0, 0))):
+        with pytest.raises(ValidationError):
+            model.MagicUnitary(quotients.astype(complex))
+    for shape in ((0, 0), (2, 0), (3,), (2, 3), (2, 2, 2)):
+        with pytest.raises(ValidationError):
+            HadamardFiber(np.ones(shape, dtype=complex))
+    for shape in ((0, 0), (2, 0), (3,), (2, 2, 2)):
+        with pytest.raises(ValidationError):
+            model.PhaseMatrix(np.ones(shape, dtype=complex))
+    assert model.PhaseMatrix(np.ones((2, 3), dtype=complex)).entries.shape == (2, 3)
+    # K = 3 quotients give the 9 x 9 matrix at p = 2
+    xi = _row_quotients(fourier_matrix(3).entries)
+    assert transfer_fiber(model.MagicUnitary(xi), 2).shape == (9, 9)
 
 
 def test_transfer_fiber_p1():
     rng = np.random.default_rng(11)
     unit = magic_unitary(dita_deform(random_phase_matrix(2, 3, rng)))
     t1 = transfer_fiber(unit, 1)
-    assert np.abs(t1.entries - 1 / 6).max() < 1e-12
-    assert abs(np.trace(t1.entries) - 1) < 1e-12
+    assert np.abs(t1 - 1 / 6).max() < 1e-12
+    assert abs(np.trace(t1) - 1) < 1e-12
 
 
 def test_transfer_fiber_structure():
     rng = np.random.default_rng(13)
     unit = magic_unitary(dita_deform(random_phase_matrix(2, 2, rng)))
     for p in (1, 2, 3):
-        mat = transfer_fiber(unit, p).entries
+        mat = transfer_fiber(unit, p)
         assert np.abs(mat).max() <= 1 + 1e-12
         assert np.abs(mat - mat.conj().T).max() < 1e-12  # self-adjoint element
 
@@ -139,7 +157,7 @@ def test_transfer_fiber_matches_dense_block_products():
                 for i, j in zip(I, J):
                     product = product @ unit.blocks[i, j]
                 dense[idx, jdx] = np.trace(product) / K
-        assert np.abs(transfer_fiber(unit, p).entries - dense).max() < 1e-11
+        assert np.abs(transfer_fiber(unit, p) - dense).max() < 1e-11
 
 
 def test_flat_fiber_trace_identity():
@@ -147,7 +165,7 @@ def test_flat_fiber_trace_identity():
     for M, N in ((2, 2), (2, 3)):
         unit = magic_unitary(dita_deform(flat_phase_matrix(M, N)))
         for p in (1, 2, 3):
-            mat = transfer_fiber(unit, p).entries
+            mat = transfer_fiber(unit, p)
             acc = np.eye(mat.shape[0])
             for _ in range(3):
                 acc = acc @ mat
@@ -166,7 +184,7 @@ def test_transfer_budget_limit():
     # so K = 4, p = 2 fits a budget of 4^4 * 50 = 12800 exactly
     unit = magic_unitary(dita_deform(flat_phase_matrix(2, 2)))
     with budget(12800):
-        assert transfer_fiber(unit, 2).entries.shape == (16, 16)
+        assert transfer_fiber(unit, 2).shape == (16, 16)
     with budget(12799), pytest.raises(BudgetError) as info:
         transfer_fiber(unit, 2)
     assert info.value.estimated_ops == 12800
@@ -177,11 +195,10 @@ def test_transfer_budget_bounds_memory():
     # 66^4 complex entries take 304 MB. At K = 149 they would take 7.9 GB.
     assert _gather_cost(1, 66, 2, 2) <= DEFAULT_BUDGET < _gather_cost(1, 67, 2, 2)
 
-    class Fiber:  # the gate reads only the fiber's size
-        K = 149
-
+    # the gate reads only the fiber's size: a broadcast array holds no K^3 entries
+    unit = model.MagicUnitary(np.broadcast_to(np.complex128(1), (149, 149, 149)))
     with pytest.raises(BudgetError):
-        transfer_fiber(Fiber(), 2)
+        transfer_fiber(unit, 2)
 
 
 def test_transfer_fiber_keeps_no_gather_indices():
@@ -226,7 +243,7 @@ def test_transfer_matrix_is_block_diagonal_over_translates():
     rng = np.random.default_rng(31)
     for (M, N), p in itertools.product(((2, 2), (2, 3), (3, 2), (3, 3)), (1, 2, 3)):
         (fiber,) = _sampled_fibers(M, N, 1, rng)
-        mat = transfer_fiber(magic_unitary(fiber), p).entries
+        mat = transfer_fiber(magic_unitary(fiber), p)
         off = np.abs(mat[~_translate_mask(M, N, p)])
         assert off.max(initial=0.0) < 1e-12, (M, N, p)
 
@@ -257,7 +274,7 @@ def test_torus_trace_matches_transfer_products():
         for _ in range(r):
             fiber = dita_deform(random_phase_matrix(M, N, rng))
             grams.append(_pair_gram(_row_quotients(fiber.entries)))
-            mats.append(transfer_fiber(magic_unitary(fiber), p).entries)
+            mats.append(transfer_fiber(magic_unitary(fiber), p))
         product = mats[0]
         for mat in mats[1:]:
             product = product @ mat
@@ -466,7 +483,7 @@ def test_mc_budget_and_validation():
     with pytest.raises(ValidationError):
         flat = np.ones((2, 2), dtype=complex) * 1.5
         from fouriermoments.model import PhaseMatrix
-        PhaseMatrix(2, 2, flat)
+        PhaseMatrix(flat)
 
 
 def test_seed_type_is_checked_before_the_budget_and_the_draws(monkeypatch):

@@ -78,21 +78,22 @@ def test_enumeration_cap_and_bad_p():
 
 
 def test_canonical_form_and_validation():
-    part = SetPartition.from_blocks(4, [{3}, {1, 0}, {2}])
+    part = SetPartition.from_blocks([{3}, {1, 0}, {2}])
     assert part.blocks == ((0, 1), (2,), (3,))
-    assert part == SetPartition.from_blocks(4, [[2], [0, 1], [3]])
+    assert part == SetPartition.from_blocks([[2], [0, 1], [3]])
+    assert part.p == 4 and SetPartition.from_blocks([]).p == 0
+    with pytest.raises(ParameterError, match="do not partition"):
+        SetPartition.from_blocks([{0, 2}])  # misses 1
+    with pytest.raises(ParameterError, match="disjoint"):
+        SetPartition.from_blocks([{0, 1}, {1, 2}])  # overlap
     with pytest.raises(ParameterError):
-        SetPartition.from_blocks(3, [{0, 1}])  # misses 2
-    with pytest.raises(ParameterError):
-        SetPartition.from_blocks(3, [{0, 1}, {1, 2}])  # overlap
-    with pytest.raises(ParameterError):
-        SetPartition(3, ((1, 0), (2,)))  # non-canonical direct construction
+        SetPartition(((1, 0), (2,)))  # non-canonical direct construction
 
 
 def test_noncrossing_examples():
-    assert is_noncrossing(SetPartition.from_blocks(3, [{0, 1, 2}]))
-    assert not is_noncrossing(SetPartition.from_blocks(4, [{0, 2}, {1, 3}]))
-    assert is_noncrossing(SetPartition.from_blocks(4, [{0, 3}, {1, 2}]))
+    assert is_noncrossing(SetPartition.from_blocks([{0, 1, 2}]))
+    assert not is_noncrossing(SetPartition.from_blocks([{0, 2}, {1, 3}]))
+    assert is_noncrossing(SetPartition.from_blocks([{0, 3}, {1, 2}]))
     count_nc4 = sum(1 for q in enumerate_partitions(4) if is_noncrossing(q))
     assert count_nc4 == catalan(4) == 14
     empty = SetPartition.from_rgs(())
@@ -115,13 +116,14 @@ def test_noncrossing_stream_matches_filter():
 
 def test_kreweras_extremes():
     for p in (1, 2, 5, 8):
-        assert kreweras_complement(SetPartition.one_block(p)) == SetPartition.singletons(p)
-        assert kreweras_complement(SetPartition.singletons(p)) == SetPartition.one_block(p)
+        one, singletons = SetPartition.from_rgs([0] * p), SetPartition.from_rgs(range(p))
+        assert kreweras_complement(one) == singletons
+        assert kreweras_complement(singletons) == one
 
 
 def test_kreweras_rejects_crossing():
     with pytest.raises(ParameterError):
-        kreweras_complement(SetPartition.from_blocks(4, [{0, 2}, {1, 3}]))
+        kreweras_complement(SetPartition.from_blocks([{0, 2}, {1, 3}]))
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -132,10 +134,9 @@ def test_kreweras_invariants_exhaustive(p):
         assert part.num_blocks + comp.num_blocks == p + 1
         # applying it twice rotates every element one step backwards
         twice = kreweras_complement(comp)
-        rotated = SetPartition.from_blocks(
-            p, [[(x - 1) % p for x in block] for block in part.blocks])
+        rotated = SetPartition.from_blocks([[(x - 1) % p for x in block] for block in part.blocks])
         assert twice == rotated
-        assert twice.block_sizes() == part.block_sizes()
+        assert sorted(map(len, twice.blocks)) == sorted(map(len, part.blocks))
 
 
 def test_shift_block():
@@ -149,20 +150,20 @@ def test_shift_block():
 
 def test_triangle_relation_one_block_rows():
     for p in range(1, 7):
-        one = SetPartition.one_block(p)
+        one = SetPartition.from_rgs([0] * p)
         for sigma in enumerate_partitions(p):
             assert triangle_relation(one, sigma)
             assert triangle_relation(sigma, one)
 
 
 def test_triangle_relation_examples():
-    singles = SetPartition.from_blocks(2, [{0}, {1}])
+    singles = SetPartition.from_blocks([{0}, {1}])
     assert not triangle_relation(singles, singles)
     two_block = [q for q in enumerate_partitions(3) if q.num_blocks == 2]
     hits = sum(1 for a in two_block for b in two_block if triangle_relation(a, b))
     assert hits == 3
     with pytest.raises(ParameterError):
-        triangle_relation(SetPartition.one_block(2), SetPartition.one_block(3))
+        triangle_relation(SetPartition.from_rgs([0] * 2), SetPartition.from_rgs([0] * 3))
 
 
 def test_triangle_pairs_block_count_bound():
@@ -260,8 +261,8 @@ def test_row_codes_name_the_rows_of_partition_tables():
 
 
 def test_reflection_and_swap_are_not_symmetries():
-    pi = SetPartition.from_blocks(3, [{0, 1}, {2}])
-    sigma = SetPartition.from_blocks(3, [{0, 2}, {1}])
+    pi = SetPartition.from_blocks([{0, 1}, {2}])
+    sigma = SetPartition.from_blocks([{0, 2}, {1}])
     assert not triangle_relation(pi, sigma)
     assert triangle_relation(sigma, pi)
     assert triangle_relation(reflect_partition(pi), reflect_partition(sigma))
