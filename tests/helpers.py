@@ -51,6 +51,47 @@ def two_block_pairs(p: int) -> int:
                for k in range(1, p // 2 + 1))
 
 
+def leading_minors(matrix) -> list[int]:
+    """The leading principal minors of a square matrix of Fractions, the
+    k-th times d^k, d the common denominator of the entries, by
+    fraction-free (Bareiss) elimination without pivoting: the k-th pivot is
+    the k-th minor, and every division is exact. Stops at the first zero
+    minor."""
+    scale = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
+    a = [[int(x * scale) for x in row] for row in matrix]
+    minors, previous = [], 1
+    for k, row in enumerate(a):
+        minors.append(row[k])
+        if not row[k]:
+            break
+        for lower in a[k + 1:]:
+            for j in range(k + 1, len(a)):
+                lower[j] = (lower[j] * row[k] - lower[k] * row[j]) // previous
+        previous = row[k]
+    return minors
+
+
+def moment_cone_minors(moments, right: int) -> list[int]:
+    """Every leading principal minor of the Hankel matrices [m_(i+j)],
+    [m_(i+j+1)], [right m_(i+j) - m_(i+j+1)] and
+    [right m_(i+j+1) - m_(i+j+2)] of moments m_0, m_1, ..., each as large as
+    the moments fill. For the moments of a positive measure on [0, right]
+    with infinite support all are positive (Hausdorff): the matrices are
+    the Gram matrices of the monomials under the measure times 1, x,
+    right - x and x (right - x). Given m_0 ... m_(p-1),
+    two of them have m_p in their corner: both are affine in m_p, one rising
+    and one falling, so they leave m_p an open window, and outside it one
+    of them is zero or negative."""
+    def hankel(entry, size):
+        return [[entry(i + j) for j in range(size)] for i in range(size)]
+
+    m, last = moments, len(moments) - 1
+    return (leading_minors(hankel(lambda k: m[k], last // 2 + 1))
+            + leading_minors(hankel(lambda k: m[k + 1], (last + 1) // 2))
+            + leading_minors(hankel(lambda k: right * m[k] - m[k + 1], (last + 1) // 2))
+            + leading_minors(hankel(lambda k: right * m[k + 1] - m[k + 2], last // 2)))
+
+
 def squared_multinomial_scan(N: int, k: int) -> int:
     """Sum of the squared multinomial coefficients k! / (k_1! ... k_N!) over
     every composition (k_1, ..., k_N) of k, by scanning the compositions."""

@@ -139,7 +139,6 @@ def test_every_integer_parameter_refuses_bad_values():
     assert not wrong, wrong
 
 
-
 def test_input_dataclasses_take_no_size():
     # a size next to the data could disagree with it
     for cls in (model.PhaseMatrix, model.HadamardFiber, model.MagicUnitary,

@@ -12,6 +12,7 @@ from fouriermoments import limits, partitions
 from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import stirling_number, triangle_pair_counts
+from fouriermoments.truncated import c_from_d, count_d
 from fouriermoments.limits import (
     _squared_multinomial_row,
     decompose,
@@ -30,6 +31,7 @@ from helpers import (
     counter_delta,
     counter_delta_back_shift,
     delta_m2_float_by_log_convolution,
+    moment_cone_minors,
     squared_multinomial_scan,
     two_block_pairs,
 )
@@ -379,3 +381,30 @@ def test_huge_p_is_answered_or_refused_at_once():
 def test_delta_direct_reaches_past_the_labelled_budget():
     # the labelled kernel's estimate here was 1.94e9; the lumped one is 1.1e8
     assert delta_direct(3, 3, 9) == delta_partition(3, 3, 9)
+
+
+def test_exact_moments_lie_in_the_moment_cone():
+    # delta_0 = M, delta_1, ... are the moments of the M eigenvalues of
+    # G(Q) / MN, which lie in [0, 1]; c_0 = 1, c_1^r, ... those of the main
+    # character, a sum of MN projections, under the r-fold model state. Each
+    # route is checked on every p it answers, and one route reaches the top p.
+    for M, N, top in ((2, 2, 14), (2, 3, 12), (3, 2, 12), (3, 3, 9), (4, 2, 9), (2, 5, 9)):
+        reached = 0
+        for route in (delta_direct, delta_partition, delta_binomial):
+            if route is delta_binomial and 2 not in (M, N):
+                continue
+            deltas = [Fraction(M)]
+            for p in range(1, top + 1):
+                try:
+                    deltas.append(route(M, N, p))
+                except BudgetError:
+                    break
+            reached = max(reached, len(deltas) - 1)
+            minors = moment_cone_minors(deltas, 1)
+            assert all(minor > 0 for minor in minors), (route.__name__, M, N, minors)
+        assert reached == top, (M, N)
+    for M, N, top, r in ((2, 2, 10, 2), (2, 2, 10, 3), (4, 2, 8, 2), (3, 3, 8, 2), (2, 3, 9, 4)):
+        moments = [Fraction(1)] + [c_from_d(count_d(M, N, p, r), M, N, p)
+                                   for p in range(1, top + 1)]
+        minors = moment_cone_minors(moments, M * N)
+        assert all(minor > 0 for minor in minors), (M, N, r, minors)
