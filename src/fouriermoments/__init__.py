@@ -5,64 +5,47 @@ The exact side counts index configurations with big-integer rational
 arithmetic; the numerical side builds the matrix model (Hadamard fibers,
 magic unitaries, transfer matrices) and estimates the same quantities by
 seeded Monte Carlo, so each route cross-validates the other.
+
+The public names are exported lazily (PEP 562): `import fouriermoments`
+loads no module of the package, and the first use of a name imports the
+module that defines it, so the closed forms never load numpy.
 """
 
 __version__ = "0.1.0"
 
-from .errors import BudgetError, CrossCheckError, ParameterError, ValidationError, budget
-from .partitions import (
-    SetPartition,
-    enumerate_partitions,
-    noncrossing_partitions,
-    is_noncrossing,
-    kreweras_complement,
-    shift_block,
-    triangle_relation,
-)
-from .truncated import (
-    counting_condition,
-    count_d,
-    c_from_d,
-    alpha,
-    beta,
-    d42_closed,
-    closed_form_is_exact,
-    solution_set,
-    base_condition,
-    i_tuple_probability,
-)
-from .limits import (
-    DecompositionReport,
-    delta_direct,
-    delta_partition,
-    delta_exact,
-    delta_binomial,
-    epsilon,
-    decompose,
-    moment_integral,
-    delta_m2,
-    delta_m2_float,
-    delta_upper_bound,
-)
-from .model import (
-    PhaseMatrix,
-    HadamardFiber,
-    MagicUnitary,
-    fourier_matrix,
-    flat_phase_matrix,
-    random_phase_matrix,
-    dita_deform,
-    magic_unitary,
-    transfer_fiber,
-    mc_estimate_c,
-    mc_estimate_delta,
-)
-from .asymptotics import (
-    StirlingPolynomial,
-    RegimeReport,
-    stirling_polynomial,
-    free_poisson_moment,
-    regime_check,
-    richmond_shallit,
-    delta_decay_estimate,
-)
+from importlib import import_module
+
+# Each public name and the module that defines it.
+_MODULE_OF = {name: module for module, names in (
+    ("errors", ("BudgetError", "CrossCheckError", "ParameterError", "ValidationError",
+                "budget")),
+    ("partitions", ("SetPartition", "enumerate_partitions", "noncrossing_partitions",
+                    "is_noncrossing", "kreweras_complement", "shift_block",
+                    "triangle_relation")),
+    ("closed", ("c_from_d", "alpha", "beta", "d42_closed", "closed_form_is_exact")),
+    ("truncated", ("counting_condition", "count_d", "solution_set", "base_condition",
+                   "i_tuple_probability")),
+    ("limits", ("DecompositionReport", "delta_direct", "delta_partition", "delta_exact",
+                "delta_binomial", "epsilon", "decompose", "moment_integral", "delta_m2",
+                "delta_m2_float", "delta_upper_bound")),
+    ("model", ("PhaseMatrix", "HadamardFiber", "MagicUnitary", "fourier_matrix",
+               "flat_phase_matrix", "random_phase_matrix", "dita_deform", "magic_unitary",
+               "transfer_fiber", "mc_estimate_c", "mc_estimate_delta")),
+    ("asymptotics", ("StirlingPolynomial", "RegimeReport", "stirling_polynomial",
+                     "free_poisson_moment", "regime_check", "richmond_shallit",
+                     "delta_decay_estimate")),
+) for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    if name in _MODULE_OF.values():  # a module, as `fouriermoments.model` reads after import
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

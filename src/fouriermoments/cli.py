@@ -4,13 +4,16 @@ serialization, result caching, and the cross-method verification drivers.
 Exit codes: 0 success, 2 parameter error or unusable output/cache path,
 3 budget error, 4 cross-check failure (two exact methods disagreeing aborts
 with both records printed).
+
+At module level it imports the standard library, `errors` and `closed`
+alone; each route imports its kernel where it computes, so a command whose
+values all come from the cache loads no numpy, and only `mc` loads `model`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -21,21 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .asymptotics import delta_decay_estimate, regime_check, richmond_shallit
+from .closed import alpha, beta, c_from_d, closed_form_is_exact, d42_closed
 from .errors import (DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _validate_pos,
                      budget)
-from .limits import (
-    decompose,
-    delta_binomial,
-    delta_direct,
-    delta_exact,
-    delta_m2_float,
-    delta_partition,
-    delta_upper_bound,
-    moment_integral,
-)
-from .model import mc_estimate_c, mc_estimate_delta
-from .truncated import alpha, beta, c_from_d, closed_form_is_exact, count_d, d42_closed
 
 CACHE_ENV_VAR = "FOURIERMOMENTS_CACHE"
 
@@ -107,6 +98,7 @@ class Cache:
             os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: tuple) -> str:
+        import hashlib  # it loads OpenSSL (3.6 MB resident), which only a cache needs
         digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
         return os.path.join(self.directory, digest + ".json")
 
@@ -165,12 +157,22 @@ def _cross_check(records: list[RunRecord]) -> None:
 
 
 def _delta_for(M: int, N: int, p: int, cache: Cache) -> Fraction:
-    return _cached(cache, ("delta:auto", M, N, p, None), lambda: delta_exact(M, N, p))
+    def compute():
+        from .limits import delta_exact
+        return delta_exact(M, N, p)
+    return _cached(cache, ("delta:auto", M, N, p, None), compute)
+
+
+def _d_for(M: int, N: int, p: int, r: int, cache: Cache) -> Fraction:
+    def compute():
+        from .truncated import count_d
+        return count_d(M, N, p, r)
+    return _cached(cache, ("d:direct", M, N, p, r), compute)
 
 
 def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
     """One timed record per method of the comma list `args.method`; each
-    route is a thunk, so it looks its functions up when it runs."""
+    route is a thunk, so it imports and looks up its functions when it runs."""
     records = []
     for method in args.method.split(","):
         if method not in routes:
@@ -190,7 +192,7 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
         return d42_closed(M, N)
 
     records = _run_methods("truncated", {
-        "direct": lambda: _cached(cache, ("d:direct", M, N, p, r), lambda: count_d(M, N, p, r)),
+        "direct": lambda: _d_for(M, N, p, r, cache),
         "alpha": lambda: alpha(M, N, p, r),
         "beta": lambda: beta(M, N, p, r, _delta_for(M, N, p, cache)),
         "d42": d42,
@@ -209,15 +211,32 @@ def cmd_limit(args, cache: Cache) -> list[RunRecord]:
     def cached(method, compute):
         return lambda: _cached(cache, (f"delta:{method}", M, N, p, None), compute)
 
+    def direct():
+        from .limits import delta_direct
+        return delta_direct(M, N, p)
+
+    def partition():
+        from .limits import delta_partition
+        return delta_partition(M, N, p)
+
+    def binomial():
+        from .limits import delta_binomial
+        return delta_binomial(M, N, p)
+
+    def bound():
+        from .limits import delta_upper_bound
+        return delta_upper_bound(M, N, p)
+
     records = _run_methods("limit", {
-        "direct": cached("direct", lambda: delta_direct(M, N, p)),
-        "partition": cached("partition", lambda: delta_partition(M, N, p)),
-        "binomial": cached("binomial", lambda: delta_binomial(M, N, p)),
-        "bound": lambda: delta_upper_bound(M, N, p),
+        "direct": cached("direct", direct),
+        "partition": cached("partition", partition),
+        "binomial": cached("binomial", binomial),
+        "bound": bound,
     }, args)
     # The bound method is an upper estimate, not another route to the value.
     _cross_check([r for r in records if r.method != "bound"])
     if args.report == "decomposition":
+        from .limits import decompose
         report, ms = _timed(lambda: decompose(M, N, p))
         for (s, t), contribution in sorted(report.contributions.items()):
             records.append(RunRecord("limit", f"st[{s},{t}]", M=M, N=N, p=p,
@@ -235,9 +254,7 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     # Values grow with r: stop at the first rung too long to print, not after the last.
     too_long = sys.get_int_max_str_digits() * math.log2(10) + 1  # bits of such a term
     for r in range(1, args.r_max + 1):
-        (d, b), ms = _timed(lambda: (
-            _cached(cache, ("d:direct", M, N, p, r), lambda: count_d(M, N, p, r)),
-            beta(M, N, p, r, delta)))
+        (d, b), ms = _timed(lambda: (_d_for(M, N, p, r, cache), beta(M, N, p, r, delta)))
         common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms)
         for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
             if 1 < too_long <= max(abs(value.numerator), value.denominator).bit_length():
@@ -252,10 +269,11 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
         r = args.r
         if r is None:
             raise ParameterError("mc --kind model requires --r")
+        from .model import mc_estimate_c
         estimate = lambda: mc_estimate_c(M, N, p, r, args.samples, args.seed)
-        exact = lambda: c_from_d(_cached(cache, ("d:direct", M, N, p, r),
-                                         lambda: count_d(M, N, p, r)), M, N, p)
+        exact = lambda: c_from_d(_d_for(M, N, p, r, cache), M, N, p)
     else:
+        from .model import mc_estimate_delta
         r = None
         estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed)
         exact = lambda: _delta_for(M, N, p, cache)
@@ -275,6 +293,7 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_asymptotic(args, cache: Cache) -> list[RunRecord]:
+    from .asymptotics import regime_check
     report, ms = _timed(lambda: regime_check(args.t, args.p, args.N))
     records = []
     for row in report.rows:
@@ -286,11 +305,15 @@ def cmd_asymptotic(args, cache: Cache) -> list[RunRecord]:
 
 def cmd_estimate(args, cache: Cache) -> list[RunRecord]:
     if args.kind == "decay":
+        from .asymptotics import delta_decay_estimate
+        from .limits import delta_m2_float
         value, ms = _timed(lambda: delta_m2_float(args.N, args.p))
         ref = delta_decay_estimate(args.N, args.p)
         # Past the bottom of the float range the law reads 0 and gives no ratio.
         return [RunRecord("estimate", "decay", M=2, N=args.N, p=args.p, value_float=value,
                           z=value / ref if ref else None, runtime_ms=ms)]
+    from .asymptotics import richmond_shallit
+    from .limits import moment_integral
     value, ms = _timed(lambda: moment_integral(args.N, args.k))
     ref = richmond_shallit(args.N, args.k)
     return [RunRecord("estimate", "rs", N=args.N, p=args.k,

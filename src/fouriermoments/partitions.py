@@ -61,6 +61,12 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
+        blocks = [tuple(block) for block in blocks]
+        for block in blocks:  # checked before the sorts, which need nonempty integer blocks
+            if not block:
+                raise ParameterError("empty block")
+            for element in block:
+                _validate_int("a block element", element, 0)
         return cls(tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])))
 
     @classmethod

@@ -82,8 +82,9 @@ def _integer_parameters(function):
 
 
 def _functions():
-    exported = [value for name, value in vars(fouriermoments).items()
-                if inspect.isfunction(value) and not name.startswith("_")]
+    # the package exports lazily (PEP 562), so its names are read through __all__
+    exported = [getattr(fouriermoments, name) for name in fouriermoments.__all__]
+    exported = [value for value in exported if inspect.isfunction(value)]
     return {function.__name__: function
             for function in exported + list(UNEXPORTED)
             if _integer_parameters(function)}

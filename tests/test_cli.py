@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fouriermoments import cli
+from fouriermoments import cli, limits
 from fouriermoments.cli import CSV_HEADER, main
 from fouriermoments.limits import delta_partition
 from fouriermoments.partitions import triangle_pair_counts
@@ -178,7 +178,8 @@ def test_argparse_error_exit_code(capsys):
 
 
 def test_cross_check_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "delta_partition", lambda M, N, p: Fraction(1, 7))
+    # each route imports its kernel when it runs, so the patch reaches it there
+    monkeypatch.setattr(limits, "delta_partition", lambda M, N, p: Fraction(1, 7))
     code, _, err = run_cli(
         ["limit", "--M", "2", "--N", "2", "--p", "3",
          "--method", "direct,partition"], capsys)
@@ -515,3 +516,43 @@ def test_readme_commands(capsys):
         code, out, err = run_cli(shlex.split(line)[1:], capsys)
         assert code == 0, (line, err)
         assert out.splitlines()[0] == ",".join(f'"{name}"' for name in CSV_HEADER), line
+
+
+CACHE_HIT_PROBE = """
+import contextlib, io, json, sys
+import fouriermoments
+after_package = sorted({"numpy", "fouriermoments.model"} & set(sys.modules))
+from fouriermoments import cli
+after_cli = sorted({"numpy", "fouriermoments.model"} & set(sys.modules))
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+after_runs = sorted({"numpy", "fouriermoments.model"} & set(sys.modules))
+print(json.dumps([after_package, after_cli, after_runs, runs]))
+"""
+
+
+def test_cache_hits_load_no_numpy(tmp_path, capsys):
+    # a command answered from its cache runs the stdlib, `errors`, `closed`
+    # and `cli` alone, in a fresh interpreter, and prints what the cold run did
+    commands = [
+        ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "2", "--method", "direct,beta"],
+        ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "direct,partition,binomial"],
+        ["converge", "--M", "2", "--N", "2", "--p", "4", "--r-max", "8"],
+    ]
+    commands = [argv + ["--cache", str(tmp_path / "cache")] for argv in commands]
+    cold = [run_cli(argv, capsys) for argv in commands]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", CACHE_HIT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    after_package, after_cli, after_runs, warm = json.loads(done.stdout)
+    assert after_package == after_cli == after_runs == []
+    for argv, (code, out, _), (warm_code, warm_out, warm_err) in zip(commands, cold, warm):
+        assert warm_code == code == 0, (argv, warm_err)
+        assert "# cache hit" in warm_err, argv
+        assert mask_runtime(parse_csv(warm_out)) == mask_runtime(parse_csv(out)), argv

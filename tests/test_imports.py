@@ -1,7 +1,9 @@
 """The package's modules import one way: each from modules strictly below
-it, and only at module level, so no import cycle can form at run time. The
-Monte Carlo estimators leave `numpy.random` unimported. No function takes a
-budget: every gate reads the scoped one in `errors`."""
+it, so no import cycle can form at run time. Each imports at module level
+only, except `cli`, which imports a route's kernel where the route runs;
+nothing imports `cli`. `errors`, `closed` and `cli` import no numpy at
+module level. The Monte Carlo estimators leave `numpy.random` unimported.
+No function takes a budget: every gate reads the scoped one in `errors`."""
 
 import ast
 import os
@@ -14,7 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fouriermoments"
 
 # The import order, lowest first; `model` sits beside it on `errors`.
-CHAIN = ["errors", "partitions", "truncated", "limits", "asymptotics", "cli"]
+CHAIN = ["errors", "closed", "partitions", "truncated", "limits", "asymptotics", "cli"]
 BELOW = {name: set(CHAIN[:i]) for i, name in enumerate(CHAIN)}
 BELOW["model"] = {"errors"}
 BELOW["cli"].add("model")
@@ -59,12 +61,31 @@ def test_imports_run_down_the_order_at_module_level():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node, target in _package_imports(tree):
-            if node not in tree.body:
+            if node not in tree.body and module != "cli":
                 problems.append(f"{module}:{node.lineno} imports {target} inside a body")
             if module == "cli" and target == "__version__":
                 continue
             if target not in BELOW[module]:
                 problems.append(f"{module}:{node.lineno} imports {target}, not below it")
+    assert problems == []
+
+
+def test_the_numpy_free_modules_import_no_numpy_at_module_level():
+    # a command whose values come from the cache runs these three alone
+    problems = []
+    for module in ("errors", "closed", "cli"):
+        nodes = list(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body)
+        for node in nodes:  # every node outside a function body, which runs on import
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nodes.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                problems.append(f"{module}:{node.lineno} imports numpy")
     assert problems == []
 
 
@@ -123,3 +144,21 @@ def test_estimators_do_not_import_numpy_random():
     if loaded_by_numpy == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert loaded == "False"
+
+
+def test_lazy_exports_resolve_to_their_defining_modules(monkeypatch):
+    # the package exports each name on first use (PEP 562)
+    import fouriermoments
+    namespace = {}
+    exec("from fouriermoments import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fouriermoments.__all__)
+    for name in fouriermoments.__all__:
+        value = getattr(fouriermoments, name)
+        assert value.__module__.startswith("fouriermoments."), name
+        assert getattr(sys.modules[value.__module__], name) is value is namespace[name], name
+        assert name in dir(fouriermoments), name
+    # a module of the package reads as an attribute, imported by then or not
+    monkeypatch.delattr(fouriermoments, "model")
+    assert fouriermoments.model is sys.modules["fouriermoments.model"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fouriermoments.no_such_name

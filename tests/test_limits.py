@@ -31,6 +31,7 @@ from helpers import (
     counter_delta,
     counter_delta_back_shift,
     delta_m2_float_by_log_convolution,
+    leading_minors,
     moment_cone_minors,
     squared_multinomial_scan,
     two_block_pairs,
@@ -408,3 +409,19 @@ def test_exact_moments_lie_in_the_moment_cone():
                                    for p in range(1, top + 1)]
         minors = moment_cone_minors(moments, M * N)
         assert all(minor > 0 for minor in minors), (M, N, r, minors)
+
+
+def test_square_points_pin_the_first_two_jacobi_parameters():
+    # m_k = M^(k+1) delta_(k+1)(M, N) / N at M = N: the Jacobi parameters
+    # beta_k = D_(k+1) D_(k-1) / D_k^2 of the Hankel determinants D are
+    # (1 - 1/N)^2 for k = 1, 2 (beta_3 is not: 13/18 at N = 3). The common
+    # scale of the minors cancels in each ratio.
+    for N in (2, 3, 4, 6, 8):
+        M = N
+        for route in (delta_direct, delta_partition, delta_binomial):
+            if route is delta_binomial and 2 not in (M, N):
+                continue
+            m = [Fraction(M**(k + 1)) * route(M, N, k + 1) / N for k in range(5)]
+            d1, d2, d3 = leading_minors([[m[i + j] for j in range(3)] for i in range(3)])
+            expected = (1 - Fraction(1, N))**2
+            assert Fraction(d2, d1**2) == Fraction(d3 * d1, d2**2) == expected, (route, N)

@@ -88,6 +88,10 @@ def test_canonical_form_and_validation():
         SetPartition.from_blocks([{0, 1}, {1, 2}])  # overlap
     with pytest.raises(ParameterError):
         SetPartition(((1, 0), (2,)))  # non-canonical direct construction
+    with pytest.raises(ParameterError, match="empty block"):
+        SetPartition.from_blocks([[], [0]])
+    with pytest.raises(ParameterError, match="block element"):
+        SetPartition.from_blocks([["a"], [0]])
 
 
 def test_noncrossing_examples():
