@@ -6,14 +6,18 @@ arithmetic; the numerical side builds the matrix model (Hadamard fibers,
 magic unitaries, transfer matrices) and estimates the same quantities by
 seeded Monte Carlo, so each route cross-validates the other.
 
-The public names are exported lazily (PEP 562): `import fouriermoments`
-loads no module of the package, and the first use of a name imports the
-module that defines it, so the closed forms never load numpy.
+The package loads lazily: `import fouriermoments` puts each of its modules
+in `sys.modules` unexecuted (`importlib.util.LazyLoader`), and a module runs
+when it is imported or its first attribute is read. Each public name is
+exported on first use (PEP 562) from the module that defines it, so the
+closed forms never load numpy.
 """
 
 __version__ = "0.1.0"
 
+import sys
 from importlib import import_module
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # Each public name and the module that defines it.
 _MODULE_OF = {name: module for module, names in (
@@ -39,12 +43,26 @@ _MODULE_OF = {name: module for module, names in (
 __all__ = list(_MODULE_OF)
 
 
+# Each module of the package goes into sys.modules unexecuted, as code that
+# looks a module up there after `import fouriermoments` expects (the tracer in
+# perfbench/spans.py does); importing it, or reading an attribute, runs it.
+for _module in dict.fromkeys(_MODULE_OF.values()):
+    _spec = find_spec(f"{__name__}.{_module}")
+    _spec.loader = LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _module, _spec
+
+
 def __getattr__(name: str):
     if name in _MODULE_OF:
-        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    if name in _MODULE_OF.values():  # a module, as `fouriermoments.model` reads after import
-        return import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _MODULE_OF.values():  # a module, as `from fouriermoments import model` asks
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:

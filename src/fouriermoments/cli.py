@@ -8,6 +8,7 @@ with both records printed).
 At module level it imports the standard library, `errors` and `closed`
 alone; each route imports its kernel where it computes, so a command whose
 values all come from the cache loads no numpy, and only `mc` loads `model`.
+A route's `runtime_ms` times its kernel call alone, after the import.
 """
 
 from __future__ import annotations
@@ -132,19 +133,22 @@ class Cache:
         os.replace(tmp, path)
 
 
-def _cached(cache: Cache, key: tuple, compute) -> Fraction:
-    hit = cache.fetch(key)
-    if hit is not None:
-        return hit
-    value = compute()
-    cache.store(key, value)
-    return value
-
-
 def _timed(fn):
     start = time.perf_counter()
     value = fn()
     return value, int(round((time.perf_counter() - start) * 1000))
+
+
+def _cached(cache: Cache, key: tuple, load) -> tuple[Fraction, int]:
+    """The value under `key` and the milliseconds of computing it: 0 for a
+    cache hit; on a miss, `load` imports the kernel and returns the call,
+    which alone is timed."""
+    hit = cache.fetch(key)
+    if hit is not None:
+        return hit, 0
+    value, ms = _timed(load())
+    cache.store(key, value)
+    return value, ms
 
 
 def _cross_check(records: list[RunRecord]) -> None:
@@ -156,28 +160,29 @@ def _cross_check(records: list[RunRecord]) -> None:
                 f"exact methods disagree:\n{lines}")
 
 
-def _delta_for(M: int, N: int, p: int, cache: Cache) -> Fraction:
-    def compute():
+def _delta_for(M: int, N: int, p: int, cache: Cache) -> tuple[Fraction, int]:
+    def load():
         from .limits import delta_exact
-        return delta_exact(M, N, p)
-    return _cached(cache, ("delta:auto", M, N, p, None), compute)
+        return lambda: delta_exact(M, N, p)
+    return _cached(cache, ("delta:auto", M, N, p, None), load)
 
 
-def _d_for(M: int, N: int, p: int, r: int, cache: Cache) -> Fraction:
-    def compute():
+def _d_for(M: int, N: int, p: int, r: int, cache: Cache) -> tuple[Fraction, int]:
+    def load():
         from .truncated import count_d
-        return count_d(M, N, p, r)
-    return _cached(cache, ("d:direct", M, N, p, r), compute)
+        return lambda: count_d(M, N, p, r)
+    return _cached(cache, ("d:direct", M, N, p, r), load)
 
 
 def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
-    """One timed record per method of the comma list `args.method`; each
-    route is a thunk, so it imports and looks up its functions when it runs."""
+    """One record per method of the comma list `args.method`; each route is
+    a thunk returning the value and its milliseconds, so it imports its
+    kernel only when it runs."""
     records = []
     for method in args.method.split(","):
         if method not in routes:
             raise ParameterError(f"unknown {command} method {method!r}")
-        value, ms = _timed(routes[method])
+        value, ms = routes[method]()
         records.append(RunRecord(command, method, M=args.M, N=args.N, p=args.p,
                                  value_exact=value, runtime_ms=ms, **fields))
     return records
@@ -186,15 +191,20 @@ def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
 def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
     M, N, p, r = args.M, args.N, args.p, args.r
 
+    def beta_route():
+        delta, ms = _delta_for(M, N, p, cache)
+        value, beta_ms = _timed(lambda: beta(M, N, p, r, delta))
+        return value, ms + beta_ms
+
     def d42():
         if (p, r) != (4, 2):
             raise ParameterError("method d42 requires --p 4 --r 2")
-        return d42_closed(M, N)
+        return _timed(lambda: d42_closed(M, N))
 
     records = _run_methods("truncated", {
         "direct": lambda: _d_for(M, N, p, r, cache),
-        "alpha": lambda: alpha(M, N, p, r),
-        "beta": lambda: beta(M, N, p, r, _delta_for(M, N, p, cache)),
+        "alpha": lambda: _timed(lambda: alpha(M, N, p, r)),
+        "beta": beta_route,
         "d42": d42,
     }, args, r=r)
     # A closed form reproduces the direct count only where it is exact, and
@@ -208,24 +218,24 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
 def cmd_limit(args, cache: Cache) -> list[RunRecord]:
     M, N, p = args.M, args.N, args.p
 
-    def cached(method, compute):
-        return lambda: _cached(cache, (f"delta:{method}", M, N, p, None), compute)
+    def cached(method, load):
+        return lambda: _cached(cache, (f"delta:{method}", M, N, p, None), load)
 
     def direct():
         from .limits import delta_direct
-        return delta_direct(M, N, p)
+        return lambda: delta_direct(M, N, p)
 
     def partition():
         from .limits import delta_partition
-        return delta_partition(M, N, p)
+        return lambda: delta_partition(M, N, p)
 
     def binomial():
         from .limits import delta_binomial
-        return delta_binomial(M, N, p)
+        return lambda: delta_binomial(M, N, p)
 
     def bound():
         from .limits import delta_upper_bound
-        return delta_upper_bound(M, N, p)
+        return _timed(lambda: delta_upper_bound(M, N, p))
 
     records = _run_methods("limit", {
         "direct": cached("direct", direct),
@@ -249,13 +259,14 @@ def cmd_limit(args, cache: Cache) -> list[RunRecord]:
 def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     M, N, p = args.M, args.N, args.p
     _validate_pos(r_max=args.r_max)
-    delta = _delta_for(M, N, p, cache)
+    delta, _ = _delta_for(M, N, p, cache)
     records = []
     # Values grow with r: stop at the first rung too long to print, not after the last.
     too_long = sys.get_int_max_str_digits() * math.log2(10) + 1  # bits of such a term
     for r in range(1, args.r_max + 1):
-        (d, b), ms = _timed(lambda: (_d_for(M, N, p, r, cache), beta(M, N, p, r, delta)))
-        common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms)
+        d, ms = _d_for(M, N, p, r, cache)
+        b, beta_ms = _timed(lambda: beta(M, N, p, r, delta))
+        common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms + beta_ms)
         for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
             if 1 < too_long <= max(abs(value.numerator), value.denominator).bit_length():
                 _ratio_str(value)  # raises the ParameterError of printing it
@@ -271,12 +282,12 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
             raise ParameterError("mc --kind model requires --r")
         from .model import mc_estimate_c
         estimate = lambda: mc_estimate_c(M, N, p, r, args.samples, args.seed)
-        exact = lambda: c_from_d(_d_for(M, N, p, r, cache), M, N, p)
+        exact = lambda: c_from_d(_d_for(M, N, p, r, cache)[0], M, N, p)
     else:
         from .model import mc_estimate_delta
         r = None
         estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed)
-        exact = lambda: _delta_for(M, N, p, cache)
+        exact = lambda: _delta_for(M, N, p, cache)[0]
     est, ms = _timed(estimate)
     record = RunRecord("mc", f"mc-{args.kind}", M=M, N=N, p=p, r=r,
                        value_float=est.mean, std_error=est.std_error,

@@ -518,24 +518,56 @@ def test_readme_commands(capsys):
         assert out.splitlines()[0] == ",".join(f'"{name}"' for name in CSV_HEADER), line
 
 
-CACHE_HIT_PROBE = """
-import contextlib, io, json, sys
+KERNELS = ["numpy"] + [f"fouriermoments.{name}" for name in
+                       ("partitions", "truncated", "limits", "model", "asymptotics")]
+CLI_PROBE = f"KERNELS = {KERNELS!r}\n" + """
+import contextlib, io, json, sys, types
+
+def loaded(names):
+    # a module the package registered lazily is no plain module until it runs
+    return sorted(name for name in names if type(sys.modules.get(name)) is types.ModuleType)
+
 import fouriermoments
-after_package = sorted({"numpy", "fouriermoments.model"} & set(sys.modules))
+registered = sorted(name for name in KERNELS if name in sys.modules)
+after_package = loaded(KERNELS)
 from fouriermoments import cli
-after_cli = sorted({"numpy", "fouriermoments.model"} & set(sys.modules))
+after_cli = loaded(KERNELS)
+timed_loads = []
+
+def timed(fn, timed=cli._timed):
+    before = loaded(KERNELS)
+    result = timed(fn)
+    timed_loads.extend(sorted(set(loaded(KERNELS)) - set(before)))
+    return result
+
+cli._timed = timed
 runs = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
+    timed_loads.clear()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    runs.append([code, out.getvalue(), err.getvalue()])
-after_runs = sorted({"numpy", "fouriermoments.model"} & set(sys.modules))
-print(json.dumps([after_package, after_cli, after_runs, runs]))
+    runs.append([code, out.getvalue(), err.getvalue(), list(timed_loads)])
+print(json.dumps({"registered": registered, "package": after_package, "cli": after_cli,
+                  "runs": runs, "after": loaded(KERNELS)}))
 """
 
 
-def test_cache_hits_load_no_numpy(tmp_path, capsys):
+def probe_cli(commands):
+    """Run `commands` through `cli.main` in one fresh interpreter. Reports the
+    kernel modules in sys.modules after `import fouriermoments`, those loaded
+    after it, after `import fouriermoments.cli` and after the runs, and per
+    run its exit code, stdout, stderr and the kernel modules loaded inside a
+    timed region."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", CLI_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_cache_hits_load_no_numpy(tmp_path):
     # a command answered from its cache runs the stdlib, `errors`, `closed`
     # and `cli` alone, in a fresh interpreter, and prints what the cold run did
     commands = [
@@ -544,15 +576,27 @@ def test_cache_hits_load_no_numpy(tmp_path, capsys):
         ["converge", "--M", "2", "--N", "2", "--p", "4", "--r-max", "8"],
     ]
     commands = [argv + ["--cache", str(tmp_path / "cache")] for argv in commands]
-    cold = [run_cli(argv, capsys) for argv in commands]
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-c", CACHE_HIT_PROBE, json.dumps(commands)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.returncode == 0, done.stderr
-    after_package, after_cli, after_runs, warm = json.loads(done.stdout)
-    assert after_package == after_cli == after_runs == []
-    for argv, (code, out, _), (warm_code, warm_out, warm_err) in zip(commands, cold, warm):
+    cold = probe_cli(commands)["runs"]
+    warm = probe_cli(commands)
+    assert warm["package"] == warm["cli"] == warm["after"] == []
+    # every module is registered unexecuted, so sys.modules names each one
+    assert warm["registered"] == sorted(KERNELS[1:])
+    for argv, (code, out, _, _), (warm_code, warm_out, warm_err, _) in zip(
+            commands, cold, warm["runs"]):
         assert warm_code == code == 0, (argv, warm_err)
         assert "# cache hit" in warm_err, argv
         assert mask_runtime(parse_csv(warm_out)) == mask_runtime(parse_csv(out)), argv
+
+
+def test_runtime_ms_times_the_kernel_after_its_import():
+    # each README command, cold in one fresh interpreter, imports its kernel
+    # before the clock starts, so the first route's runtime_ms is its work alone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line)[1:] for block in readme.split("```sh")[1:]
+                for line in block.split("```")[0].splitlines()
+                if line.startswith("fouriermoments ")]
+    probe = probe_cli(commands)
+    assert probe["after"] == sorted(KERNELS)
+    for argv, (code, _, err, timed_loads) in zip(commands, probe["runs"]):
+        assert code == 0, (argv, err)
+        assert timed_loads == [], argv

@@ -2,10 +2,13 @@
 it, so no import cycle can form at run time. Each imports at module level
 only, except `cli`, which imports a route's kernel where the route runs;
 nothing imports `cli`. `errors`, `closed` and `cli` import no numpy at
-module level. The Monte Carlo estimators leave `numpy.random` unimported.
+module level. Importing a module of the package runs it, though `import
+fouriermoments` registers each one unexecuted. The Monte Carlo estimators
+leave `numpy.random` unimported.
 No function takes a budget: every gate reads the scoped one in `errors`."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -146,7 +149,31 @@ def test_estimators_do_not_import_numpy_random():
     assert loaded == "False"
 
 
-def test_lazy_exports_resolve_to_their_defining_modules(monkeypatch):
+def test_importing_a_module_of_the_package_runs_it():
+    # `import fouriermoments` puts each module in sys.modules unexecuted;
+    # importing one, in any form, runs it, so a caller that imports a
+    # module before a timed region times none of its loading
+    probe = ("import json, sys, types\n"
+             "import fouriermoments\n"
+             "names = ('limits', 'model', 'asymptotics')\n"
+             "ran = lambda: [type(sys.modules[f'fouriermoments.{n}']) is types.ModuleType\n"
+             "               for n in names]\n"
+             "steps = [ran()]\n"
+             "from fouriermoments import limits\n"
+             "steps.append(ran())\n"
+             "import fouriermoments.model\n"
+             "steps.append(ran())\n"
+             "fouriermoments.asymptotics\n"
+             "steps.append(ran())\n"
+             "print(json.dumps(steps))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[False, False, False], [True, False, False],
+                                       [True, True, False], [True, True, True]]
+
+
+def test_lazy_exports_resolve_to_their_defining_modules():
     # the package exports each name on first use (PEP 562)
     import fouriermoments
     namespace = {}
@@ -157,8 +184,8 @@ def test_lazy_exports_resolve_to_their_defining_modules(monkeypatch):
         assert value.__module__.startswith("fouriermoments."), name
         assert getattr(sys.modules[value.__module__], name) is value is namespace[name], name
         assert name in dir(fouriermoments), name
-    # a module of the package reads as an attribute, imported by then or not
-    monkeypatch.delattr(fouriermoments, "model")
-    assert fouriermoments.model is sys.modules["fouriermoments.model"]
+    # each module of the package is an attribute, the one in sys.modules
+    for module in set(fouriermoments._MODULE_OF.values()):
+        assert getattr(fouriermoments, module) is sys.modules[f"fouriermoments.{module}"]
     with pytest.raises(AttributeError, match="no_such_name"):
         fouriermoments.no_such_name
