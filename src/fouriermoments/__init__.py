@@ -7,8 +7,8 @@ magic unitaries, transfer matrices) and estimates the same quantities by
 seeded Monte Carlo, so each route cross-validates the other.
 
 The package loads lazily: `import fouriermoments` puts each of its modules
-in `sys.modules` unexecuted (`importlib.util.LazyLoader`), and a module runs
-when it is imported or its first attribute is read. Each public name is
+in `sys.modules` unexecuted, and a module runs, once, when it is imported or
+its first attribute is read. Each public name is
 exported on first use (PEP 562) from the module that defines it, so the
 closed forms never load numpy.
 """
@@ -16,8 +16,10 @@ closed forms never load numpy.
 __version__ = "0.1.0"
 
 import sys
+import threading
 from importlib import import_module
-from importlib.util import LazyLoader, find_spec, module_from_spec
+from importlib.util import find_spec, module_from_spec
+from types import ModuleType
 
 # Each public name and the module that defines it.
 _MODULE_OF = {name: module for module, names in (
@@ -43,15 +45,32 @@ _MODULE_OF = {name: module for module, names in (
 __all__ = list(_MODULE_OF)
 
 
+_LOCK = threading.RLock()
+_RUNNING = set()  # the lazy modules whose code is running
+
+
+class _LazyModule(ModuleType):
+    """A module in sys.modules before its code has run. The first attribute
+    read runs it, and a thread that reads one meanwhile waits for the end;
+    `importlib.util.LazyLoader` lets that thread see a half-run module."""
+
+    def __getattribute__(self, attr):
+        with _LOCK:
+            if type(self) is _LazyModule and self not in _RUNNING:
+                _RUNNING.add(self)
+                ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                self.__class__ = ModuleType
+        return ModuleType.__getattribute__(self, attr)
+
+
 # Each module of the package goes into sys.modules unexecuted, as code that
 # looks a module up there after `import fouriermoments` expects (the tracer in
 # perfbench/spans.py does); importing it, or reading an attribute, runs it.
 for _module in dict.fromkeys(_MODULE_OF.values()):
-    _spec = find_spec(f"{__name__}.{_module}")
-    _spec.loader = LazyLoader(_spec.loader)
-    sys.modules[_spec.name] = module_from_spec(_spec)
-    _spec.loader.exec_module(sys.modules[_spec.name])
-del _module, _spec
+    _lazy = sys.modules[f"{__name__}.{_module}"] = module_from_spec(
+        find_spec(f"{__name__}.{_module}"))
+    _lazy.__class__ = _LazyModule
+del _module, _lazy
 
 
 def __getattr__(name: str):

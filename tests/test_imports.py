@@ -173,6 +173,32 @@ def test_importing_a_module_of_the_package_runs_it():
                                        [True, True, False], [True, True, True]]
 
 
+def test_threads_that_first_use_a_module_together_see_it_whole():
+    # with `importlib.util.LazyLoader` on Python 3.11 the threads but one
+    # read a half-run `model` and raised AttributeError, 12 runs in 12
+    probe = ("import sys, threading\n"
+             "import fouriermoments\n"
+             "names = ('mc_estimate_c', 'PhaseMatrix', 'dita_deform', 'magic_unitary')\n"
+             "barrier, errors = threading.Barrier(len(names)), []\n"
+             "def use(name):\n"
+             "    barrier.wait()\n"
+             "    try:\n"
+             "        getattr(fouriermoments, name)\n"
+             "    except AttributeError as exc:\n"
+             "        errors.append(str(exc))\n"
+             "threads = [threading.Thread(target=use, args=(n,)) for n in names]\n"
+             "for thread in threads: thread.start()\n"
+             "for thread in threads: thread.join()\n"
+             "model = sys.modules['fouriermoments.model']\n"
+             "print(errors == [] and all(getattr(fouriermoments, n) is getattr(model, n)\n"
+             "                           for n in names))\n")
+    for _ in range(3):
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True"]
+
+
 def test_lazy_exports_resolve_to_their_defining_modules():
     # the package exports each name on first use (PEP 562)
     import fouriermoments
