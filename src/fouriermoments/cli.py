@@ -5,10 +5,12 @@ Exit codes: 0 success, 2 parameter error or unusable output/cache path,
 3 budget error, 4 cross-check failure (two exact methods disagreeing aborts
 with both records printed).
 
-At module level it imports the standard library, `errors` and `closed`
-alone; each route imports its kernel where it computes, so a command whose
-values all come from the cache loads no numpy, and only `mc` loads `model`.
-A route's `runtime_ms` times its kernel call alone, after the import.
+At module level it imports the standard library, the package, `errors` and
+`closed` alone. A route reads its kernel as `fouriermoments.<module>.<name>`
+where it computes, and the package runs a module at its first read, so a
+command whose values all come from the cache loads no numpy, and only `mc`
+loads `model`. A route's `runtime_ms` times its kernel call alone, after
+the read.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+
+import fouriermoments
 
 from . import __version__
 from .closed import alpha, beta, c_from_d, closed_form_is_exact, d42_closed
@@ -133,22 +137,32 @@ class Cache:
         os.replace(tmp, path)
 
 
-def _timed(fn):
+def _timed(fn, *args):
     start = time.perf_counter()
-    value = fn()
+    value = fn(*args)
     return value, int(round((time.perf_counter() - start) * 1000))
 
 
-def _cached(cache: Cache, key: tuple, load) -> tuple[Fraction, int]:
+def _cached(cache: Cache, key: tuple, kernel, *args) -> tuple[Fraction, int]:
     """The value under `key` and the milliseconds of computing it: 0 for a
-    cache hit; on a miss, `load` imports the kernel and returns the call,
-    which alone is timed."""
+    cache hit; on a miss, `kernel()` reads the kernel, and its call on
+    `args` alone is timed."""
     hit = cache.fetch(key)
     if hit is not None:
         return hit, 0
-    value, ms = _timed(load())
+    value, ms = _timed(kernel(), *args)
     cache.store(key, value)
     return value, ms
+
+
+def _delta_for(M: int, N: int, p: int, cache: Cache) -> tuple[Fraction, int]:
+    return _cached(cache, ("delta:auto", M, N, p, None),
+                   lambda: fouriermoments.limits.delta_exact, M, N, p)
+
+
+def _d_for(M: int, N: int, p: int, r: int, cache: Cache) -> tuple[Fraction, int]:
+    return _cached(cache, ("d:direct", M, N, p, r),
+                   lambda: fouriermoments.truncated.count_d, M, N, p, r)
 
 
 def _cross_check(records: list[RunRecord]) -> None:
@@ -160,24 +174,10 @@ def _cross_check(records: list[RunRecord]) -> None:
                 f"exact methods disagree:\n{lines}")
 
 
-def _delta_for(M: int, N: int, p: int, cache: Cache) -> tuple[Fraction, int]:
-    def load():
-        from .limits import delta_exact
-        return lambda: delta_exact(M, N, p)
-    return _cached(cache, ("delta:auto", M, N, p, None), load)
-
-
-def _d_for(M: int, N: int, p: int, r: int, cache: Cache) -> tuple[Fraction, int]:
-    def load():
-        from .truncated import count_d
-        return lambda: count_d(M, N, p, r)
-    return _cached(cache, ("d:direct", M, N, p, r), load)
-
-
 def _run_methods(command: str, routes: dict, args, **fields) -> list[RunRecord]:
     """One record per method of the comma list `args.method`; each route is
-    a thunk returning the value and its milliseconds, so it imports its
-    kernel only when it runs."""
+    a thunk returning the value and its milliseconds, so it reads its kernel
+    only when it runs."""
     records = []
     for method in args.method.split(","):
         if method not in routes:
@@ -193,17 +193,17 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
 
     def beta_route():
         delta, ms = _delta_for(M, N, p, cache)
-        value, beta_ms = _timed(lambda: beta(M, N, p, r, delta))
+        value, beta_ms = _timed(beta, M, N, p, r, delta)
         return value, ms + beta_ms
 
     def d42():
         if (p, r) != (4, 2):
             raise ParameterError("method d42 requires --p 4 --r 2")
-        return _timed(lambda: d42_closed(M, N))
+        return _timed(d42_closed, M, N)
 
     records = _run_methods("truncated", {
         "direct": lambda: _d_for(M, N, p, r, cache),
-        "alpha": lambda: _timed(lambda: alpha(M, N, p, r)),
+        "alpha": lambda: _timed(alpha, M, N, p, r),
         "beta": beta_route,
         "d42": d42,
     }, args, r=r)
@@ -217,37 +217,19 @@ def cmd_truncated(args, cache: Cache) -> list[RunRecord]:
 
 def cmd_limit(args, cache: Cache) -> list[RunRecord]:
     M, N, p = args.M, args.N, args.p
-
-    def cached(method, load):
-        return lambda: _cached(cache, (f"delta:{method}", M, N, p, None), load)
-
-    def direct():
-        from .limits import delta_direct
-        return lambda: delta_direct(M, N, p)
-
-    def partition():
-        from .limits import delta_partition
-        return lambda: delta_partition(M, N, p)
-
-    def binomial():
-        from .limits import delta_binomial
-        return lambda: delta_binomial(M, N, p)
-
-    def bound():
-        from .limits import delta_upper_bound
-        return _timed(lambda: delta_upper_bound(M, N, p))
-
     records = _run_methods("limit", {
-        "direct": cached("direct", direct),
-        "partition": cached("partition", partition),
-        "binomial": cached("binomial", binomial),
-        "bound": bound,
+        "direct": lambda: _cached(cache, ("delta:direct", M, N, p, None),
+                                  lambda: fouriermoments.limits.delta_direct, M, N, p),
+        "partition": lambda: _cached(cache, ("delta:partition", M, N, p, None),
+                                     lambda: fouriermoments.limits.delta_partition, M, N, p),
+        "binomial": lambda: _cached(cache, ("delta:binomial", M, N, p, None),
+                                    lambda: fouriermoments.limits.delta_binomial, M, N, p),
+        "bound": lambda: _timed(fouriermoments.limits.delta_upper_bound, M, N, p),
     }, args)
     # The bound method is an upper estimate, not another route to the value.
     _cross_check([r for r in records if r.method != "bound"])
     if args.report == "decomposition":
-        from .limits import decompose
-        report, ms = _timed(lambda: decompose(M, N, p))
+        report, ms = _timed(fouriermoments.limits.decompose, M, N, p)
         for (s, t), contribution in sorted(report.contributions.items()):
             records.append(RunRecord("limit", f"st[{s},{t}]", M=M, N=N, p=p,
                                      value_exact=contribution, runtime_ms=ms))
@@ -265,7 +247,7 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     too_long = sys.get_int_max_str_digits() * math.log2(10) + 1  # bits of such a term
     for r in range(1, args.r_max + 1):
         d, ms = _d_for(M, N, p, r, cache)
-        b, beta_ms = _timed(lambda: beta(M, N, p, r, delta))
+        b, beta_ms = _timed(beta, M, N, p, r, delta)
         common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms + beta_ms)
         for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
             if 1 < too_long <= max(abs(value.numerator), value.denominator).bit_length():
@@ -275,25 +257,24 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_mc(args, cache: Cache) -> list[RunRecord]:
-    M, N, p = args.M, args.N, args.p
+    M, N, p, r = args.M, args.N, args.p, args.r
     if args.kind == "model":
-        r = args.r
         if r is None:
             raise ParameterError("mc --kind model requires --r")
-        from .model import mc_estimate_c
-        estimate = lambda: mc_estimate_c(M, N, p, r, args.samples, args.seed)
-        exact = lambda: c_from_d(_d_for(M, N, p, r, cache)[0], M, N, p)
+        est, ms = _timed(fouriermoments.model.mc_estimate_c, M, N, p, r, args.samples, args.seed)
     else:
-        from .model import mc_estimate_delta
         r = None
-        estimate = lambda: mc_estimate_delta(M, N, p, args.samples, args.seed)
-        exact = lambda: _delta_for(M, N, p, cache)[0]
-    est, ms = _timed(estimate)
+        est, ms = _timed(fouriermoments.model.mc_estimate_delta, M, N, p, args.samples, args.seed)
     record = RunRecord("mc", f"mc-{args.kind}", M=M, N=N, p=p, r=r,
                        value_float=est.mean, std_error=est.std_error,
                        runtime_ms=ms, seed=args.seed)
     try:
-        gap = record.value_float - float(exact())
+        if r is None:
+            exact, _ = _delta_for(M, N, p, cache)
+        else:
+            d, _ = _d_for(M, N, p, r, cache)
+            exact = c_from_d(d, M, N, p)
+        gap = record.value_float - float(exact)
     except (BudgetError, ParameterError):
         return [record]  # estimate stands alone, no z column
     if record.std_error == 0:
@@ -304,8 +285,7 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
 
 
 def cmd_asymptotic(args, cache: Cache) -> list[RunRecord]:
-    from .asymptotics import regime_check
-    report, ms = _timed(lambda: regime_check(args.t, args.p, args.N))
+    report, ms = _timed(fouriermoments.asymptotics.regime_check, args.t, args.p, args.N)
     records = []
     for row in report.rows:
         records.append(RunRecord("asymptotic", "ladder", M=row.M, N=row.N,
@@ -316,17 +296,15 @@ def cmd_asymptotic(args, cache: Cache) -> list[RunRecord]:
 
 def cmd_estimate(args, cache: Cache) -> list[RunRecord]:
     if args.kind == "decay":
-        from .asymptotics import delta_decay_estimate
-        from .limits import delta_m2_float
-        value, ms = _timed(lambda: delta_m2_float(args.N, args.p))
-        ref = delta_decay_estimate(args.N, args.p)
+        law = fouriermoments.asymptotics.delta_decay_estimate
+        value, ms = _timed(fouriermoments.limits.delta_m2_float, args.N, args.p)
+        ref = law(args.N, args.p)
         # Past the bottom of the float range the law reads 0 and gives no ratio.
         return [RunRecord("estimate", "decay", M=2, N=args.N, p=args.p, value_float=value,
                           z=value / ref if ref else None, runtime_ms=ms)]
-    from .asymptotics import richmond_shallit
-    from .limits import moment_integral
-    value, ms = _timed(lambda: moment_integral(args.N, args.k))
-    ref = richmond_shallit(args.N, args.k)
+    law = fouriermoments.asymptotics.richmond_shallit
+    value, ms = _timed(fouriermoments.limits.moment_integral, args.N, args.k)
+    ref = law(args.N, args.k)
     return [RunRecord("estimate", "rs", N=args.N, p=args.k,
                       value_float=float(value), z=float(value) / ref,
                       runtime_ms=ms)]

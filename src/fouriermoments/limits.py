@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, _check_budget, _name, _validate_int, _validate_pos
+from .errors import BudgetError, ParameterError, _check_budget, _name, _validate_int, _validate_pos
 from .partitions import stirling_number, triangle_pair_counts
 from .truncated import _order_histogram
 
@@ -34,7 +34,15 @@ def delta_direct(M: int, N: int, p: int) -> Fraction:
         return Fraction(1)
     # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
     # translation invariant in a and in b separately, so scale by M*N.
-    hits = _order_histogram(M, N, p).get(M, 0)
+    try:
+        hits = _order_histogram(M, N, p).get(M, 0)
+    except BudgetError as refused:
+        # delta is symmetric in (M, N): a histogram refused on (M, N) may be
+        # admitted on (N, M); if not, the first refusal stands.
+        try:
+            hits = _order_histogram(N, M, p).get(N, 0)
+        except BudgetError:
+            raise refused from None
     return Fraction(hits * M * N, (M * N)**p)
 
 

@@ -178,7 +178,7 @@ def test_argparse_error_exit_code(capsys):
 
 
 def test_cross_check_exit_code(capsys, monkeypatch):
-    # each route imports its kernel when it runs, so the patch reaches it there
+    # each route reads its kernel from its module when it runs, so the patch reaches it
     monkeypatch.setattr(limits, "delta_partition", lambda M, N, p: Fraction(1, 7))
     code, _, err = run_cli(
         ["limit", "--M", "2", "--N", "2", "--p", "3",
@@ -534,9 +534,9 @@ from fouriermoments import cli
 after_cli = loaded(KERNELS)
 timed_loads = []
 
-def timed(fn, timed=cli._timed):
+def timed(fn, *args, timed=cli._timed):
     before = loaded(KERNELS)
-    result = timed(fn)
+    result = timed(fn, *args)
     timed_loads.extend(sorted(set(loaded(KERNELS)) - set(before)))
     return result
 

@@ -1,6 +1,7 @@
 """The package's modules import one way: each from modules strictly below
 it, so no import cycle can form at run time. Each imports at module level
-only, except `cli`, which imports a route's kernel where the route runs;
+only; `cli` also imports the package itself and reads a route's kernel
+through it, as `fouriermoments.<module>.<name>`, where the route runs;
 nothing imports `cli`. `errors`, `closed` and `cli` import no numpy at
 module level. Importing a module of the package runs it, though `import
 fouriermoments` registers each one unexecuted. The Monte Carlo estimators
@@ -64,13 +65,46 @@ def test_imports_run_down_the_order_at_module_level():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node, target in _package_imports(tree):
-            if node not in tree.body and module != "cli":
+            if node not in tree.body:
                 problems.append(f"{module}:{node.lineno} imports {target} inside a body")
-            if module == "cli" and target == "__version__":
-                continue
+            if module == "cli" and target in ("__init__", "__version__"):
+                continue  # the package itself, through which cli reads its kernels
             if target not in BELOW[module]:
                 problems.append(f"{module}:{node.lineno} imports {target}, not below it")
     assert problems == []
+
+
+def _module_level_names(module: str) -> set[str]:
+    """The names a module's source defines at module level (not those it imports)."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def test_cli_reads_each_kernel_by_its_module_and_a_name_defined_there():
+    # a misspelt kernel would otherwise fail only at a user's first cache miss
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    problems, reads = [], 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "fouriermoments"):
+            continue
+        module, name = parents.get(node), parents.get(parents.get(node))
+        if not (isinstance(module, ast.Attribute) and isinstance(name, ast.Attribute)):
+            problems.append(f"cli:{node.lineno} reads the package, not a module's name")
+        elif module.attr not in BELOW["cli"]:
+            problems.append(f"cli:{node.lineno} reads {module.attr}, not below cli")
+        elif name.attr not in _module_level_names(module.attr):
+            problems.append(f"cli:{node.lineno} reads {module.attr}.{name.attr}, not defined there")
+        else:
+            reads += 1
+    assert problems == [] and reads > 0
 
 
 def test_the_numpy_free_modules_import_no_numpy_at_module_level():

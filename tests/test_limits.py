@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fouriermoments import limits, partitions
+from fouriermoments import limits, partitions, truncated
 from fouriermoments.asymptotics import delta_decay_estimate
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import stirling_number, triangle_pair_counts
@@ -104,6 +104,14 @@ def test_cached_stirling_rows_are_never_refused():
 def test_delta_direct_budget():
     with pytest.raises(BudgetError):
         delta_direct(4, 4, 9)
+
+
+def test_delta_direct_reads_the_other_orientation_when_refused():
+    # delta is symmetric in (M, N): the histogram of (3, 2, 9) is priced at
+    # ~6.739e6, over this budget, and that of (2, 3, 9) under it
+    truncated._order_histogram.cache_clear()
+    with budget(4 * 10**6):
+        assert delta_direct(3, 2, 9) == delta_binomial(3, 2, 9)
 
 
 def test_epsilon_values():

@@ -403,6 +403,21 @@ def test_mc_estimate_c_p1_exact():
     assert est.std_error < 1e-12
 
 
+def test_std_error_is_zero_where_every_sample_is_exact():
+    # at p = 1, and at r = 1 for the model, every sample is the moment itself:
+    # their spread is rounding alone (about 3e-18), so the error reads 0
+    seed = 20260808  # criterion 7's
+    for M, N, p, r in ((2, 2, 1, 3), (3, 3, 1, 2), (2, 3, 3, 1)):
+        est = mc_estimate_c(M, N, p, r, samples=2000, seed=seed)
+        exact = float(c_from_d(count_d(M, N, p, r), M, N, p))
+        assert est.std_error == 0.0 and abs(est.mean - exact) < 1e-12, (M, N, p, r)
+    est = mc_estimate_delta(2, 2, 1, samples=5000, seed=seed)
+    assert est.std_error == 0.0 and abs(est.mean - 1) < 1e-12
+    # a point whose samples are random keeps its spread
+    assert mc_estimate_c(2, 2, 3, 3, samples=200, seed=seed).std_error > 0
+    assert mc_estimate_delta(2, 2, 3, samples=200, seed=seed).std_error > 0
+
+
 def test_mc_estimate_c_r1_matches_scaling():
     est = mc_estimate_c(2, 2, 3, 1, samples=400, seed=2)
     exact = (2 * 2)**2

@@ -191,6 +191,14 @@ def test_triangle_table_matches_pairwise_scan():
         assert {k: v for k, v in table.items() if v} == brute
 
 
+def test_triangle_table_is_symmetric_under_transpose():
+    # swapping the sides is no symmetry of the relation pair by pair (see
+    # test_reflection_and_swap_are_not_symmetries), but the counts are
+    for p in range(1, 9):
+        table = triangle_pair_counts(p, p, p)
+        assert all(table[(t, s)] == pairs for (s, t), pairs in table.items()), p
+
+
 def test_two_block_pairs_match_the_closed_form():
     for p in range(2, 15):
         assert triangle_pair_counts(p, 2, 2)[(2, 2)] == two_block_pairs(p), p
