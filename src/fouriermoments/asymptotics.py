@@ -29,6 +29,7 @@ class StirlingPolynomial:
     def __call__(self, t: Fraction | int) -> Fraction:
         # Horner's rule over the integers, t = u / v, and one gcd at the end
         u, v = Fraction(t).as_integer_ratio()
+        _check_budget(f"block-count polynomial of p={_name(self.p)}", _horner_cost(self.p, u, v))
         acc, v_power = 0, 1
         for coefficient in self.coefficients[:0:-1]:
             acc, v_power = acc * u + coefficient * v_power, v_power * v
@@ -54,11 +55,15 @@ def free_poisson_moment(t: Fraction | int, p: int) -> Fraction:
     if t <= 0:
         raise ParameterError(f"t must be positive, got {_name(t)}")
     _validate_pos(p=p)
-    # p Horner steps on integers of up to p (2 + bits of t) bits
-    bits = 2 + t.numerator.bit_length() + t.denominator.bit_length()
-    _check_budget(f"free Poisson moment at p={_name(p)}",
-                  p * (1 + p * bits // sys.int_info.bits_per_digit))
+    _check_budget(f"free Poisson moment at p={_name(p)}", _horner_cost(p, *t.as_integer_ratio()))
     return stirling_polynomial(p)(t)
+
+
+def _horner_cost(p: int, u: int, v: int) -> int:
+    # p Horner steps, each multiplying integers of up to p (2 + bits of t)
+    # bits by the digits of t = u / v
+    bits, digit = u.bit_length() + v.bit_length(), sys.int_info.bits_per_digit
+    return p * (1 + p * (bits + 2) // digit) * (1 + bits // digit)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ParameterError, _check_budget, _name, _validate_int, _validate_pos
-from .partitions import stirling_number, triangle_pair_counts
-from .truncated import _order_histogram
+from .partitions import _order_histogram, stirling_number, triangle_pair_counts
 
 # Exact binomial-route evaluation is refused above this p; the floating
 # evaluator covers the large-p regime instead.

@@ -1,21 +1,27 @@
 """Set partitions of {0,...,p-1}: enumeration, non-crossing structure,
 Kreweras complementation, Stirling/Narayana counts, the cyclic-shift
-compatibility relation, and the counting kernel: the rows of an (a, b)
-pair's difference table coded as integers, for every orbit representative b
-in one float64 product, and the orbit-scan loop behind both the pair table
-and truncated's period histogram. All values are immutable after construction.
-Enumeration streams stop at ENUMERATION_CAP and are single-consumer, but
-independent streams may run concurrently; the pair scan and the Stirling
-counts are refused by their estimated work.
+compatibility relation, and the counting kernel. The kernel reads the
+difference table f(m, n) = #{y : a_y = m, b_y = n} - #{y : a_y = m, b_{y+1} = n}
+of an (a, b) pair row by row as integer codes (_row_codes), zero or equal
+exactly when the rows are, and a pair's solution set is the subgroup H of
+Z_M of periods of f in m (_pair_periods). One loop (_orbit_scan) codes one b
+per rotation orbit of set partitions, in one float64 product per block of a,
+for the pair table (f = 0) and the histogram of |H| (_order_histogram).
+All values are immutable after construction. Enumeration streams stop at
+ENUMERATION_CAP and are single-consumer, but independent streams may run
+concurrently; the pair scan, the period histogram and the Stirling counts
+are refused by their estimated work.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +53,8 @@ class SetPartition:
         for block in self.blocks:
             if not block:
                 raise ParameterError("empty block")
+            for element in block:  # before the sort, which needs integers
+                _validate_int("a block element", element, 0)
             if tuple(sorted(block)) != block:
                 raise ParameterError("block not sorted; use from_blocks()")
             seen.update(block)
@@ -173,9 +181,10 @@ def is_noncrossing(part: SetPartition) -> bool:
 def kreweras_complement(part: SetPartition) -> SetPartition:
     """Kreweras complement of a non-crossing partition, from _kreweras_cycles.
     Satisfies |part| + |complement| = p + 1."""
-    if not is_noncrossing(part):
+    cycles = _kreweras_cycles(part)  # is_noncrossing's test, on cycles built once
+    if part.p and part.num_blocks + len(cycles) != part.p + 1:
         raise ParameterError("Kreweras complement requires a non-crossing partition")
-    return SetPartition.from_blocks(_kreweras_cycles(part))
+    return SetPartition.from_blocks(cycles)
 
 
 def shift_block(beta: Iterable[int], p: int) -> set[int]:
@@ -351,6 +360,61 @@ def _orbit_scan(a_rows, count: int, M: int, p: int, T: int, classify) -> np.ndar
     tally = np.zeros((T + 1, M + 1), dtype=np.int64)
     np.add.at(tally, reps.max(axis=1) + 1, orbit_sizes[:, None] * hits)
     return tally
+
+
+def _pair_codes(a: Sequence[int], b: Sequence[int], M: int) -> np.ndarray:
+    """The row codes (partitions._row_codes) of the single pair (a, b), a's
+    labels below M, priced by its M p one-hot entries. Renumbering b's labels
+    below their count permutes the table's columns, which keeps its zero
+    rows and its equal rows."""
+    if len(b) != len(a) or len(a) < 1:
+        raise ParameterError("a and b must be nonempty of identical length")
+    _check_budget(f"row codes of a pair at M={_name(M)}, p={len(a)}", M * len(a))
+    labels = {label: code for code, label in enumerate(set(b))}
+    weights, W = _code_weights(np.array([[labels[v] for v in b]]), len(labels))
+    return _row_codes(np.array([a], dtype=np.int64), weights, M, W)
+
+
+def _pair_periods(a: Sequence[int], b: Sequence[int], M: int, N: int) -> list[bool]:
+    """Whether each shift in Z_M is a period of the pair's table, with the
+    labels reduced mod M and N."""
+    _validate_pos(M=M, N=N)
+    codes = _pair_codes([v % M for v in a], [v % N for v in b], M)
+    # Each of the M shifts compares the M rows' W words.
+    _check_budget(f"periods of a pair at M={_name(M)}", M * M * codes.shape[2])
+    return _code_periods(codes)[0, :, 0].tolist()
+
+
+@lru_cache(maxsize=256)
+def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
+    """{|H|: number of (a, b) pairs with a_1 = b_1 = 0 whose solution set
+    has order |H|}, cached per (M, N, p).
+
+    The counting condition is invariant under translating all of a (or all
+    of b) by a constant, so the full space is M*N translated copies of this
+    pinned one. Relabelling b permutes the columns of f, so |H| depends on b
+    only through its kernel, a set partition with t <= T = min(N, p) blocks
+    that stands for perm(N-1, t-1) pinned b. Rotating a and b together keeps
+    f, and re-pinning a translates it in m, so one partition per rotation
+    orbit is scanned against blocks of pinned a, weighted by the orbit size.
+    A cached histogram is never refused.
+    """
+    if M == 1 or N == 1 or p == 1:  # Z_M is trivial, or f vanishes: H = Z_M
+        return {M: (M * N)**(p - 1)}
+    T, what = min(N, p), f"period histogram of ({_name(M)},{_name(N)},{_name(p)})"
+    # R partitions: R p^2 to find their orbits, then about R / p of them, each
+    # against a_rows pinned a at 2p + M^2 T (a pair's table and its M shifts).
+    # Its floor at R = 1 comes first, so a_rows = M^(p-1) and R are formed after.
+    _check_budget(what, None, (p - 1) * Fraction(math.log10(M))
+                  + Fraction(math.log10(2 * p + M * M * T) - math.log10(p)))
+    a_rows = M**(p - 1)
+    R = sum(_stirling_row(p)[1:T + 1])
+    _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p)
+    by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
+        lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
+        a_rows, M, p, T, lambda codes, index: _code_periods(codes).sum(axis=1))
+    counts = sum(math.perm(N - 1, t - 1) * by_t[t].astype(object) for t in range(1, T + 1))
+    return {h: int(mult) for h, mult in enumerate(counts) if mult}
 
 
 def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:

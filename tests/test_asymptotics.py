@@ -65,6 +65,17 @@ def test_profile_and_moment_budgets():
     assert time.perf_counter() - start < 0.1
 
 
+def test_horner_evaluation_is_priced_by_the_digits_of_t():
+    # the Horner loop multiplies by t's digits at every step: a t of 2000
+    # digits is refused at once at p = 1000, by either entry point
+    t = Fraction(10**2000, 3)
+    for call in (lambda: free_poisson_moment(t, 1000), lambda: stirling_polynomial(1000)(t)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            call()
+        assert time.perf_counter() - start < 1
+
+
 def test_free_poisson_moments():
     assert free_poisson_moment(Fraction(5, 2), 1) == Fraction(5, 2)
     assert free_poisson_moment(1, 4) == 14

@@ -107,6 +107,26 @@ def test_cli_reads_each_kernel_by_its_module_and_a_name_defined_there():
     assert problems == [] and reads > 0
 
 
+def test_partitions_alone_owns_the_counting_kernel():
+    # the table's coding, the orbit scan and the period histogram live in
+    # `partitions`; `truncated` reads the histogram and the per-pair codes
+    # from there, and `limits` reads the histogram without `truncated`
+    kernel = {"_word_digits", "_code_weights", "_row_codes", "_code_periods", "_orbit_scan",
+              "_rgs_array", "_rgs_orbits", "_stirling_row"}
+    problems = [f"{path.stem}:{line} names {name}" for path in sorted(PACKAGE.glob("*.py"))
+                if path.stem != "partitions" for line, name in _names(path) if name in kernel]
+    limits = ast.parse((PACKAGE / "limits.py").read_text(encoding="utf-8"))
+    problems += [f"limits:{node.lineno} imports truncated"
+                 for node, target in _package_imports(limits) if target == "truncated"]
+    truncated = ast.parse((PACKAGE / "truncated.py").read_text(encoding="utf-8"))
+    for node in ast.walk(truncated):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else \
+            [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            problems.append(f"truncated:{node.lineno} imports numpy")
+    assert problems == []
+
+
 def test_the_numpy_free_modules_import_no_numpy_at_module_level():
     # a command whose values come from the cache runs these three alone
     problems = []

@@ -10,6 +10,7 @@ from fouriermoments.asymptotics import stirling_polynomial
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.partitions import (
     SetPartition,
+    _order_histogram,
     _pair_table,
     _rgs_array,
     _rgs_orbits,
@@ -24,7 +25,6 @@ from fouriermoments.partitions import (
     triangle_pair_counts,
     triangle_relation,
 )
-from fouriermoments.truncated import _order_histogram
 
 from helpers import (
     _difference_tables,
@@ -92,6 +92,9 @@ def test_canonical_form_and_validation():
         SetPartition.from_blocks([[], [0]])
     with pytest.raises(ParameterError, match="block element"):
         SetPartition.from_blocks([["a"], [0]])
+    for blocks in (((0, True),), ((0.0,),)):  # direct construction checks elements too
+        with pytest.raises(ParameterError, match="block element"):
+            SetPartition(blocks)
 
 
 def test_noncrossing_examples():
