@@ -26,6 +26,13 @@ class StirlingPolynomial:
     p: int
     coefficients: tuple[int, ...]  # index k = 1..p; coefficients[0] unused
 
+    def __post_init__(self):
+        # __call__ prices its Horner loop by p, so the loop must have p steps
+        _validate_pos(p=self.p)
+        if len(self.coefficients) != self.p + 1:
+            raise ParameterError(f"a profile of p={_name(self.p)} has p + 1 coefficients, "
+                                 f"got {len(self.coefficients)}")
+
     def __call__(self, t: Fraction | int) -> Fraction:
         # Horner's rule over the integers, t = u / v, and one gcd at the end
         u, v = Fraction(t).as_integer_ratio()

@@ -16,6 +16,7 @@ the read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -131,10 +132,17 @@ class Cache:
         doc = {"key": list(key), "value": _ratio_str(value),
                "engine_version": __version__}
         path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        os.replace(tmp, path)
+        # Each writer has a temporary file of its own, so writers of one key
+        # never rename each other's; the rename itself is atomic.
+        tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            os.replace(tmp, path)
+        except OSError as exc:  # the cache only saves time: the computed value stands
+            print(f"warning: cache entry not stored: {exc}", file=sys.stderr)
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _timed(fn, *args):

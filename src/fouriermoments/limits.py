@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -107,7 +110,8 @@ def decompose(M: int, N: int, p: int) -> DecompositionReport:
 def moment_integral(N: int, k: int) -> Fraction:
     """Normalized 2k-th moment of |q_1 + ... + q_N| / N over independent
     uniform phases: N^(-2k) * sum over compositions of k into N parts of the
-    squared multinomial coefficient."""
+    squared multinomial coefficient. That sum A_N(k) comes from a recurrence
+    in k at N = 3 and 4 (_walk_terms), else from a dynamic program over N."""
     _validate_pos(N=N)
     _validate_int("k", k, 0)
     if k == 0 or N == 1:
@@ -116,12 +120,16 @@ def moment_integral(N: int, k: int) -> Fraction:
         digits = 1 + 2 * k // sys.int_info.bits_per_digit
         _check_budget("central binomial coefficient", digits * digits)
         return Fraction(math.comb(2 * k, k), 4**k)
+    if N in _WALK_RECURRENCES:
+        return Fraction(deque(_walk_terms(N, k), maxlen=1).pop(), N**(2 * k))
     return Fraction(_squared_multinomial_row(N, k)[k], N**(2 * k))
 
 
 def _squared_multinomial_row(N: int, k: int) -> list[int]:
     """A_N(m) for m = 0..k: the sum over compositions of m into N parts of
-    the squared multinomial coefficient."""
+    the squared multinomial coefficient, by a dynamic program over N. The
+    routes take N = 3 and 4 from _walk_terms, and the tests take this
+    program as its oracle there."""
     # About N (k + 1)^2 bigint products, each of integers of up to 2k log2 N
     # bits (A_N(m) <= N^(2m)), which the interpreter multiplies digit by digit.
     digits = 1 + math.ceil(2 * k * Fraction(math.log2(N)) / sys.int_info.bits_per_digit)
@@ -143,15 +151,57 @@ def _squared_multinomial_row(N: int, k: int) -> list[int]:
     return rows[-1]
 
 
+# A_N(k) = W_N(2k), the even moments of the distance an N-step planar walk
+# of unit steps in uniform random directions ends from its start. At N = 3
+# and 4 they satisfy R(k) A(k + 1) = P(k) A(k) - Q(k) A(k - 1), A(0) = 1,
+# A(1) = N, with (P, Q, R) below: for N = 3, Borwein, Nuyens, Straub and Wan,
+# "Some arithmetic properties of short random walk integrals" (2011); for
+# N = 4 (the Domb numbers), Borwein, Straub, Wan and Zudilin, "Densities of
+# short uniform random walks" (2012).
+_WALK_RECURRENCES = {
+    3: lambda k: (10 * k * k + 10 * k + 3, 9 * k * k, (k + 1)**2),
+    4: lambda k: (2 * (2 * k + 1) * (5 * k * k + 5 * k + 2), 64 * k**3, (k + 1)**3),
+}
+
+
+def _walk_terms(N: int, k: int, p: int = 0) -> Iterator[int]:
+    """Yield C(p, 2m) A_N(m) for m = 0..k at N = 3 or 4, each from the two
+    before it; with p = 0, A_N(m) itself. Priced by k steps, each a few
+    products of a small integer by a term of 2k log2 N + p bits."""
+    digits = 1 + math.ceil((2 * k * Fraction(math.log2(N)) + p) / sys.int_info.bits_per_digit)
+    _check_budget(f"random-walk moment recurrence at N={N}", (k + 1) * digits)
+    # b_m = c_m A(m), with c_(m+1) = c_m u_m / v_m (c_m = C(p, 2m), or 1),
+    # satisfies R v_m v_(m-1) b_(m+1) = u_m (P v_(m-1) b_m - Q u_(m-1) b_(m-1)),
+    # a division that is exact.
+    ratio = (lambda m: ((p - 2 * m) * (p - 2 * m - 1), (2 * m + 1) * (2 * m + 2))) if p \
+        else (lambda m: (1, 1))
+    u = v = last = 1  # any (u, v) for m = -1: Q(0) = 0, and v_(-1) cancels
+    before = 0
+    yield last
+    for m in range(k):
+        P, Q, R = _WALK_RECURRENCES[N](m)
+        (u_prev, v_prev), (u, v) = (u, v), ratio(m)
+        before, last = last, (u * (P * v_prev * last - Q * u_prev * before)
+                              // (R * v * v_prev))
+        yield last
+
+
 def delta_m2(N: int, p: int) -> Fraction:
     """Exact limiting moment at M = 2 through the binomial route:
     2^(1-p) * sum_k C(p, 2k) * moment_integral(N, k)."""
     _validate_pos(N=N, p=p)
     kmax = p // 2
-    row = _squared_multinomial_row(N, kmax)
-    # moment_integral(N, k) = row[k] / N^(2k), over the common denominator.
-    total = sum(math.comb(p, 2 * k) * row[k] * N**(2 * (kmax - k))
-                for k in range(kmax + 1))
+    if N in _WALK_RECURRENCES:  # the products C(p, 2k) A_N(k) by one recurrence
+        terms = _walk_terms(N, kmax, p)
+    else:  # C(p, 2k) by one ratio step each
+        binomials = accumulate(range(kmax), lambda c, k: c * (p - 2 * k) * (p - 2 * k - 1)
+                               // ((2 * k + 1) * (2 * k + 2)), initial=1)
+        terms = map(operator.mul, binomials, _squared_multinomial_row(N, kmax))
+    # moment_integral(N, k) = A_N(k) / N^(2k), over the common denominator
+    # N^(2 kmax), by Horner's rule in N^2.
+    total, square = 0, N * N
+    for term in terms:
+        total = total * square + term
     return Fraction(total, 2**(p - 1) * N**(2 * kmax))
 
 
@@ -169,10 +219,11 @@ def delta_binomial(M: int, N: int, p: int) -> Fraction:
 
 def delta_m2_float(N: int, p: int) -> float:
     """Floating evaluation of delta_m2 for large p via log-gamma, summing the
-    terms in descending magnitude with compensated summation. For N >= 3,
-    A_N(m) = m!^2 [z^m] f(z)^N with f(z) = sum_i z^i / i!^2, and f^N comes
-    by FFT squaring in O(p log p log N), at FFT lengths of at most 2p + 4.
-    Relative error is below 1e-9 against the exact route for p <= 200."""
+    terms with math.fsum. For N >= 3, A_N(m) = m!^2 [z^m] f(z)^N with
+    f(z) = sum_i z^i / i!^2, and f^N comes by FFT squaring in
+    O(p log p log N), at FFT lengths of at most 2p + 4. Relative error
+    against the exact route is below 1e-9 for p <= 200, and about 1e-12 at
+    N = 3 and 4, p = 5000."""
     _validate_pos(N=N, p=p)
     if p > FLOAT_P_CAP:
         raise ParameterError(f"p={_name(p)} exceeds the floating-path cap {FLOAT_P_CAP}")
@@ -201,7 +252,7 @@ def delta_m2_float(N: int, p: int) -> float:
     log_terms = log_comb - (p - 1) * math.log(2.0) + (log_a - 2 * ks * math.log(N))
     shift = float(log_terms.max())
     scaled = np.exp(log_terms - shift) * weights
-    return math.exp(shift) * math.fsum(sorted(scaled, reverse=True))
+    return math.exp(shift) * math.fsum(scaled.tolist())  # correctly rounded in any order
 
 
 def _rounds_to_zero(N: int, p: int) -> bool:

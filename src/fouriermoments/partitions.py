@@ -427,13 +427,25 @@ def triangle_pair_counts(p: int, smax: int, tmax: int) -> dict[tuple[int, int], 
     is iff every one of its row codes is zero (_row_codes). Rotating pi and
     sigma together keeps compatibility and block counts (reflection and the
     pi <-> sigma swap do not), so _orbit_scan codes one pi per rotation
-    orbit, all of them in one product per block of sigmas. The budget
-    refuses a scan, but the tables are cached per
-    (p, smax, tmax) and a cached table is never refused; `cache_info` and
-    `cache_clear` are those of that cache.
+    orbit, all of them in one product per block of sigmas.
+
+    The counts are symmetric under (s, t) -> (t, s), although the relation
+    is not: they are the coefficients of (MN)^p delta_p(M, N) in the falling
+    factorials of M and N, and delta_p is symmetric: (a_y, b_y) ->
+    (b_y, a_(y-1)) maps the pairs of (M, N) that meet the base condition
+    onto those of (N, M). So the scan puts its orbits on the side with fewer
+    partitions, which its estimate prices lower, and answers the other
+    orientation by transposing the same table. The budget refuses a scan,
+    but the tables are cached per (p, min(smax, tmax), max(smax, tmax)) and
+    a cached table is never refused; `cache_info` and `cache_clear` are
+    those of that cache.
     """
     _validate_pos(p=p, smax=smax, tmax=tmax)
-    return _pair_table(p, min(smax, p), min(tmax, p))
+    smax, tmax = min(smax, p), min(tmax, p)
+    if smax <= tmax:
+        return _pair_table(p, smax, tmax)
+    table = _pair_table(p, tmax, smax)
+    return {(s, t): table[(t, s)] for s in range(1, smax + 1) for t in range(1, tmax + 1)}
 
 
 @lru_cache(maxsize=256)

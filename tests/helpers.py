@@ -105,6 +105,24 @@ def squared_multinomial_scan(N: int, k: int) -> int:
     return total
 
 
+def walk_moments_by_recurrence(N: int, k: int) -> list[int]:
+    """A_N(m) = W_N(2m) for m = 0..k at N = 3 or 4, by the three-term
+    recurrences in m of the even moments of a short uniform random walk:
+    (m+1)^2 A(m+1) = (10m^2 + 10m + 3) A(m) - 9m^2 A(m-1) at N = 3, and
+    (m+1)^3 A(m+1) = 2(2m+1)(5m^2 + 5m + 2) A(m) - 64m^3 A(m-1) at N = 4."""
+    row = [1, N]
+    for m in range(1, k):
+        if N == 3:
+            step = (10 * m * m + 10 * m + 3) * row[m] - 9 * m * m * row[m - 1], (m + 1)**2
+        else:
+            step = 2 * (2 * m + 1) * (5 * m * m + 5 * m + 2) * row[m] - 64 * m**3 * row[m - 1], \
+                (m + 1)**3
+        quotient, remainder = divmod(*step)
+        assert remainder == 0, (N, m)
+        row.append(quotient)
+    return row[:k + 1]
+
+
 def crossing_by_quadruples(blocks, p: int) -> bool:
     """O(p^4) literal scan for a crossing quadruple."""
     owner = {}

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from fouriermoments.asymptotics import (
+    StirlingPolynomial,
     delta_decay_estimate,
     free_poisson_moment,
     regime_check,
     richmond_shallit,
     stirling_polynomial,
 )
-from fouriermoments.errors import BudgetError, ParameterError
+from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.limits import moment_integral
 from fouriermoments.partitions import kreweras_complement, noncrossing_partitions
 
@@ -74,6 +75,17 @@ def test_horner_evaluation_is_priced_by_the_digits_of_t():
         with pytest.raises(BudgetError):
             call()
         assert time.perf_counter() - start < 1
+
+
+def test_profile_coefficients_match_p():
+    # __call__ prices its loop by p, so a longer loop than p steps is refused
+    # when it is built, not run under a budget that prices one step
+    with budget(100), pytest.raises(ParameterError, match="p \\+ 1 coefficients, got 3001"):
+        StirlingPolynomial(1, (0,) + (1,) * 3000)(Fraction(10**50, 3))
+    for p, coefficients in ((2, (0, 1)), (0, (0,)), (True, (0, 1))):
+        with pytest.raises(ParameterError):
+            StirlingPolynomial(p, coefficients)
+    assert StirlingPolynomial(1, (0, 1))(Fraction(10**50, 3)) == Fraction(10**50, 3)
 
 
 def test_free_poisson_moments():

@@ -210,10 +210,31 @@ def test_binomial_budget_prices_bigint_digits(capsys):
     # this point passed the gate and then ran for minutes
     start = time.perf_counter()
     code, out, err = run_cli(
-        ["limit", "--M", "2", "--N", "3", "--p", "20000", "--method", "binomial"], capsys)
+        ["limit", "--M", "2", "--N", "5", "--p", "20000", "--method", "binomial"], capsys)
     assert code == 3 and out == ""
     assert "squared-multinomial" in err
     assert time.perf_counter() - start < 1.0
+    # N = 3 takes the recurrence, 10^4 steps on terms of up to 20000 + 2 * 10^4
+    # log2 3 bits, 1725 digits: about 1.7e7 operations
+    code, out, err = run_cli(["limit", "--M", "2", "--N", "3", "--p", "20000", "--method",
+                              "binomial", "--budget", str(10001 * 1725 - 1)], capsys)
+    assert code == 3 and out == ""
+    assert "random-walk moment recurrence at N=3 needs ~1.725e+07" in err
+
+
+def test_binomial_route_answers_p_20000_at_n_3(capsys):
+    # under the default budget; the value has about 15 600 digits, so it
+    # prints with the interpreter's int-to-str limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run_cli(
+            ["limit", "--M", "2", "--N", "3", "--p", "20000", "--method", "binomial"], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    (row,) = parse_csv(out)
+    assert 0 < float(row["value_float"]) < limits.delta_m2_float(3, 19998)
 
 
 def test_limit_three_methods(capsys):
@@ -461,6 +482,54 @@ def test_cache_roundtrip(tmp_path, capsys):
     code3, out3, err3 = run_cli(argv, capsys)
     assert code3 == 0 and "cache hit" not in err3
     assert mask_runtime(parse_csv(out1)) == mask_runtime(parse_csv(out3))
+
+
+RACE = """
+import os, sys, time
+from fractions import Fraction
+from fouriermoments.cli import Cache
+cache, barrier, me = Cache(sys.argv[1]), sys.argv[2], sys.argv[3]
+open(os.path.join(barrier, me), "w").close()
+deadline = time.monotonic() + 30
+while len(os.listdir(barrier)) < 2 and time.monotonic() < deadline:  # store together
+    time.sleep(0.001)
+for i in range(300):
+    cache.store(("delta:direct", 3, 3, 5, None), Fraction(i, 7))
+"""
+
+
+def test_concurrent_stores_of_one_key_leave_whole_entries(tmp_path):
+    # each store used to write through the one name path + ".tmp", so one
+    # writer's rename took the other's file away (FileNotFoundError)
+    cache_dir, barrier = tmp_path / "cache", tmp_path / "barrier"
+    barrier.mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    writers = [subprocess.Popen([sys.executable, "-c", RACE, str(cache_dir), str(barrier), me],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=env) for me in "ab"]
+    for writer in writers:
+        out, err = writer.communicate(timeout=60)
+        assert writer.returncode == 0 and out == err == "", err
+    entries = list(cache_dir.iterdir())
+    assert len(entries) == 1 and entries[0].suffix == ".json"
+    for entry in entries:
+        doc = json.loads(entry.read_text())
+        assert doc["value"] in {f"{i // math.gcd(i, 7)}/{7 // math.gcd(i, 7)}"
+                                for i in range(300)}
+
+
+def test_a_failed_store_warns_and_keeps_the_value(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(["limit", "--M", "2", "--N", "2", "--p", "2",
+                              "--cache", str(cache_dir)], capsys)
+    assert code == 0 and [row["value"] for row in parse_csv(out)] == ["3/4"]
+    assert "warning: cache entry not stored: disk full" in err
+    assert not any(cache_dir.iterdir())  # nor a temporary file left behind
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -35,6 +35,7 @@ from helpers import (
     moment_cone_minors,
     squared_multinomial_scan,
     two_block_pairs,
+    walk_moments_by_recurrence,
 )
 
 
@@ -182,30 +183,77 @@ def test_moment_integral_paths_agree():
             assert moment_integral(N, k) == Fraction(scan, N**(2 * k))
 
 
+def test_walk_recurrences_equal_the_dynamic_program():
+    # the recurrences of the random-walk moments at N = 3 and 4, written out
+    # in the oracle, give the dynamic program's row
+    for N in (3, 4):
+        assert walk_moments_by_recurrence(N, 400) == _squared_multinomial_row(N, 400), N
+
+
+def test_the_binomial_route_takes_n_3_and_4_from_the_recurrence():
+    # the routes' terms, with and without the weights C(p, 2m), against the
+    # dynamic program, and delta_m2 against its definition on that row
+    for N in (3, 4):
+        row = _squared_multinomial_row(N, 400)
+        assert list(limits._walk_terms(N, 400)) == row, N
+        assert moment_integral(N, 400) == Fraction(row[400], N**800)
+        for p in (*range(1, 12), 800, 801):
+            terms = [math.comb(p, 2 * m) * a for m, a in enumerate(row[:p // 2 + 1])]
+            assert list(limits._walk_terms(N, p // 2, p)) == terms, (N, p)
+            assert delta_m2(N, p) == sum(Fraction(term, N**(2 * m)) for m, term
+                                         in enumerate(terms)) / 2**(p - 1), (N, p)
+
+
+def test_delta_m2_answers_past_the_dynamic_program():
+    # the dynamic program refused (3, k) from k = 3000 on; the recurrence
+    # answers p near 4000 under the default budget. The values are moments
+    # of a positive measure on [0, 1]: decreasing in p, and log-convex.
+    d = [delta_m2(3, p) for p in (3999, 4000, 4001)]
+    assert d[0] > d[1] > d[2] > 0
+    assert d[0] * d[2] >= d[1]**2
+
+
 def test_budget_blocks_check_their_value_and_nest():
     for ops in (True, 1.5, -1, "5", None):
         with pytest.raises(ParameterError), budget(ops):
             pass
-    # the dynamic program at (3, 8) is priced at 3 * 9^2 * 2 = 486 operations
-    value = moment_integral(3, 8)
+    # the dynamic program at (5, 8) is priced at 5 * 9^2 * 3 = 1215 operations
+    value = moment_integral(5, 8)
     with budget(10**6):
-        with pytest.raises(BudgetError), budget(485):
-            moment_integral(3, 8)
-        assert moment_integral(3, 8) == value  # the outer limit is back
+        with pytest.raises(BudgetError), budget(1214):
+            moment_integral(5, 8)
+        assert moment_integral(5, 8) == value  # the outer limit is back
         with budget(0), pytest.raises(BudgetError) as info:
-            moment_integral(3, 8)
-        assert (info.value.estimated_ops, info.value.budget) == (486, 0)
+            moment_integral(5, 8)
+        assert (info.value.estimated_ops, info.value.budget) == (1215, 0)
+    # the recurrence at (3, 8): 9 steps on integers of 2 digits
+    with budget(17), pytest.raises(BudgetError) as info:
+        moment_integral(3, 8)
+    assert info.value.estimated_ops == 18
+    with budget(18):
+        assert moment_integral(3, 8) == Fraction(walk_moments_by_recurrence(3, 8)[8], 3**16)
 
 
 def test_moment_integral_budget():
     with budget(10**6), pytest.raises(BudgetError):
         moment_integral(6, 10**6)
-    # the DP's entries reach 2k log2 N bits, so its 3 * 10001^2 products at
-    # (3, 20000), k = 10^4, are priced by the digits of such an integer
+    # the DP's entries reach 2k log2 N bits, so its 5 * 10001^2 products at
+    # (5, 20000), k = 10^4, are priced by the digits of such an integer
     with pytest.raises(BudgetError) as info:
+        delta_m2(5, 20000)
+    digits = 1 + math.ceil(2 * 10**4 * math.log2(5) / sys.int_info.bits_per_digit)
+    assert info.value.estimated_ops == 5 * 10001**2 * digits
+    # the recurrence at (3, 20000) makes 10^4 steps on terms C(p, 2k) A_3(k)
+    # of up to p + 2k log2 3 bits; the default budget admits it
+    digits = 1 + math.ceil((2 * 10**4 * math.log2(3) + 20000) / sys.int_info.bits_per_digit)
+    with budget(10001 * digits - 1), pytest.raises(BudgetError) as info:
         delta_m2(3, 20000)
-    digits = 1 + math.ceil(2 * 10**4 * math.log2(3) / sys.int_info.bits_per_digit)
-    assert info.value.estimated_ops == 3 * 10001**2 * digits
+    assert info.value.estimated_ops == 10001 * digits < 10**9
+    start = time.perf_counter()
+    for call in (lambda: moment_integral(3, 10**400), lambda: delta_m2(4, 10**6)):
+        with pytest.raises(BudgetError):
+            call()
+    assert time.perf_counter() - start < 0.1
     for k in (True, -1, 1.0):
         with pytest.raises(ParameterError):
             moment_integral(3, k)
@@ -260,6 +308,24 @@ def test_delta_m2_float_accuracy():
 def test_delta_m2_float_matches_log_convolution(N, p):
     oracle = delta_m2_float_by_log_convolution(N, p)
     assert abs(delta_m2_float(N, p) - oracle) <= 1e-10 * oracle
+
+
+@pytest.mark.parametrize("N, p", [(3, 40000), (2, 10000), (3, 200)])
+def test_delta_m2_float_sum_needs_no_sort(N, p, monkeypatch):
+    # math.fsum is correctly rounded in any order: summing the terms sorted
+    # by magnitude gives the same bits
+    value = delta_m2_float(N, p)
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: fsum(sorted(terms, reverse=True)))
+    assert delta_m2_float(N, p).hex() == value.hex()
+
+
+def test_delta_m2_float_error_at_large_p():
+    # about 1e-12 at p = 5000 against the exact route; a failure here is a
+    # finding about the float route, not a tolerance to loosen
+    for N in (3, 4):
+        exact = float(delta_m2(N, 5000))
+        assert abs(delta_m2_float(N, 5000) - exact) <= 1e-10 * exact, N
 
 
 def test_delta_m2_float_reaches_its_cap():

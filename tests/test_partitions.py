@@ -202,6 +202,26 @@ def test_triangle_table_is_symmetric_under_transpose():
         assert all(table[(t, s)] == pairs for (s, t), pairs in table.items()), p
 
 
+def test_every_table_is_a_restriction_of_the_full_table():
+    # with the transpose symmetry, what lets one scan answer both orientations
+    for p in range(1, 8):
+        full = triangle_pair_counts(p, p, p)
+        for smax, tmax in itertools.product(range(1, p + 2), repeat=2):
+            assert triangle_pair_counts(p, smax, tmax) == \
+                {(s, t): full[(s, t)] for s in range(1, min(smax, p) + 1)
+                 for t in range(1, min(tmax, p) + 1)}, (p, smax, tmax)
+
+
+def test_one_scan_answers_a_table_and_its_transpose():
+    triangle_pair_counts.cache_clear()
+    wide = triangle_pair_counts(9, 3, 2)
+    tall = triangle_pair_counts(9, 2, 3)
+    info = triangle_pair_counts.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert list(wide) == [(s, t) for s in range(1, 4) for t in range(1, 3)]  # row order
+    assert wide == {(s, t): pairs for (t, s), pairs in tall.items()}
+
+
 def test_two_block_pairs_match_the_closed_form():
     for p in range(2, 15):
         assert triangle_pair_counts(p, 2, 2)[(2, 2)] == two_block_pairs(p), p
