@@ -151,13 +151,7 @@ def _squared_multinomial_row(N: int, k: int) -> list[int]:
     return rows[-1]
 
 
-# A_N(k) = W_N(2k), the even moments of the distance an N-step planar walk
-# of unit steps in uniform random directions ends from its start. At N = 3
-# and 4 they satisfy R(k) A(k + 1) = P(k) A(k) - Q(k) A(k - 1), A(0) = 1,
-# A(1) = N, with (P, Q, R) below: for N = 3, Borwein, Nuyens, Straub and Wan,
-# "Some arithmetic properties of short random walk integrals" (2011); for
-# N = 4 (the Domb numbers), Borwein, Straub, Wan and Zudilin, "Densities of
-# short uniform random walks" (2012).
+# (P, Q, R) of R(k) A(k + 1) = P(k) A(k) - Q(k) A(k - 1), by N (_walk_terms)
 _WALK_RECURRENCES = {
     3: lambda k: (10 * k * k + 10 * k + 3, 9 * k * k, (k + 1)**2),
     4: lambda k: (2 * (2 * k + 1) * (5 * k * k + 5 * k + 2), 64 * k**3, (k + 1)**3),
@@ -166,8 +160,16 @@ _WALK_RECURRENCES = {
 
 def _walk_terms(N: int, k: int, p: int = 0) -> Iterator[int]:
     """Yield C(p, 2m) A_N(m) for m = 0..k at N = 3 or 4, each from the two
-    before it; with p = 0, A_N(m) itself. Priced by k steps, each a few
-    products of a small integer by a term of 2k log2 N + p bits."""
+    before it; with p = 0, A_N(m) itself. A_N(m) = W_N(2m) is the 2m-th
+    moment of the distance from its start at which an N-step planar walk of
+    unit steps in uniform random directions ends, and at N = 3 and 4 it
+    satisfies R(m) A(m + 1) = P(m) A(m) - Q(m) A(m - 1), A(0) = 1, A(1) = N,
+    with (P, Q, R) in _WALK_RECURRENCES: for N = 3, Borwein, Nuyens, Straub
+    and Wan, "Some arithmetic properties of short random walk integrals"
+    (Ramanujan J., 2011); for N = 4, the Domb numbers, Borwein, Straub, Wan
+    and Zudilin, "Densities of short uniform random walks" (Canad. J. Math.,
+    2012). Priced by k steps, each a few products of a small integer by a
+    term of 2k log2 N + p bits."""
     digits = 1 + math.ceil((2 * k * Fraction(math.log2(N)) + p) / sys.int_info.bits_per_digit)
     _check_budget(f"random-walk moment recurrence at N={N}", (k + 1) * digits)
     # b_m = c_m A(m), with c_(m+1) = c_m u_m / v_m (c_m = C(p, 2m), or 1),
