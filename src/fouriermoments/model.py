@@ -25,9 +25,15 @@ fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
 operator's factors, a nonzero entry's column M-tuple is therefore its row
 M-tuple plus one constant, so the operators of the torus trace split into
 M^(n-1) diagonal blocks of side M N^n, one per M-tuple up to translation.
-The blocks are gathered straight from the grams. The K^p x K^p matrix
-that `transfer_fiber` returns comes from the same gather with M = 1, where
-every index tuple is its own class and the one block is the whole matrix.
+The F_N factor makes an entry depend on the N-labels a only through
+(a(w) - a(z)) - (a(u) - a(v)) (mod N), so a block B stays the same when one
+constant is added to every row N-label, or to every column N-label: B =
+E C E^T, C its sub-block at a_0 = b_0 = 0, E the 0/1 map onto the N shifts
+(E^T E = N I), and Tr(B_1 ... B_q) = Tr((N C_1) ... (N C_q)). So
+`mc_estimate_c` gathers only the C, of side M N^(n-1), from the grams.
+The K^p x K^p matrix of `transfer_fiber`, for a magic unitary with no such
+symmetry, comes from the same gather unpinned with M = 1: every index
+tuple is its own class, and the one block is the whole matrix.
 """
 
 from __future__ import annotations
@@ -221,7 +227,7 @@ def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
     _check_budget(what, _gather_cost(1, K, p, p))
     # The indices are as large as the matrix at M = 1, so they are not kept.
     indices = _block_indices(1, K, p, transfer=True)
-    stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, 1, K, K**-(p + 1),
+    stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, K**-(p + 1),
                           np.empty((1, 1, K**p, K**p), dtype=complex))
     return stack[0, 0]
 
@@ -310,7 +316,8 @@ def _sample_values(key: int, samples: int, rows: int, sample_bytes: int,
     return values
 
 
-def _block_indices(M: int, N: int, n: int, transfer: bool = False) -> tuple[np.ndarray, ...]:
+def _block_indices(M: int, N: int, n: int, transfer: bool = False,
+                   pinned: bool = False) -> tuple[np.ndarray, ...]:
     """Flat indices that gather the diagonal blocks of a slice operator on n
     slices from its factors; the module docstring says why the operator is
     block-diagonal. Class t, the M-tuples t + c, has t[0] = 0, and inside it
@@ -318,37 +325,37 @@ def _block_indices(M: int, N: int, n: int, transfer: bool = False) -> tuple[np.n
     factor x on the frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with
     unit axes where factor x does not depend on the frame axis. A factor's
     axes are (row_x, row_{x+1}, col_x, col_{x+1}); with `transfer` it is a
-    pair gram, read with axes (row_x, col_x, row_{x+1}, col_{x+1})."""
+    pair gram, read with axes (row_x, col_x, row_{x+1}, col_{x+1}). With
+    `pinned`, a_0 = b_0 = 0: the sub-blocks of side M N^(n-1)."""
     K = M * N
-    frame_axes = 2 * n + 3
 
     def on_axis(values: np.ndarray, position: int) -> np.ndarray:
-        shape = [1] * frame_axes
+        shape = [1] * (2 * n + 3)
         shape[position] = -1
         return values.reshape(shape)
 
     classes = np.indices((1,) + (M,) * (n - 1)).reshape(n, -1)
     c1, c2 = on_axis(np.arange(M), 1), on_axis(np.arange(M), n + 2)
-    labels = np.arange(N)
+    labels = [np.arange(1 if pinned else N)] + [np.arange(N)] * (n - 1)
     out = []
     for x in range(n):
         y = (x + 1) % n
         tx, ty = on_axis(classes[x], 0), on_axis(classes[y], 0)
-        row_x = ((tx + c1) % M) * N + on_axis(labels, 2 + x)
-        row_y = ((ty + c1) % M) * N + on_axis(labels, 2 + y)
-        col_x = ((tx + c2) % M) * N + on_axis(labels, n + 3 + x)
-        col_y = ((ty + c2) % M) * N + on_axis(labels, n + 3 + y)
+        row_x = ((tx + c1) % M) * N + on_axis(labels[x], 2 + x)
+        row_y = ((ty + c1) % M) * N + on_axis(labels[y], 2 + y)
+        col_x = ((tx + c2) % M) * N + on_axis(labels[x], n + 3 + x)
+        col_y = ((ty + c2) % M) * N + on_axis(labels[y], n + 3 + y)
         second, third = (col_x, row_y) if transfer else (row_y, col_x)
         out.append(((row_x * K + second) * K + third) * K + col_y)
     return tuple(out)
 
 
 def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
-                  M: int, N: int, scale: float, out: np.ndarray) -> np.ndarray:
+                  scale: float, out: np.ndarray) -> np.ndarray:
     """The diagonal blocks of `scale` times a slice operator for each sample
     of a chunk, gathered from the factors by the n `indices` of
-    `_block_indices` into `out`, a (samples, M^(n-1), M N^n, M N^n) stack,
-    without forming the K^n x K^n operator.
+    `_block_indices` into `out`, a (samples, M^(n-1), side, side) stack on
+    their frame (side M N^n, or M N^(n-1) pinned), never the K^n x K^n one.
 
     The slice operator acts on the K^n-dimensional space of a torus slice:
     `factors[x]`, a (samples, K, K, K, K) stack, couples slice components
@@ -359,8 +366,8 @@ def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
     pair indices flattened as i*N + a. With M = 1 every index tuple is its
     own class: one block, the whole operator.
     """
-    n, rows = len(indices), len(out)
-    acc = out.reshape((rows, M**(n - 1), M) + (N,) * n + (M,) + (N,) * n)
+    rows = len(out)
+    acc = out.reshape((rows,) + np.broadcast_shapes(*(index.shape for index in indices)))
     for x, (factor, index) in enumerate(zip(factors, indices)):
         gathered = factor.reshape(rows, -1).take(index, axis=1)
         if x:
@@ -372,9 +379,9 @@ def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
 
 
 def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
-    """Operations to gather `factors` factors into the M^(n-1) blocks of side
-    M N^n of a slice operator on n slices (`_slice_blocks`), plus one per byte
-    held per block entry: 16 each for it, a gathered factor and its indices."""
+    """Operations to gather `factors` factors into the M^(n-1) unpinned blocks
+    of side M N^n of a slice operator on n slices (`_slice_blocks`), plus one
+    per byte held per block entry: 16 each for it, a gathered factor, its index."""
     return M**(n - 1) * (M * N**n)**2 * (factors + 48)
 
 
@@ -382,8 +389,8 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
                   p: int, work: np.ndarray) -> list[complex]:
     """Tr(T_p(Q_1) ... T_p(Q_r)) for each sample of a chunk, from its
     (r, samples, K, K, K, K) pair grams, the `indices` of
-    _block_indices(M, N, min(p, r), transfer=r > p) and `work`, three
-    (samples, M^(n-1), M N^n, M N^n) block stacks.
+    _block_indices(M, N, min(p, r), transfer=r > p, pinned=True) and `work`,
+    three (samples, M^(n-1), M N^(n-1), M N^(n-1)) block stacks.
 
     The trace is a torus contraction of r*p four-index tensors, swept along
     whichever direction has the smaller slice space as the trace of a
@@ -391,7 +398,8 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
     K^r-dimensional step operator taken p times; with r > p, the r distinct
     transfer matrices of the fibers. Either operator is block-diagonal
     (`_block_indices`), and products keep the blocks, so the trace is the
-    sum of the block traces: only the M^(n-1) blocks of side M N^n are built
+    sum of the block traces, N^q times those of the pinned sub-blocks: only
+    the M^(n-1) sub-blocks of side M N^(n-1) are built, each scaled by N,
     and multiplied. The running product, the next factor and their product
     each have a stack of their own, and the last contraction runs per sample
     (module docstring).
@@ -404,14 +412,14 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
         # normalisation K^(-r(p+1)) is applied factor by factor, so the
         # products stay near the moment's size instead of overflowing.
         # Multiplying by a real reciprocal is cheaper than a complex division.
-        step = _slice_blocks(list(grams), indices, M, N, K**-r, factor_stack)
+        step = _slice_blocks(list(grams), indices, N * K**-r, factor_stack)
 
     def factor(k: int, out: np.ndarray) -> np.ndarray:
         if r <= p:
             return step
         # Fiber k's transfer matrix: the k-th slice indexes its rows, the
         # (k+1)-th its columns, and the gram is every position's factor.
-        return _slice_blocks([grams[k]] * p, indices, M, N, K**-(p + 1), out)
+        return _slice_blocks([grams[k]] * p, indices, N * K**-(p + 1), out)
 
     acc = factor(0, acc_stack)
     for k in range(1, q - 1):
@@ -431,22 +439,24 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     phase matrix. Deterministic for a fixed seed, whatever the chunk size."""
     _validate_pos(M=M, N=N, p=p, r=r, samples=samples)
     key = _philox_key(seed)
-    # The block loop's work per sample: max(1, q - 2) products of the
-    # M^(n-1) blocks of side M N^n, and p*r block-sized factor products.
-    # Its floor, from logarithms, is checked before the price is formed.
-    n, q, what = min(p, r), max(p, r), "trace statistic per sample"
-    _check_budget(what, None, n * Fraction(math.log10(M * N**3))
-                  + Fraction(math.log10(M * M * max(1, q - 2))))
-    cost = M**(n - 1) * (M * N**n)**3 * max(1, q - 2) + _gather_cost(M, N, n, p * r)
-    _check_budget(what, cost)
-    K, blocks = M * N, (M**(n - 1), M * N**n, M * N**n)
+    K, n, q = M * N, min(p, r), max(p, r)
     # One op per byte of the values, and the kernel's for each of r K draws.
     _check_budget(f"{_name(samples)} sample values and draws",
                   samples * (8 + _DRAW_OPS * r * K))
-    indices = _block_indices(M, N, n, transfer=r > p)
-    # A sample holds its r grams, quotients and their conjugates, and four
-    # block stacks (three in `work` and a gathered factor), 16 bytes an entry.
-    sample_bytes = 16 * (r * (K**4 + 2 * K**3) + 4 * math.prod(blocks))
+    # The block loop over all samples (a sample's max(1, q - 2) block products
+    # and p*r factor gathers), and 48 bytes a block entry once; its floor at
+    # one sample, from logarithms, is checked before the price is formed.
+    what = f"{_name(samples)} samples of the trace statistic"
+    _check_budget(what, None, (n - 1) * Fraction(math.log10(M * N**3))
+                  + Fraction(math.log10(M**3 * max(1, q - 2))))
+    blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
+    _check_budget(what, math.prod(blocks) * (samples * (blocks[1] * max(1, q - 2) + p * r) + 48))
+    indices = _block_indices(M, N, n, transfer=r > p, pinned=True)
+    # A sample holds its r grams, fibers and phases, three block stacks and at
+    # its peak either its quotients beside their division's two broadcast
+    # buffers or two gathered factors, 16 bytes an entry; its value and draws.
+    sample_bytes = 16 * (r * (K**4 + K**2 + K) + 3 * math.prod(blocks)
+                         + max(3 * r * K**3, 2 * math.prod(blocks))) + 80 + _DRAW_BYTES * r * K
     rows = _chunk_rows(samples, sample_bytes)
     # Fiber-major, so that each fiber's grams are one contiguous stack.
     grams = np.empty((r, rows, K * K, K * K), dtype=complex)

@@ -359,19 +359,20 @@ def dense_torus_trace(grams, K: int, p: int) -> complex:
     return complex((acc * mats[-1].T).sum()) * scale
 
 
-def _one_sample_blocks(factors, indices, M: int, N: int, scale: float):
+def _one_sample_blocks(factors, indices, scale: float):
     """The diagonal blocks of `scale` times one sample's slice operator, by
-    gathering each factor on the frame of `model._block_indices`."""
+    gathering each factor on the frame of `model._block_indices`, whose
+    shape the indices give."""
     import numpy as np
 
-    n = len(indices)
-    acc = np.empty((M**(n - 1), M) + (N,) * n + (M,) + (N,) * n, dtype=complex)
+    frame = np.broadcast_shapes(*(index.shape for index in indices))
+    acc = np.empty(frame, dtype=complex)
     acc[...] = factors[0].take(indices[0])
     for factor, index in zip(factors[1:], indices[1:]):
         acc *= factor.take(index)
     acc *= scale
-    side = M * N**n
-    return acc.reshape(M**(n - 1), side, side)
+    side = math.isqrt(acc.size // frame[0])
+    return acc.reshape(frame[0], side, side)
 
 
 def _one_sample_trace(stacks) -> complex:
@@ -398,7 +399,8 @@ def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
     """Each sample's Tr(T_p(Q_1) ... T_p(Q_r)), one sample at a time: r phase
     matrices drawn from the sample's `sample_generator`, one `uniform` call
     each, the deformed fibers, their row quotients and pair grams, and the
-    block traces over min(p, r) slices. Kept as the oracle for the chunked
+    block traces over min(p, r) slices, on the frame pinned at a_0 = b_0 = 0
+    with every factor scaled by N. Kept as the oracle for the chunked
     estimator, whose values must equal these byte for byte."""
     import numpy as np
 
@@ -407,7 +409,7 @@ def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
     K, n = M * N, min(p, r)
     four = model.fourier_matrix(M).entries[:, None, :, None] \
         * model.fourier_matrix(N).entries[None, :, None, :]
-    indices = model._block_indices(M, N, n)
+    indices = model._block_indices(M, N, n, pinned=True)
     values = np.empty(samples)
     for s in range(samples):
         rng = sample_generator(seed, s)
@@ -418,12 +420,12 @@ def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
             pairs = (H[:, None, :] / H[None, :, :]).reshape(K * K, K)
             grams.append((pairs.conj() @ pairs.T).reshape(K, K, K, K))
         if r <= p:
-            step = _one_sample_blocks(grams, indices, M, N, K**-r)
+            step = _one_sample_blocks(grams, indices, N * K**-r)
             trace = _one_sample_trace([step] * p) * K**-r
         else:
             trace = _one_sample_trace([
-                _one_sample_blocks([g.transpose(0, 2, 1, 3).copy()] * p, indices, M, N,
-                                   K**-(p + 1)) for g in grams])
+                _one_sample_blocks([g.transpose(0, 2, 1, 3).copy()] * p, indices,
+                                   N * K**-(p + 1)) for g in grams])
         values[s] = trace.real
     return values
 

@@ -332,6 +332,20 @@ def test_mc_gram_budget_exit_code(capsys):
     assert code == 3 and "100 gram samples at (2,2,3)" in err
 
 
+def test_mc_model_prices_every_sample(capsys):
+    # the gate prices the block loop over all samples: 400 000 samples at
+    # (3,3,3,3), 9 * 27^3 + 9 * 27^2 * 9 = 236 196 operations each, are refused
+    # at once; priced by one sample's loop, they were admitted and ran for
+    # about 17 minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["mc", "--kind", "model", "--M", "3", "--N", "3", "--p", "3", "--r", "3",
+         "--samples", "400000", "--seed", "1"], capsys)
+    assert code == 3 and out == ""
+    assert "400000 samples of the trace statistic needs ~9.448e+10" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_mc_gram_long_p(capsys):
     code, out, _ = run_cli(
         ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "600",

@@ -239,6 +239,30 @@ def test_step_operator_is_block_diagonal_over_translates():
         assert off.max(initial=0.0) < 1e-12, (M, N, n)
 
 
+def _label_shift(M: int, N: int, n: int) -> np.ndarray:
+    """shift[index]: the slice index tuple with every N-label (a = index % N)
+    plus one mod N."""
+    digits = np.indices((M * N,) * n).reshape(n, -1)
+    shifted = digits // N * N + (digits + 1) % N
+    return np.ravel_multi_index(tuple(shifted), (M * N,) * n)
+
+
+def test_slice_operators_are_invariant_under_label_shifts():
+    # a pair-gram entry depends on the N-labels only through
+    # (a(w) - a(z)) - (a(u) - a(v)) mod N, so adding one constant to every row
+    # N-label, or to every column N-label, leaves the step operator and the
+    # transfer matrix of a deformed fiber unchanged
+    rng = np.random.default_rng(37)
+    for (M, N), n in itertools.product(((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)), (1, 2, 3)):
+        fibers = _sampled_fibers(M, N, n, rng)
+        grams = [_pair_gram(_row_quotients(fiber.entries)) for fiber in fibers]
+        step = dense_slice_operator(grams, n, M * N) * (M * N)**-n
+        shift = _label_shift(M, N, n)
+        for name, op in (("step", step), ("transfer", transfer_fiber(magic_unitary(fibers[0]), n))):
+            assert np.abs(op[shift] - op).max() < 1e-12, (name, "rows", M, N, n)
+            assert np.abs(op[:, shift] - op).max() < 1e-12, (name, "columns", M, N, n)
+
+
 def test_transfer_matrix_is_block_diagonal_over_translates():
     rng = np.random.default_rng(31)
     for (M, N), p in itertools.product(((2, 2), (2, 3), (3, 2), (3, 3)), (1, 2, 3)):
@@ -268,7 +292,7 @@ def test_philox_kernel_matches_numpy_generator():
 def test_torus_trace_matches_transfer_products():
     rng = np.random.default_rng(23)
     cases = list(itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3)))
-    for M, N, p, r in cases + [(3, 3, 3, 3)]:
+    for M, N, p, r in cases + [(3, 3, 3, 3), (2, 4, 3, 2), (2, 4, 2, 3), (4, 2, 3, 3)]:
         K = M * N
         grams, mats = [], []
         for _ in range(r):
@@ -281,9 +305,9 @@ def test_torus_trace_matches_transfer_products():
         dense = np.trace(product)
         oracle = dense_torus_trace(grams, K, p)
         n = min(p, r)
-        work = np.empty((3, 1, M**(n - 1), M * N**n, M * N**n), dtype=complex)
-        (fast,) = _torus_traces(np.stack(grams)[:, None], _block_indices(M, N, n, r > p),
-                                M, N, p, work)
+        work = np.empty((3, 1, M**(n - 1), M * N**(n - 1), M * N**(n - 1)), dtype=complex)
+        (fast,) = _torus_traces(np.stack(grams)[:, None],
+                                _block_indices(M, N, n, r > p, pinned=True), M, N, p, work)
         assert abs(fast - oracle) <= 1e-12 * abs(oracle), (M, N, p, r)
         assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
         # moment of a self-adjoint element: real for every sampled tuple
@@ -291,8 +315,9 @@ def test_torus_trace_matches_transfer_products():
 
 
 def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
-    # both sweeps (r <= p and r > p) run on the diagonal blocks alone: every
-    # stack gathered ends in M^(n-1) blocks of side M N^n, never one K^n block
+    # both sweeps (r <= p and r > p) run on the diagonal blocks alone, pinned
+    # at a_0 = b_0 = 0: every stack gathered ends in M^(n-1) blocks of side
+    # M N^(n-1), never one K^n block
     shapes = []
     gather = model._slice_blocks
 
@@ -307,7 +332,8 @@ def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
         est = mc_estimate_c(M, N, p, r, samples=3, seed=4)
         assert np.isfinite(est.mean)
         n = min(p, r)
-        assert shapes and set(shapes) == {(M**(n - 1), M * N**n, M * N**n)}, (M, N, p, r)
+        assert shapes and set(shapes) == {(M**(n - 1), M * N**(n - 1), M * N**(n - 1))}, \
+            (M, N, p, r)
 
 
 def _estimator_values(monkeypatch, estimate, *args) -> np.ndarray:
@@ -375,7 +401,7 @@ def test_one_sample_chunks_give_the_same_estimates(monkeypatch):
 
 def test_mc_estimate_c_holds_at_most_one_chunk():
     # a chunk holds at most CHUNK_BYTES of working arrays, or one sample
-    for point in ((3, 3, 2, 3), (2, 3, 3, 2)):
+    for point in ((3, 3, 2, 3), (2, 3, 3, 2), (2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 3, 2)):
         mc_estimate_c(*point, samples=1, seed=3)  # one-time allocations of a first call
         peaks = []
         for samples in (1, 2000):
@@ -465,13 +491,13 @@ def test_mc_estimate_delta_smoke():
 
 
 def test_torus_budget_limit():
-    # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^n = 8, so
-    # 2 * 8^3 * 1 + 2 * 8^2 * (6 + 48) = 7936 operations and bytes per sample
-    with budget(7936):
+    # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^(n-1) = 4, so
+    # 2 * 4^3 * 1 + 2 * 4^2 * (6 + 48) = 1856 operations and bytes for one sample
+    with budget(1856):
         mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
-    with budget(7935), pytest.raises(BudgetError) as info:
+    with budget(1855), pytest.raises(BudgetError) as info:
         mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
-    assert info.value.estimated_ops == 7936
+    assert info.value.estimated_ops == 1856
 
 
 def test_mc_budget_and_validation():
