@@ -22,10 +22,6 @@ import numpy as np
 from .errors import BudgetError, ParameterError, _check_budget, _name, _validate_int, _validate_pos
 from .partitions import _order_histogram, stirling_number, triangle_pair_counts
 
-# Exact binomial-route evaluation is refused above this p; the floating
-# evaluator covers the large-p regime instead.
-FLOAT_P_CAP = 10**6
-
 
 def delta_direct(M: int, N: int, p: int) -> Fraction:
     """Exact fraction of (a, b) index pairs satisfying the base multiset
@@ -227,10 +223,11 @@ def delta_m2_float(N: int, p: int) -> float:
     against the exact route is below 1e-9 for p <= 200, and about 1e-12 at
     N = 3 and 4, p = 5000."""
     _validate_pos(N=N, p=p)
-    if p > FLOAT_P_CAP:
-        raise ParameterError(f"p={_name(p)} exceeds the floating-path cap {FLOAT_P_CAP}")
     if N == 1:
         return 1.0
+    # The p + 1 log-gamma terms, at one op per byte the route holds a term:
+    # its arrays peak near 48 (tracemalloc: 44 at N = 2, 53 at N = 3).
+    _check_budget(f"float route at p={_name(p)}", 48 * (p + 1))
     if N > 2 and _rounds_to_zero(N, p):
         return 0.0
     kmax = p // 2

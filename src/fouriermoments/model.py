@@ -224,7 +224,7 @@ def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
     what = f"transfer matrix at K={K}, p={_name(p)}"
     # Its K^(2p) entries are a floor under the price, checked before it is formed.
     _check_budget(what, None, 2 * p * Fraction(math.log10(K)))
-    _check_budget(what, _gather_cost(1, K, p, p))
+    _check_budget(what, _gather_cost((1, K**p, K**p), p))
     # The indices are as large as the matrix at M = 1, so they are not kept.
     indices = _block_indices(1, K, p, transfer=True)
     stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, K**-(p + 1),
@@ -378,11 +378,11 @@ def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
     return out
 
 
-def _gather_cost(M: int, N: int, n: int, factors: int) -> int:
-    """Operations to gather `factors` factors into the M^(n-1) unpinned blocks
-    of side M N^n of a slice operator on n slices (`_slice_blocks`), plus one
-    per byte held per block entry: 16 each for it, a gathered factor, its index."""
-    return M**(n - 1) * (M * N**n)**2 * (factors + 48)
+def _gather_cost(blocks: tuple[int, ...], work: int) -> int:
+    """The price of gathering slice-operator blocks (`_slice_blocks`) into a
+    stack of shape `blocks`: `work` operations a block entry, plus one per
+    byte held a block entry, 16 each for it, a gathered factor and its index."""
+    return math.prod(blocks) * (work + 48)
 
 
 def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
@@ -444,13 +444,13 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     _check_budget(f"{_name(samples)} sample values and draws",
                   samples * (8 + _DRAW_OPS * r * K))
     # The block loop over all samples (a sample's max(1, q - 2) block products
-    # and p*r factor gathers), and 48 bytes a block entry once; its floor at
-    # one sample, from logarithms, is checked before the price is formed.
+    # and p*r factor gathers); its floor at one sample, from logarithms, is
+    # checked before the price is formed.
     what = f"{_name(samples)} samples of the trace statistic"
     _check_budget(what, None, (n - 1) * Fraction(math.log10(M * N**3))
                   + Fraction(math.log10(M**3 * max(1, q - 2))))
     blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
-    _check_budget(what, math.prod(blocks) * (samples * (blocks[1] * max(1, q - 2) + p * r) + 48))
+    _check_budget(what, _gather_cost(blocks, samples * (blocks[1] * max(1, q - 2) + p * r)))
     indices = _block_indices(M, N, n, transfer=r > p, pinned=True)
     # A sample holds its r grams, fibers and phases, three block stacks and at
     # its peak either its quotients beside their division's two broadcast

@@ -7,10 +7,10 @@ exactly when the rows are, and a pair's solution set is the subgroup H of
 Z_M of periods of f in m (_pair_periods). One loop (_orbit_scan) codes one b
 per rotation orbit of set partitions, in one float64 product per block of a,
 for the pair table (f = 0) and the histogram of |H| (_order_histogram).
-All values are immutable after construction. Enumeration streams stop at
-ENUMERATION_CAP and are single-consumer, but independent streams may run
-concurrently; the pair scan, the period histogram and the Stirling counts
-are refused by their estimated work.
+All values are immutable after construction. Enumeration streams are
+single-consumer, but independent streams may run concurrently; the streams,
+the pair scan, the period histogram and the Stirling counts are refused by
+their estimated work.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParameterError, _check_budget, _name, _validate_int, _validate_pos
-
-# Enumeration over all of P(p) is refused above this ground-set size
-# (Bell(12) = 4 213 597 partitions is the largest full stream supported).
-ENUMERATION_CAP = 12
 
 # Row codes (float64) an orbit scan holds per block of pairs, so its peak
 # memory grows neither with the rows of a nor with the representatives, and
@@ -100,10 +96,15 @@ class SetPartition:
         return len(self.blocks)
 
 
-def _check_p(p: int) -> None:
+def _check_stream(kind: str, p: int, length) -> None:
+    # length(p) partitions at the p^2 a row that _pair_table charges for
+    # _rgs_array rows. Each stream holds the Catalan(p) >= 4^p / ((p + 1)(2p + 1))
+    # non-crossing partitions, a floor checked from its logarithm first.
     _validate_pos(p=p)
-    if p > ENUMERATION_CAP:
-        raise ParameterError(f"p={_name(p)} exceeds the enumeration cap {ENUMERATION_CAP}")
+    what = f"stream of the {kind} partitions of p={_name(p)}"
+    _check_budget(what, None, p * Fraction(math.log10(4)) + Fraction(
+        math.log10(p * p) - math.log10((p + 1) * (2 * p + 1))))
+    _check_budget(what, length(p) * p * p)
 
 
 def _rgs_stream(p: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
@@ -128,14 +129,14 @@ def _rgs_stream(p: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
 def enumerate_partitions(p: int) -> Iterator[SetPartition]:
     """Yield every partition of {0,...,p-1} exactly once, in restricted
     growth string order."""
-    _check_p(p)
+    _check_stream("Bell", p, bell_number)
     for rgs in _rgs_stream(p, p):
         yield SetPartition.from_rgs(rgs)
 
 
 def noncrossing_partitions(p: int) -> Iterator[SetPartition]:
     """Yield the non-crossing partitions of {0,...,p-1}, each exactly once."""
-    _check_p(p)
+    _check_stream("Catalan", p, lambda p: math.comb(2 * p, p) // (p + 1))
     for rgs in _nc_rgs(p, [], []):
         yield SetPartition.from_rgs(rgs)
 
@@ -216,8 +217,10 @@ def triangle_relation(pi: SetPartition, sigma: SetPartition) -> bool:
 @lru_cache(maxsize=64)
 def _stirling_row(p: int) -> tuple[int, ...]:
     # S(p, s) for s = 0..p via S(p, s) = s*S(p-1, s) + S(p-1, s-1), priced
-    # on a miss only, so a cached row is never refused.
-    _check_budget(f"Stirling row of p={_name(p)}", _stirling_cost(p))
+    # on a miss only, so a cached row is never refused: p^2 / 2 sums of up
+    # to (p log2 p)-bit integers, digit by digit.
+    _check_budget(f"Stirling row of p={_name(p)}",
+                  p * p * (1 + p * p.bit_length() // sys.int_info.bits_per_digit) // 2)
     row = [1]
     for n in range(1, p + 1):
         prev = row
@@ -225,11 +228,6 @@ def _stirling_row(p: int) -> tuple[int, ...]:
         for s in range(1, n + 1):
             row[s] = s * (prev[s] if s < n else 0) + prev[s - 1]
     return tuple(row)
-
-
-def _stirling_cost(p: int) -> int:
-    # p^2 / 2 sums of up to (p log2 p)-bit integers, digit by digit.
-    return p * p * (1 + p * p.bit_length() // sys.int_info.bits_per_digit) // 2
 
 
 def stirling_number(p: int, s: int) -> int:
@@ -453,11 +451,11 @@ def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     row = _stirling_row(p)
     if min(smax, tmax) == 1:
         return {(s, t): row[s] * row[t] for s in range(1, smax + 1) for t in range(1, tmax + 1)}
-    # The Stirling row, R_x rows (R_x: partitions with <= x blocks) at p^2
-    # each, 5 R_s p^2 to find orbits, R_s / p orbits times R_t sigmas.
+    # R_x rows (R_x: partitions with <= x blocks) at p^2 each, 5 R_s p^2 to
+    # find orbits, R_s / p orbits times R_t sigmas; _stirling_row priced its row.
     R_s, R_t = (sum(row[1:x + 1]) for x in (smax, tmax))
     _check_budget(f"partition-pair scan of ({p},{smax},{tmax})",
-                  _stirling_cost(p) + R_s * R_t + (5 * R_s + R_t) * p * p)
+                  R_s * R_t + (5 * R_s + R_t) * p * p)
     sigmas, sigma_counts = _rgs_array(p, tmax)
     # A table whose codes all vanish counts in its sigma's block count, others in 0.
     tally = _orbit_scan(lambda index: sigmas[index], len(sigmas), tmax, p, smax,

@@ -70,8 +70,7 @@ def test_delta_partition_budget():
     with pytest.raises(BudgetError) as info:
         delta_partition(4, 4, 10)
     R = 43947  # partitions of 10 with at most 4 blocks
-    assert info.value.estimated_ops == 100 * (1 + 10 * 4 // sys.int_info.bits_per_digit) // 2 \
-        + R * R + 6 * R * 100
+    assert info.value.estimated_ops == R * R + 6 * R * 100
     assert "partition-pair scan of (10,4,4)" in str(info.value)
     triangle_pair_counts.cache_clear()  # a cached table is never refused
     with budget(1000), pytest.raises(BudgetError):
@@ -332,6 +331,19 @@ def test_delta_m2_float_reaches_its_cap():
     value = delta_m2_float(3, 10**6)
     assert math.isfinite(value)
     assert abs(value / delta_decay_estimate(3, 10**6) - 1) < 0.10
+
+
+def test_delta_m2_float_is_priced_by_p():
+    # the route's p + 1 terms are its one size rule: p = 2 * 10^6 is admitted
+    # and within criterion 10's 3 % of 2 / sqrt(pi p); larger p are refused at once
+    p = 2 * 10**6
+    assert abs(delta_m2_float(2, p) * math.sqrt(math.pi * p) / 2 - 1) < 0.03
+    start = time.perf_counter()
+    for N, p in ((2, 10**9), (3, 10**400)):
+        with pytest.raises(BudgetError) as info:
+            delta_m2_float(N, p)
+        assert info.value.estimated_ops == 48 * (p + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_delta_m2_float_buffers_do_not_grow_with_n(monkeypatch):

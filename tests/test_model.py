@@ -193,12 +193,13 @@ def test_transfer_budget_limit():
 def test_transfer_budget_bounds_memory():
     # K = 66 is the largest fiber the default budget admits at p = 2: its
     # 66^4 complex entries take 304 MB. At K = 149 they would take 7.9 GB.
-    assert _gather_cost(1, 66, 2, 2) <= DEFAULT_BUDGET < _gather_cost(1, 67, 2, 2)
-
+    assert _gather_cost((1, 66**2, 66**2), 2) <= DEFAULT_BUDGET
     # the gate reads only the fiber's size: a broadcast array holds no K^3 entries
-    unit = model.MagicUnitary(np.broadcast_to(np.complex128(1), (149, 149, 149)))
-    with pytest.raises(BudgetError):
-        transfer_fiber(unit, 2)
+    for K in (67, 149):
+        unit = model.MagicUnitary(np.broadcast_to(np.complex128(1), (K, K, K)))
+        with pytest.raises(BudgetError) as info:
+            transfer_fiber(unit, 2)
+        assert info.value.estimated_ops == _gather_cost((1, K**2, K**2), 2)
 
 
 def test_transfer_fiber_keeps_no_gather_indices():

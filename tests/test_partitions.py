@@ -64,7 +64,7 @@ def test_enumeration_is_rgs_ordered_and_duplicate_free():
 
 
 def test_enumeration_cap_and_bad_p():
-    with pytest.raises(ParameterError):
+    with pytest.raises(BudgetError):
         list(enumerate_partitions(13))
     with pytest.raises(ParameterError):
         list(enumerate_partitions(0))
@@ -75,6 +75,26 @@ def test_enumeration_cap_and_bad_p():
                  lambda: bell_number(True)):
         with pytest.raises(ParameterError):
             call()
+
+
+def test_streams_are_priced_by_their_length():
+    # Bell(p) or Catalan(p) partitions at p^2 each: the default budget admits
+    # full streams to p = 12 and non-crossing ones to p = 14, each at once
+    start = time.perf_counter()
+    assert [next(noncrossing_partitions(p)).p for p in (13, 14)] == [13, 14]
+    assert next(enumerate_partitions(12)).p == 12
+    for stream, p, length in ((enumerate_partitions, 13, bell_number(13)),
+                              (noncrossing_partitions, 15, catalan(15))):
+        with pytest.raises(BudgetError) as info:
+            next(stream(p))
+        assert info.value.estimated_ops == length * p * p
+    with budget(catalan(13) * 169 - 1), pytest.raises(BudgetError):
+        next(noncrossing_partitions(13))
+    # a count too large to form is refused from the logarithm of its floor
+    for stream in (enumerate_partitions, noncrossing_partitions):
+        with pytest.raises(BudgetError):
+            next(stream(10**400))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_canonical_form_and_validation():
@@ -243,9 +263,10 @@ def test_one_block_tables_come_from_stirling_numbers(monkeypatch):
 
 
 def test_pair_scan_budget():
-    # R_s R_t + (5 R_s + R_t) p^2 and the Stirling row, with R = 2^(p-1) at two blocks
+    # R_s R_t + (5 R_s + R_t) p^2, with R = 2^(p-1) at two blocks; the
+    # Stirling row is priced by its own gate
     R = 2**9
-    cost = 100 + R * R + 6 * R * 100
+    cost = R * R + 6 * R * 100
     # refused before it is admitted, since a cached table is never refused
     triangle_pair_counts.cache_clear()
     with budget(cost - 1), pytest.raises(BudgetError) as info:
