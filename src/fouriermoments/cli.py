@@ -30,9 +30,9 @@ from fractions import Fraction
 import fouriermoments
 
 from . import __version__
-from .closed import alpha, beta, c_from_d, closed_form_is_exact, d42_closed
-from .errors import (DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _validate_pos,
-                     budget)
+from .closed import _check_bits, alpha, beta, c_from_d, closed_form_is_exact, d42_closed
+from .errors import (DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _check_budget,
+                     _name, _validate_pos, budget)
 
 CACHE_ENV_VAR = "FOURIERMOMENTS_CACHE"
 
@@ -77,7 +77,22 @@ def _ratio_str(value: Fraction) -> str:
             f"the limit of {sys.get_int_max_str_digits()} on printing an integer") from None
 
 
+def _print_cost(value: Fraction) -> int:
+    """The price of writing `value`: CPython turns an int of d digits of its
+    own base into decimal in about d^2 steps, so each term costs the square
+    of its digits past the first, read from its bit length. A term past the
+    interpreter's int-to-str limit, which str refuses before converting,
+    raises the ParameterError of printing it instead."""
+    top, bottom = abs(value.numerator).bit_length(), value.denominator.bit_length()
+    limit = sys.get_int_max_str_digits()
+    if limit and max(top, bottom) >= limit * math.log2(10):
+        _ratio_str(value)
+    return (top // sys.int_info.bits_per_digit)**2 + (bottom // sys.int_info.bits_per_digit)**2
+
+
 def _emit(records: list[RunRecord], fmt: str, out_path: str | None) -> None:
+    _check_budget(f"writing {len(records)} records", sum(
+        _print_cost(rec.value_exact) for rec in records if rec.value_exact is not None))
     if fmt == "json":
         text = json.dumps([rec.as_dict() for rec in records], indent=2) + "\n"
     else:
@@ -250,18 +265,36 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     M, N, p = args.M, args.N, args.p
     _validate_pos(r_max=args.r_max)
     delta, _ = _delta_for(M, N, p, cache)
+    _check_ladder(M, N, p, args.r_max, delta)
     records = []
     # Values grow with r: stop at the first rung too long to print, not after the last.
-    too_long = sys.get_int_max_str_digits() * math.log2(10) + 1  # bits of such a term
     for r in range(1, args.r_max + 1):
         d, ms = _d_for(M, N, p, r, cache)
         b, beta_ms = _timed(beta, M, N, p, r, delta)
         common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms + beta_ms)
         for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
-            if 1 < too_long <= max(abs(value.numerator), value.denominator).bit_length():
-                _ratio_str(value)  # raises the ParameterError of printing it
+            _print_cost(value)  # raises the ParameterError of a value too long to print
             records.append(RunRecord("converge", method, value_exact=value, **common))
     return records
+
+
+def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> None:
+    """Refuse the converge ladder before its first rung. Rung r forms four
+    Fractions (count_d's, beta's product and sum, the gap) of up to
+    b(r) = (p + r) bitlen(M) + p bitlen(N) bits, count_d's bound, which
+    bounds every value of the rung. The rungs counted are those that surely
+    print: to r_max, but only while b(r) is under the int-to-str limit, as a
+    longer value may stop the ladder, unless delta = 1, which makes every
+    value 1. closed._check_bits prices a b-bit Fraction at (b / 300)^2, so
+    the rule summed over the Fractions is the rule at the root of the sum of
+    their squared bits."""
+    first, step = p * (M.bit_length() + N.bit_length()), M.bit_length()  # b(r) = first + step r
+    limit, rungs = sys.get_int_max_str_digits(), r_max
+    if limit and delta != 1:
+        rungs = min(r_max, max(0, (math.ceil(limit * math.log2(10)) - first - 1) // step))
+    squares = (rungs * first**2 + first * step * rungs * (rungs + 1)
+               + step**2 * rungs * (rungs + 1) * (2 * rungs + 1) // 6)
+    _check_bits(f"converge ladder of {_name(rungs)} rungs", math.isqrt(4 * squares))
 
 
 def cmd_mc(args, cache: Cache) -> list[RunRecord]:
@@ -416,8 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cache = Cache(args.cache or os.environ.get(CACHE_ENV_VAR))
         with budget(args.budget):
-            records = args.func(args, cache)
-        _emit(records, args.format, args.out)
+            _emit(args.func(args, cache), args.format, args.out)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -221,7 +221,10 @@ def delta_m2_float(N: int, p: int) -> float:
     f(z) = sum_i z^i / i!^2, and f^N comes by FFT squaring in
     O(p log p log N), at FFT lengths of at most 2p + 4. Relative error
     against the exact route is below 1e-9 for p <= 200, and about 1e-12 at
-    N = 3 and 4, p = 5000."""
+    N = 3 and 4, p = 5000. The log-factorials are p + 1 math.lgamma calls:
+    a running np.cumsum(np.log(n)) drifts from them by 8.7e-11 at p = 5000
+    and by 3.7e-7 at p = 10^6, and at p = 5000 it puts the error at 6.8e-11,
+    near the 1e-10 the tests allow there."""
     _validate_pos(N=N, p=p)
     if N == 1:
         return 1.0

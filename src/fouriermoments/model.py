@@ -326,7 +326,12 @@ def _block_indices(M: int, N: int, n: int, transfer: bool = False,
     unit axes where factor x does not depend on the frame axis. A factor's
     axes are (row_x, row_{x+1}, col_x, col_{x+1}); with `transfer` it is a
     pair gram, read with axes (row_x, col_x, row_{x+1}, col_{x+1}). With
-    `pinned`, a_0 = b_0 = 0: the sub-blocks of side M N^(n-1)."""
+    `pinned`, a_0 = b_0 = 0: the sub-blocks of side M N^(n-1).
+
+    `transfer` reads the gram in place; a transposed gram instead (as
+    `tests/helpers.mc_sample_values_c` builds) copies all K^4 entries of each
+    fiber's gram every sample, 6561 at (M, N, p, r) = (3, 3, 2, 3), where the
+    pinned gather reads M^(n+1) N^(2n-2) = 243 for each of its p = 2 factors."""
     K = M * N
 
     def on_axis(values: np.ndarray, position: int) -> np.ndarray:

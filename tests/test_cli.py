@@ -403,6 +403,10 @@ PRICED_BEFORE_FORMED = [
     ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9)],
     ["mc", "--kind", "model", "--M", str(10**18), "--N", "5", "--p", str(10**6),
      "--r", TEN_400, "--samples", "1", "--seed", "1", "--budget", "1000"],
+    ["estimate", "--kind", "decay", "--N", "2", "--p", str(10**9)],
+    ["estimate", "--kind", "decay", "--N", "3", "--p", TEN_400],
+    # delta = 1, so every rung prints and all 10^400 are priced
+    ["converge", "--M", "1", "--N", "5", "--p", "3", "--r-max", TEN_400],
 ]
 
 
@@ -440,6 +444,22 @@ def test_huge_arguments_end_in_an_exit_code(argv):
     refused = argv in DRAWS_OVER_BUDGET + PRICED_BEFORE_FORMED
     assert done.returncode in ((3,) if refused else (0, 2, 3)), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # 14 000 rungs print 150 MB, formatting integers of up to 4200 digits
+    ["converge", "--M", "2", "--N", "2", "--p", "3", "--r-max", "14000"],
+    # values stay 1, but each rung forms integers of size M^(r+1)
+    ["converge", "--M", "3", "--N", "12", "--p", "1", "--r-max", "30000"],
+])
+def test_long_converge_ladders_end_at_once(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "fouriermoments.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode in (2, 3) and done.stdout == "", done.stderr
 
 
 def _run_beta_at(M, *argv):

@@ -172,6 +172,43 @@ def test_only_errors_reads_the_budget():
     assert problems == []
 
 
+def _integer_constants(tree: ast.Module) -> set[str]:
+    """Module-level names bound to integer arithmetic on literals and such names."""
+    constants = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and all(
+                isinstance(part, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load))
+                or isinstance(part, ast.Constant) and type(part.value) is int
+                or isinstance(part, ast.Name) and part.id in constants
+                for part in ast.walk(node.value)):
+            constants.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return constants
+
+
+def test_no_size_cap_raises_a_parameter_error():
+    # the budget is the one size rule: no function refuses an argument with a
+    # ParameterError for comparing above or below a module-level integer
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = _integer_constants(tree)
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            arguments = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.If) and any(
+                        isinstance(part, ast.Compare) for part in ast.walk(node.test))):
+                    continue
+                names = {part.id for part in ast.walk(node.test) if isinstance(part, ast.Name)}
+                raises = any(isinstance(part, ast.Raise) and isinstance(part.exc, ast.Call)
+                             and getattr(part.exc.func, "id", None) == "ParameterError"
+                             for statement in node.body for part in ast.walk(statement))
+                if raises and names & arguments and names & constants:
+                    problems.append(f"{path.stem}:{node.lineno} caps {sorted(names & arguments)}")
+    assert problems == []
+
+
 def test_only_errors_checks_integers():
     # every integer argument goes through `errors._validate_int`, so no module
     # keeps an isinstance check on int or bool of its own
