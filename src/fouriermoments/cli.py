@@ -265,36 +265,42 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     M, N, p = args.M, args.N, args.p
     _validate_pos(r_max=args.r_max)
     delta, _ = _delta_for(M, N, p, cache)
-    _check_ladder(M, N, p, args.r_max, delta)
-    records = []
+    # Where every rung surely prints, the ladder ends in _emit, so _emit's
+    # price is checked as the text grows, not only after the last rung.
+    whole = _check_ladder(M, N, p, args.r_max, delta) == args.r_max
+    records, printed = [], 0
     # Values grow with r: stop at the first rung too long to print, not after the last.
     for r in range(1, args.r_max + 1):
         d, ms = _d_for(M, N, p, r, cache)
         b, beta_ms = _timed(beta, M, N, p, r, delta)
         common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms + beta_ms)
         for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
-            _print_cost(value)  # raises the ParameterError of a value too long to print
+            printed += _print_cost(value)  # raises the ParameterError of a value too long to print
             records.append(RunRecord("converge", method, value_exact=value, **common))
+        if whole:
+            _check_budget(f"writing {len(records)} records", printed)
     return records
 
 
-def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> None:
-    """Refuse the converge ladder before its first rung. Rung r forms four
-    Fractions (count_d's, beta's product and sum, the gap) of up to
-    b(r) = (p + r) bitlen(M) + p bitlen(N) bits, count_d's bound, which
-    bounds every value of the rung. The rungs counted are those that surely
-    print: to r_max, but only while b(r) is under the int-to-str limit, as a
-    longer value may stop the ladder, unless delta = 1, which makes every
-    value 1. closed._check_bits prices a b-bit Fraction at (b / 300)^2, so
-    the rule summed over the Fractions is the rule at the root of the sum of
-    their squared bits."""
-    first, step = p * (M.bit_length() + N.bit_length()), M.bit_length()  # b(r) = first + step r
-    limit, rungs = sys.get_int_max_str_digits(), r_max
-    if limit and delta != 1:
+def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> int:
+    """Refuse the converge ladder before its first rung, and return how many
+    rungs surely print. Rung r forms four Fractions (count_d's, beta's
+    product and sum, the gap) of up to b(r) = (p + r) ceil(log2 M) +
+    p ceil(log2 N) + 1 bits, the bits of M^(p+r) N^p, which every value's
+    denominator divides (every value lies in [0, 1]). The rungs counted are
+    those that surely print: to r_max, but only while b(r) is under the
+    int-to-str limit, as a longer value may stop the ladder, unless
+    delta = 1, which makes every value 1. closed._check_bits prices a b-bit
+    Fraction at (b / 300)^2, so the rule summed over the Fractions is the
+    rule at the root of the sum of their squared bits."""
+    step = (M - 1).bit_length()  # b(r) = first + step r
+    first, limit, rungs = p * (step + (N - 1).bit_length()) + 1, sys.get_int_max_str_digits(), r_max
+    if limit and delta != 1:  # so M > 1 and step > 0
         rungs = min(r_max, max(0, (math.ceil(limit * math.log2(10)) - first - 1) // step))
     squares = (rungs * first**2 + first * step * rungs * (rungs + 1)
                + step**2 * rungs * (rungs + 1) * (2 * rungs + 1) // 6)
     _check_bits(f"converge ladder of {_name(rungs)} rungs", math.isqrt(4 * squares))
+    return rungs
 
 
 def cmd_mc(args, cache: Cache) -> list[RunRecord]:
