@@ -359,6 +359,39 @@ def dense_torus_trace(grams, K: int, p: int) -> complex:
     return complex((acc * mats[-1].T).sum()) * scale
 
 
+def fiber_pair_values(q):
+    """The M^3 N distinct pair-gram values of the fiber deformed by the M x N
+    phase array q, by summing each over beta term by term:
+    G[i, i', k, d] = M sum_beta F_N[d, beta] conj(q[i, beta]) q[i', beta]
+    q[k, beta] conj(q[k - i + i', beta]), indices mod M."""
+    import numpy as np
+
+    M, N = q.shape
+    G = np.zeros((M, M, M, N), dtype=complex)
+    for i, i2, k, d in product(range(M), range(M), range(M), range(N)):
+        G[i, i2, k, d] = M * sum(
+            np.exp(2j * math.pi * d * beta / N) * q[i, beta].conjugate() * q[i2, beta]
+            * q[k, beta] * q[(k - i + i2) % M, beta].conjugate() for beta in range(N))
+    return G
+
+
+def pair_gram_from_values(G):
+    """The (K, K, K, K) pair gram <H_u / H_v, H_w / H_z> of a deformed fiber,
+    K = M N, from its values G: G[i(u), i(v), i(w), d] with d = (a(w) - a(z))
+    - (a(u) - a(v)) mod N when i(u) - i(v) = i(w) - i(z) mod M, else 0,
+    pair indices flattened as i N + a."""
+    import numpy as np
+
+    M, N = G.shape[0], G.shape[3]
+    K = M * N
+    gram = np.zeros((K,) * 4, dtype=complex)
+    for u, v, w, z in product(range(K), repeat=4):
+        (iu, au), (iv, av), (iw, aw), (iz, az) = (divmod(x, N) for x in (u, v, w, z))
+        if (iu - iv - iw + iz) % M == 0:
+            gram[u, v, w, z] = G[iu, iv, iw, ((aw - az) - (au - av)) % N]
+    return gram
+
+
 def _one_sample_blocks(factors, indices, scale: float):
     """The diagonal blocks of `scale` times one sample's slice operator, by
     gathering each factor on the frame of `model._block_indices`, whose

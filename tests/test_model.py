@@ -29,8 +29,9 @@ from fouriermoments.model import (
 )
 from fouriermoments.truncated import alpha, c_from_d, count_d
 
-from helpers import (dense_slice_operator, dense_torus_trace, mc_sample_values_c,
-                     mc_sample_values_delta, sample_generator)
+from helpers import (dense_slice_operator, dense_torus_trace, fiber_pair_values,
+                     mc_sample_values_c, mc_sample_values_delta, pair_gram_from_values,
+                     sample_generator)
 
 # Criterion 7's seed and its retry seed.
 MC_SEEDS = (20260808, 424243)
@@ -212,6 +213,18 @@ def test_transfer_fiber_keeps_no_gather_indices():
     finally:
         tracemalloc.stop()
     assert held < 2**20
+
+
+def test_pair_gram_of_a_deformed_fiber_takes_m3n_values():
+    # the F_M factor sums to M [i(u) - i(v) = i(w) - i(z) mod M] and the F_N
+    # factor to an N-point DFT in d = (a(w) - a(z)) - (a(u) - a(v)) mod N, so
+    # every K^4 entry, the zeros included, is one of the M^3 N values or 0
+    rng = np.random.default_rng(43)
+    for M, N in ((1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)):
+        Q = random_phase_matrix(M, N, rng)
+        gram = _pair_gram(_row_quotients(dita_deform(Q).entries))
+        expected = pair_gram_from_values(fiber_pair_values(Q.entries))
+        assert np.abs(gram - expected).max() < 1e-12, (M, N)
 
 
 def _translate_mask(M: int, N: int, n: int) -> np.ndarray:
