@@ -45,7 +45,7 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
     delta_p = Fraction(delta_p)
     _check_bits(f"beta at ({_name(M)},{_name(N)},{_name(p)},{_name(r)})",
                 (r - 1) * M.bit_length())
-    return delta_p + Fraction(1, M**(r - 1)) * (1 - delta_p)
+    return delta_p if delta_p == 1 else delta_p + Fraction(1, M**(r - 1)) * (1 - delta_p)
 
 
 def d42_closed(M: int, N: int) -> Fraction:

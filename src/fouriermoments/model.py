@@ -19,21 +19,25 @@ batched einsum would sum in another order, so the last contraction of the
 torus trace runs sample by sample, and values do not depend on the chunk
 size.
 
-The model estimator sums block traces. The F_M factor of a deformed
-fiber makes every pair-gram entry vanish unless i(u) - i(v) = i(w) - i(z)
-(mod M), i the M-part of a pair index. Around the cycle of a slice
-operator's factors, a nonzero entry's column M-tuple is therefore its row
-M-tuple plus one constant, so the operators of the torus trace split into
-M^(n-1) diagonal blocks of side M N^n, one per M-tuple up to translation.
-The F_N factor makes an entry depend on the N-labels a only through
-(a(w) - a(z)) - (a(u) - a(v)) (mod N), so a block B stays the same when one
-constant is added to every row N-label, or to every column N-label: B =
-E C E^T, C its sub-block at a_0 = b_0 = 0, E the 0/1 map onto the N shifts
-(E^T E = N I), and Tr(B_1 ... B_q) = Tr((N C_1) ... (N C_q)). So
-`mc_estimate_c` gathers only the C, of side M N^(n-1), from the grams.
-The K^p x K^p matrix of `transfer_fiber`, for a magic unitary with no such
-symmetry, comes from the same gather unpinned with M = 1: every index
-tuple is its own class, and the one block is the whole matrix.
+The model estimator sums block traces. With i the M-part and a the N-label
+of a pair index (i*N + a), the pair gram <H_u / H_v, H_w / H_z> of the
+fiber that a phase array q deforms is 0 unless i(u) - i(v) = i(w) - i(z)
+(mod M), by its F_M factor, and else, its F_N factor being a DFT over beta,
+G[i(u), i(v), i(w), d] with d = (a(w) - a(z)) - (a(u) - a(v)) (mod N) and
+G[i, i', k, d] = M sum_beta F_N[d, beta] conj(q[i, beta]) q[i', beta]
+q[k, beta] conj(q[k - i + i', beta]): M^3 N values a fiber. Around the
+cycle of a slice operator's factors, a nonzero entry's column M-tuple is
+therefore its row M-tuple plus one constant, so the operators of the torus
+trace split into M^(n-1) diagonal blocks of side M N^n, one per M-tuple up
+to translation. As an entry depends on the N-labels only through d, a
+block B stays the same when one constant is added to every row N-label, or
+to every column N-label: B = E C E^T, C its sub-block at a_0 = b_0 = 0, E
+the 0/1 map onto the N shifts (E^T E = N I), and Tr(B_1 ... B_q) =
+Tr((N C_1) ... (N C_q)). So `mc_estimate_c` gathers only the C, of side
+M N^(n-1), from each fiber's G, computed from its phases. The K^p x K^p
+matrix of `transfer_fiber`, for a magic unitary with no such structure,
+comes from the same gather of its K^4 gram, unpinned with M = 1: every
+index tuple is its own class, and the one block is the whole matrix.
 """
 
 from __future__ import annotations
@@ -211,6 +215,24 @@ def _pair_gram(xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(pairs.conj(), pairs.swapaxes(-1, -2), out=out).reshape(lead + (K,) * 4)
 
 
+def _pair_values(phases: np.ndarray) -> np.ndarray:
+    """The (..., M, M, M, N) values G (module docstring) of the fiber that
+    each (M, N) phase array of a stack deforms: the four-phase products times
+    F_N by one stacked matmul, which acts on each sample as on it alone."""
+    *lead, M, N = phases.shape
+    k = np.arange(M)
+    # pairs[..., i, i', beta] = conj(q[i, beta]) q[i', beta]; the product at
+    # (i, i', k) takes the conjugate of the pair (k, k - i + i') times (i, i').
+    pairs = phases.conj()[..., :, None, :] * phases[..., None, :, :]
+    products = pairs.reshape(*lead, M * M, N).take(k * M + (k - k[:, None, None] + k[:, None]) % M,
+                                                  axis=-2)
+    np.conjugate(products, out=products)
+    products *= pairs[..., None, :]
+    # One (M^3, N) matrix a fiber: a matmul call per matrix has a fixed cost.
+    values = np.matmul(products.reshape(*lead, M**3, N), M * _fourier_entries(N))
+    return values.reshape(products.shape)
+
+
 def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
     """The K^p x K^p transfer matrix with entry (I, J) = normalized trace of
     U[I_1, J_1] ... U[I_p, J_p].
@@ -323,15 +345,16 @@ def _block_indices(M: int, N: int, n: int, transfer: bool = False,
     block-diagonal. Class t, the M-tuples t + c, has t[0] = 0, and inside it
     block row (c1, a) has M-tuple t + c1 and N-tuple a. Entry x indexes
     factor x on the frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with
-    unit axes where factor x does not depend on the frame axis. A factor's
-    axes are (row_x, row_{x+1}, col_x, col_{x+1}); with `transfer` it is a
-    pair gram, read with axes (row_x, col_x, row_{x+1}, col_{x+1}). With
-    `pinned`, a_0 = b_0 = 0: the sub-blocks of side M N^(n-1).
+    unit axes where factor x does not depend on the frame axis. Factor x is
+    read at (u, v, w, z) = (row_x, row_{x+1}, col_x, col_{x+1}), or with
+    `transfer` at (row_x, col_x, row_{x+1}, col_{x+1}). Unpinned, a factor is
+    a (K, K, K, K) pair gram. With `pinned`, a_0 = b_0 = 0, the sub-blocks of
+    side M N^(n-1), and a factor is a fiber's (M, M, M, N) values G, read at
+    ((i(u) M + i(v)) M + i(w)) N + d, d = (a(w) - a(z)) - (a(u) - a(v)) mod N.
 
-    `transfer` reads the gram in place; a transposed gram instead (as
-    `tests/helpers.mc_sample_values_c` builds) copies all K^4 entries of each
-    fiber's gram every sample, 6561 at (M, N, p, r) = (3, 3, 2, 3), where the
-    pinned gather reads M^(n+1) N^(2n-2) = 243 for each of its p = 2 factors."""
+    `transfer` reads a factor in place; a transposed one (as
+    `tests/helpers.mc_sample_values_c` builds) copies each fiber's values every
+    sample, and in `transfer_fiber` all K^4 entries of the gram."""
     K = M * N
 
     def on_axis(values: np.ndarray, position: int) -> np.ndarray:
@@ -346,12 +369,17 @@ def _block_indices(M: int, N: int, n: int, transfer: bool = False,
     for x in range(n):
         y = (x + 1) % n
         tx, ty = on_axis(classes[x], 0), on_axis(classes[y], 0)
-        row_x = ((tx + c1) % M) * N + on_axis(labels[x], 2 + x)
-        row_y = ((ty + c1) % M) * N + on_axis(labels[y], 2 + y)
-        col_x = ((tx + c2) % M) * N + on_axis(labels[x], n + 3 + x)
-        col_y = ((ty + c2) % M) * N + on_axis(labels[y], n + 3 + y)
-        second, third = (col_x, row_y) if transfer else (row_y, col_x)
-        out.append(((row_x * K + second) * K + third) * K + col_y)
+        # (M-part, N-label) of each index
+        row_x = ((tx + c1) % M, on_axis(labels[x], 2 + x))
+        row_y = ((ty + c1) % M, on_axis(labels[y], 2 + y))
+        col_x = ((tx + c2) % M, on_axis(labels[x], n + 3 + x))
+        col_y = ((ty + c2) % M, on_axis(labels[y], n + 3 + y))
+        u, v, w, z = (row_x, col_x, row_y, col_y) if transfer else (row_x, row_y, col_x, col_y)
+        if pinned:
+            out.append(((u[0] * M + v[0]) * M + w[0]) * N + (w[1] - z[1] - u[1] + v[1]) % N)
+        else:
+            u, v, w, z = (i * N + a for i, a in (u, v, w, z))
+            out.append(((u * K + v) * K + w) * K + z)
     return tuple(out)
 
 
@@ -393,7 +421,9 @@ def _gather_cost(blocks: tuple[int, ...], work: int) -> int:
 def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
                   p: int, work: np.ndarray) -> list[complex]:
     """Tr(T_p(Q_1) ... T_p(Q_r)) for each sample of a chunk, from its
-    (r, samples, K, K, K, K) pair grams, the `indices` of
+    (r, samples, M, M, M, N) values G[i, i', k, d] = M sum_beta F_N[d, beta]
+    conj(q[i, beta]) q[i', beta] q[k, beta] conj(q[k - i + i', beta]), the
+    `indices` of
     _block_indices(M, N, min(p, r), transfer=r > p, pinned=True) and `work`,
     three (samples, M^(n-1), M N^(n-1), M N^(n-1)) block stacks.
 
@@ -457,20 +487,16 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
     _check_budget(what, _gather_cost(blocks, samples * (blocks[1] * max(1, q - 2) + p * r)))
     indices = _block_indices(M, N, n, transfer=r > p, pinned=True)
-    # A sample holds its r grams, fibers and phases, three block stacks and at
-    # its peak either its quotients beside their division's two broadcast
-    # buffers or two gathered factors, 16 bytes an entry; its value and draws.
-    sample_bytes = 16 * (r * (K**4 + K**2 + K) + 3 * math.prod(blocks)
-                         + max(3 * r * K**3, 2 * math.prod(blocks))) + 80 + _DRAW_BYTES * r * K
+    # A sample holds its r phase arrays, four-phase products and values G, three
+    # block stacks and two gathered factors, 16 bytes an entry; its value and draws.
+    sample_bytes = 16 * (r * (K + 2 * M**3 * N) + 5 * math.prod(blocks)) + 80 + _DRAW_BYTES * r * K
     rows = _chunk_rows(samples, sample_bytes)
-    # Fiber-major, so that each fiber's grams are one contiguous stack.
-    grams = np.empty((r, rows, K * K, K * K), dtype=complex)
     work = np.empty((3, rows) + blocks, dtype=complex)
 
     def traces(phases: np.ndarray) -> list[float]:
-        fibers = _deform(phases.swapaxes(0, 1))
-        stack = _pair_gram(_row_quotients(fibers), out=grams[:, :len(phases)])
-        return [trace.real for trace in _torus_traces(stack, indices, M, N, p, work)]
+        # Fiber-major, so that each fiber's values are one contiguous stack.
+        values = _pair_values(np.ascontiguousarray(phases.swapaxes(0, 1)))
+        return [trace.real for trace in _torus_traces(values, indices, M, N, p, work)]
 
     estimate = _mean_and_error(_sample_values(key, samples, rows, sample_bytes, (r, M, N), traces))
     # At p = 1 or r = 1 every sample is the moment itself: any spread is rounding.

@@ -72,9 +72,12 @@ def count_d(M: int, N: int, p: int, r: int, threads: int = 1) -> Fraction:
     _validate_pos(M=M, N=N, p=p, r=r, threads=threads)
     if M == 1 or N == 1 or r == 1:
         return Fraction(1)
-    histogram = _order_histogram(M, N, p)
+    # At p = 1 every pair passes: no histogram, and the value 1 is priced alike.
+    histogram = _order_histogram(M, N, p) if p > 1 else None
     _check_bits(f"d_p^r at ({_name(M)},{_name(N)},{_name(p)},{_name(r)})",
                 (p + r) * M.bit_length() + p * N.bit_length())
+    if histogram is None:
+        return Fraction(1)
     total = sum(mult * h**(r - 1) for h, mult in histogram.items())
     # Pinned i_1, a_1, b_1 each contribute a translation factor.
     return Fraction(total * M * M * N, M**(p + r) * N**p)

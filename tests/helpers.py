@@ -431,34 +431,37 @@ def sample_generator(seed: int, sample: int):
 def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
     """Each sample's Tr(T_p(Q_1) ... T_p(Q_r)), one sample at a time: r phase
     matrices drawn from the sample's `sample_generator`, one `uniform` call
-    each, the deformed fibers, their row quotients and pair grams, and the
-    block traces over min(p, r) slices, on the frame pinned at a_0 = b_0 = 0
-    with every factor scaled by N. Kept as the oracle for the chunked
-    estimator, whose values must equal these byte for byte."""
+    each, each fiber's pair-gram values G (`model._pair_values`) from the
+    four-phase products and F_N, and the block traces over min(p, r) slices,
+    on the frame pinned at a_0 = b_0 = 0 with every factor scaled by N. With
+    r > p a transfer factor is G with i' and k swapped, which reads the pair
+    gram with v and w swapped at the same d. Kept as the oracle for the
+    chunked estimator, whose values must equal these byte for byte."""
     import numpy as np
 
     from fouriermoments import model
 
     K, n = M * N, min(p, r)
-    four = model.fourier_matrix(M).entries[:, None, :, None] \
-        * model.fourier_matrix(N).entries[None, :, None, :]
+    scaled_dft = M * model.fourier_matrix(N).entries
+    m = np.arange(M)
+    i, i2, k = np.meshgrid(m, m, m, indexing="ij")
     indices = model._block_indices(M, N, n, pinned=True)
     values = np.empty(samples)
     for s in range(samples):
         rng = sample_generator(seed, s)
-        grams = []
+        fiber_values = []
         for _ in range(r):
             Q = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(M, N)))
-            H = (four * Q[:, None, None, :]).reshape(K, K)
-            pairs = (H[:, None, :] / H[None, :, :]).reshape(K * K, K)
-            grams.append((pairs.conj() @ pairs.T).reshape(K, K, K, K))
+            pairs = Q.conj()[:, None, :] * Q[None, :, :]
+            products = pairs[k, (k - i + i2) % M].conj() * pairs[i, i2]
+            fiber_values.append((products.reshape(M**3, N) @ scaled_dft).reshape(M, M, M, N))
         if r <= p:
-            step = _one_sample_blocks(grams, indices, N * K**-r)
+            step = _one_sample_blocks(fiber_values, indices, N * K**-r)
             trace = _one_sample_trace([step] * p) * K**-r
         else:
             trace = _one_sample_trace([
-                _one_sample_blocks([g.transpose(0, 2, 1, 3).copy()] * p, indices,
-                                   N * K**-(p + 1)) for g in grams])
+                _one_sample_blocks([g.swapaxes(1, 2).copy()] * p, indices,
+                                   N * K**-(p + 1)) for g in fiber_values])
         values[s] = trace.real
     return values
 

@@ -308,10 +308,12 @@ def test_torus_trace_matches_transfer_products():
     cases = list(itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3)))
     for M, N, p, r in cases + [(3, 3, 3, 3), (2, 4, 3, 2), (2, 4, 2, 3), (4, 2, 3, 3)]:
         K = M * N
-        grams, mats = [], []
+        grams, values, mats = [], [], []
         for _ in range(r):
-            fiber = dita_deform(random_phase_matrix(M, N, rng))
+            Q = random_phase_matrix(M, N, rng)
+            fiber = dita_deform(Q)
             grams.append(_pair_gram(_row_quotients(fiber.entries)))
+            values.append(model._pair_values(Q.entries))
             mats.append(transfer_fiber(magic_unitary(fiber), p))
         product = mats[0]
         for mat in mats[1:]:
@@ -320,7 +322,7 @@ def test_torus_trace_matches_transfer_products():
         oracle = dense_torus_trace(grams, K, p)
         n = min(p, r)
         work = np.empty((3, 1, M**(n - 1), M * N**(n - 1), M * N**(n - 1)), dtype=complex)
-        (fast,) = _torus_traces(np.stack(grams)[:, None],
+        (fast,) = _torus_traces(np.stack(values)[:, None],
                                 _block_indices(M, N, n, r > p, pinned=True), M, N, p, work)
         assert abs(fast - oracle) <= 1e-12 * abs(oracle), (M, N, p, r)
         assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
@@ -350,6 +352,18 @@ def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
             (M, N, p, r)
 
 
+def test_mc_estimate_c_forms_no_fiber_quotients_or_gram(monkeypatch):
+    # the estimator reads each fiber's M^3 N values straight from its phases
+    def refuse(*args, **kwargs):
+        raise AssertionError("the estimator formed a fiber, its quotients or its gram")
+
+    for name in ("_deform", "_row_quotients", "_pair_gram"):
+        monkeypatch.setattr(model, name, refuse)
+    # the points of the benchmark's monte-carlo workload
+    for point in ((3, 3, 3, 3), (2, 3, 3, 3), (3, 3, 2, 3), (2, 3, 3, 2), (2, 2, 3, 3)):
+        assert np.isfinite(mc_estimate_c(*point, samples=3, seed=5).mean), point
+
+
 def _estimator_values(monkeypatch, estimate, *args) -> np.ndarray:
     """The per-sample values that an estimator reduces to its mean and error."""
     seen = []
@@ -375,12 +389,15 @@ def _recorded_chunks(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("seed", MC_SEEDS)
 def test_estimator_values_equal_the_one_sample_loop(monkeypatch, seed):
-    # at criterion 7's deterministic points (p = 1 or r = 1) the mean passes
-    # only when it equals the exact value to the last bit, so every sample's
-    # value must stay byte for byte that of the one-sample loop. The counts
-    # span at least two chunks, and the last is ragged unless a chunk holds
-    # one sample.
+    # at criterion 7's deterministic points (p = 1 or r = 1) the error is 0
+    # and the mean must lie within 1e-9 of the exact value, so every sample's
+    # value must stay byte for byte that of the one-sample loop, whatever
+    # the chunk. The counts span at least two chunks, and the last is ragged
+    # unless a chunk holds one sample: a quarter of CHUNK_BYTES makes 299
+    # model samples more than one chunk at every point.
     chunks = _recorded_chunks(monkeypatch)
+    full = model.CHUNK_BYTES
+    monkeypatch.setattr(model, "CHUNK_BYTES", full // 4)
     for M, N, p, r in itertools.product((2, 3), (2, 3), (1, 2, 3), (1, 2, 3)):
         samples = 3 if (M, N, p, r) == (3, 3, 3, 3) else 299
         chunks.clear()
@@ -388,6 +405,7 @@ def test_estimator_values_equal_the_one_sample_loop(monkeypatch, seed):
         oracle = mc_sample_values_c(M, N, p, r, samples, seed)
         assert values.tobytes() == oracle.tobytes(), (M, N, p, r)
         assert len(chunks) >= 2 and (chunks[0] == 1 or chunks[-1] < chunks[0]), (M, N, p, r)
+    monkeypatch.setattr(model, "CHUNK_BYTES", full)
     for M, N, p in itertools.product((2, 3), (2, 3), (1, 2, 3)):
         chunks.clear()
         values = _estimator_values(monkeypatch, mc_estimate_delta, M, N, p, 3001, seed)

@@ -343,6 +343,16 @@ def test_powers_are_priced_by_their_bits():
     assert c_from_d(Fraction(1, 3), 2, 2, 3) == Fraction(16, 3)
 
 
+def test_values_equal_to_one_form_no_powers():
+    # count_d at p = 1 and beta at delta = 1 are 1: their bit prices
+    # (2 * 10^6 bits) pass the default budget, and no histogram, h^(r-1) or
+    # M^(r-1) is formed
+    for call in (lambda: count_d(3, 12, 1, 10**6), lambda: beta(3, 12, 1, 10**6, Fraction(1))):
+        start = time.perf_counter()
+        assert call() == 1
+        assert time.perf_counter() - start < 0.1
+
+
 def test_count_d_budget_does_not_depend_on_r():
     refused = []
     for r in (2, 50):
