@@ -431,8 +431,9 @@ def sample_generator(seed: int, sample: int):
 def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
     """Each sample's Tr(T_p(Q_1) ... T_p(Q_r)), one sample at a time: r phase
     matrices drawn from the sample's `sample_generator`, one `uniform` call
-    each, each fiber's pair-gram values G (`model._pair_values`) from the
-    four-phase products and F_N, and the block traces over min(p, r) slices,
+    each, each fiber's pair-gram values G by the arithmetic of
+    `model._pair_values` (the four-phase products times M F_N, one (M^3, N)
+    matrix a fiber), and the block traces over min(p, r) slices,
     on the frame pinned at a_0 = b_0 = 0 with every factor scaled by N. With
     r > p a transfer factor is G with i' and k swapped, which reads the pair
     gram with v and w swapped at the same d. Kept as the oracle for the
