@@ -330,6 +330,31 @@ def test_torus_trace_matches_transfer_products():
         assert abs(fast.imag) < 1e-9 * max(1.0, abs(fast))
 
 
+def test_stacked_trailing_sums_equal_the_one_sample_sums():
+    # the torus trace ends a chunk in one stacked sum over each sample's
+    # trailing axes (of a complex product, or of a diagonal at q = 1); it
+    # must sum in the one-sample order, byte for byte, whatever the chunk.
+    # A batched einsum "stij,stji->s" does not, past one sample.
+    rng = np.random.default_rng(47)
+
+    def stack(shape):
+        return rng.standard_normal(2 * np.prod(shape)).view(complex).reshape(shape)
+
+    # the block stacks of the benchmark's monte-carlo points
+    for M, N, p, r in ((3, 3, 3, 3), (2, 3, 3, 3), (3, 3, 2, 3), (2, 3, 3, 2), (2, 2, 3, 3)):
+        n = min(p, r)
+        blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
+        for rows in (1, 7, 64, 301):
+            acc, last = stack((rows,) + blocks), stack((rows,) + blocks)
+            stacked = np.multiply(acc, last.swapaxes(2, 3), out=np.empty_like(acc))
+            single = [(x * y.swapaxes(1, 2)).sum() for x, y in zip(acc, last)]
+            assert stacked.sum(axis=(1, 2, 3)).tobytes() == np.array(single).tobytes(), \
+                (M, N, p, r, rows)
+            diagonals = [x.diagonal(axis1=1, axis2=2).sum() for x in acc]
+            assert (acc.diagonal(axis1=2, axis2=3).sum(axis=(1, 2)).tobytes()
+                    == np.array(diagonals).tobytes()), (M, N, p, r, rows)
+
+
 def test_mc_estimate_c_builds_no_dense_operator(monkeypatch):
     # both sweeps (r <= p and r > p) run on the diagonal blocks alone, pinned
     # at a_0 = b_0 = 0: every stack gathered ends in M^(n-1) blocks of side
