@@ -14,10 +14,10 @@ the generator, and results do not depend on evaluation order. The
 estimators draw samples in batches and contract them in chunks of at most
 CHUNK_BYTES of working arrays (or one sample), every array after the draws
 carrying a sample axis. Stacked elementwise operations, matmul,
-matrix_power and trace act on each sample exactly as on it alone; a
-batched einsum would sum in another order, so the last contraction of the
-torus trace runs sample by sample, and values do not depend on the chunk
-size.
+matrix_power and trace act on each sample exactly as on it alone, and so
+does a sum over each sample's trailing axes, where a batched einsum would
+sum in another order: the torus trace ends a chunk in one such sum, and
+values do not depend on the chunk size.
 
 The model estimator sums block traces. With i the M-part and a the N-label
 of a pair index (i*N + a), the pair gram <H_u / H_v, H_w / H_z> of the
@@ -35,9 +35,8 @@ to every column N-label: B = E C E^T, C its sub-block at a_0 = b_0 = 0, E
 the 0/1 map onto the N shifts (E^T E = N I), and Tr(B_1 ... B_q) =
 Tr((N C_1) ... (N C_q)). So `mc_estimate_c` gathers only the C, of side
 M N^(n-1), from each fiber's G, computed from its phases. The K^p x K^p
-matrix of `transfer_fiber`, for a magic unitary with no such structure,
-comes from the same gather of its K^4 gram, unpinned with M = 1: every
-index tuple is its own class, and the one block is the whole matrix.
+matrix of `transfer_fiber`, for a magic unitary with no such structure, is
+a product of p broadcast views of its K^4 pair gram.
 """
 
 from __future__ import annotations
@@ -147,11 +146,11 @@ def dita_deform(Q: PhaseMatrix) -> HadamardFiber:
 
 
 def _deform(phases: np.ndarray) -> np.ndarray:
-    """`dita_deform`'s entries for each (M, N) phase array of a stack."""
-    *lead, M, N = phases.shape
+    """`dita_deform`'s entries for an (M, N) phase array."""
+    M, N = phases.shape
     # axes (i, a, j, b)
     four = _fourier_entries(M)[:, None, :, None] * _fourier_entries(N)[None, :, None, :]
-    return (four * phases[..., :, None, None, :]).reshape(*lead, M * N, M * N)
+    return (four * phases[:, None, None, :]).reshape(M * N, M * N)
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,8 @@ class MagicUnitary:
 
 
 def _row_quotients(H: np.ndarray) -> np.ndarray:
-    """quotients[..., i, j, :] = H[..., i, :] / H[..., j, :] (entrywise, unit
-    modulus), for one matrix or a stack."""
-    return H[..., :, None, :] / H[..., None, :, :]
+    """quotients[i, j, :] = H[i, :] / H[j, :] (entrywise, unit modulus)."""
+    return H[:, None, :] / H[None, :, :]
 
 
 def magic_unitary(H: HadamardFiber) -> MagicUnitary:
@@ -205,14 +203,11 @@ def magic_unitary(H: HadamardFiber) -> MagicUnitary:
     return unit
 
 
-def _pair_gram(xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """gram[..., u, v, w, z] = <xi[..., u, v], xi[..., w, z]> (conjugate-linear
-    first), for one quotient array or a stack; `out`, if given, receives the
-    grams as (..., K^2, K^2)."""
-    K = xi.shape[-1]
-    lead = xi.shape[:-3]
-    pairs = xi.reshape(lead + (K * K, K))
-    return np.matmul(pairs.conj(), pairs.swapaxes(-1, -2), out=out).reshape(lead + (K,) * 4)
+def _pair_gram(xi: np.ndarray) -> np.ndarray:
+    """gram[u, v, w, z] = <xi[u, v], xi[w, z]> (conjugate-linear first)."""
+    K = len(xi)
+    pairs = xi.reshape(K * K, K)
+    return (pairs.conj() @ pairs.T).reshape((K,) * 4)
 
 
 def _pair_values(phases: np.ndarray) -> np.ndarray:
@@ -238,8 +233,10 @@ def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
     U[I_1, J_1] ... U[I_p, J_p].
 
     Each block is a rank-one projection, so a product trace collapses to a
-    cyclic product of p scalar inner products of quotient vectors; no dense
-    block products are formed.
+    cyclic product of p scalar inner products of quotient vectors: K^-(p+1)
+    prod_x gram[I_x, J_x, I_(x+1), J_(x+1)], indices mod p. Each factor is a
+    broadcast view of the K^4 pair gram on the frame (I_1 .. I_p, J_1 .. J_p),
+    multiplied in place: no block products and no index arrays are formed.
     """
     _validate_pos(p=p)
     K = len(U.quotients)
@@ -247,11 +244,15 @@ def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
     # Its K^(2p) entries are a floor under the price, checked before it is formed.
     _check_budget(what, None, 2 * p * Fraction(math.log10(K)))
     _check_budget(what, _gather_cost((1, K**p, K**p), p))
-    # The indices are as large as the matrix at M = 1, so they are not kept.
-    indices = _block_indices(1, K, p, transfer=True)
-    stack = _slice_blocks([_pair_gram(U.quotients[None])] * p, indices, K**-(p + 1),
-                          np.empty((1, 1, K**p, K**p), dtype=complex))
-    return stack[0, 0]
+    if K == 1:  # the one block is 1, and so is every trace; 2p unit axes pass numpy's 64
+        return np.ones((1, 1), dtype=complex)
+    gram, out = _pair_gram(U.quotients), np.full((K,) * (2 * p), K**-(p + 1), dtype=complex)
+    for x in range(p):
+        labels = [x, p + x, (x + 1) % p, p + (x + 1) % p]
+        axes = sorted(set(labels))  # one axis a label: the gram's diagonal at p = 1
+        unit = [axis for axis in range(2 * p) if axis not in axes]
+        out *= np.expand_dims(np.einsum(gram, labels, axes), unit)
+    return out.reshape(K**p, K**p)
 
 
 class McEstimate(NamedTuple):
@@ -338,25 +339,22 @@ def _sample_values(key: int, samples: int, rows: int, sample_bytes: int,
     return values
 
 
-def _block_indices(M: int, N: int, n: int, transfer: bool = False,
-                   pinned: bool = False) -> tuple[np.ndarray, ...]:
-    """Flat indices that gather the diagonal blocks of a slice operator on n
-    slices from its factors; the module docstring says why the operator is
-    block-diagonal. Class t, the M-tuples t + c, has t[0] = 0, and inside it
-    block row (c1, a) has M-tuple t + c1 and N-tuple a. Entry x indexes
-    factor x on the frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with
-    unit axes where factor x does not depend on the frame axis. Factor x is
+def _block_indices(M: int, N: int, n: int, transfer: bool = False) -> tuple[np.ndarray, ...]:
+    """Flat indices that gather the diagonal sub-blocks at a_0 = b_0 = 0, of
+    side M N^(n-1), of a slice operator on n slices from its factors, each a
+    fiber's (M, M, M, N) values G; the module docstring says why the
+    operator is block-diagonal and why these sub-blocks suffice. Class t,
+    the M-tuples t + c, has t[0] = 0, and inside it block row (c1, a) has
+    M-tuple t + c1 and N-tuple a. Entry x indexes factor x on the frame (t,
+    c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with unit axes where factor x
+    does not depend on the frame axis (a_0 and b_0 among them). Factor x is
     read at (u, v, w, z) = (row_x, row_{x+1}, col_x, col_{x+1}), or with
-    `transfer` at (row_x, col_x, row_{x+1}, col_{x+1}). Unpinned, a factor is
-    a (K, K, K, K) pair gram. With `pinned`, a_0 = b_0 = 0, the sub-blocks of
-    side M N^(n-1), and a factor is a fiber's (M, M, M, N) values G, read at
+    `transfer` at (row_x, col_x, row_{x+1}, col_{x+1}), at flat index
     ((i(u) M + i(v)) M + i(w)) N + d, d = (a(w) - a(z)) - (a(u) - a(v)) mod N.
 
     `transfer` reads a factor in place; a transposed one (as
-    `tests/helpers.mc_sample_values_c` builds) copies each fiber's values every
-    sample, and in `transfer_fiber` all K^4 entries of the gram."""
-    K = M * N
-
+    `tests/helpers.mc_sample_values_c` builds) copies each fiber's values
+    every sample."""
     def on_axis(values: np.ndarray, position: int) -> np.ndarray:
         shape = [1] * (2 * n + 3)
         shape[position] = -1
@@ -364,7 +362,7 @@ def _block_indices(M: int, N: int, n: int, transfer: bool = False,
 
     classes = np.indices((1,) + (M,) * (n - 1)).reshape(n, -1)
     c1, c2 = on_axis(np.arange(M), 1), on_axis(np.arange(M), n + 2)
-    labels = [np.arange(1 if pinned else N)] + [np.arange(N)] * (n - 1)
+    labels = [np.arange(1)] + [np.arange(N)] * (n - 1)
     out = []
     for x in range(n):
         y = (x + 1) % n
@@ -375,29 +373,24 @@ def _block_indices(M: int, N: int, n: int, transfer: bool = False,
         col_x = ((tx + c2) % M, on_axis(labels[x], n + 3 + x))
         col_y = ((ty + c2) % M, on_axis(labels[y], n + 3 + y))
         u, v, w, z = (row_x, col_x, row_y, col_y) if transfer else (row_x, row_y, col_x, col_y)
-        if pinned:
-            out.append(((u[0] * M + v[0]) * M + w[0]) * N + (w[1] - z[1] - u[1] + v[1]) % N)
-        else:
-            u, v, w, z = (i * N + a for i, a in (u, v, w, z))
-            out.append(((u * K + v) * K + w) * K + z)
+        out.append(((u[0] * M + v[0]) * M + w[0]) * N + (w[1] - z[1] - u[1] + v[1]) % N)
     return tuple(out)
 
 
 def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
                   scale: float, out: np.ndarray) -> np.ndarray:
-    """The diagonal blocks of `scale` times a slice operator for each sample
-    of a chunk, gathered from the factors by the n `indices` of
-    `_block_indices` into `out`, a (samples, M^(n-1), side, side) stack on
-    their frame (side M N^n, or M N^(n-1) pinned), never the K^n x K^n one.
+    """The diagonal sub-blocks of `scale` times a slice operator for each
+    sample of a chunk, gathered from the factors by the n `indices` of
+    `_block_indices` into `out`, a (samples, M^(n-1), M N^(n-1), M N^(n-1))
+    stack on their frame, never the K^n x K^n operator.
 
     The slice operator acts on the K^n-dimensional space of a torus slice:
-    `factors[x]`, a (samples, K, K, K, K) stack, couples slice components
-    (x, x+1 mod n) of the row index with the same components of the column
-    index, and an entry is the product of the factors. Block (t, c1, a),
-    (t, c2, b) is the product over x of factors[x][(t_x + c1, a_x),
-    (t_{x+1} + c1, a_{x+1}), (t_x + c2, b_x), (t_{x+1} + c2, b_{x+1})], with
-    pair indices flattened as i*N + a. With M = 1 every index tuple is its
-    own class: one block, the whole operator.
+    `factors[x]`, a (samples, M, M, M, N) stack of values G, couples slice
+    components (x, x+1 mod n) of the row index with the same components of
+    the column index, and an entry is the product of the factors. Entry
+    (t, c1, a), (t, c2, b) is the product over x of the pair-gram entries
+    at ((t_x + c1, a_x), (t_{x+1} + c1, a_{x+1}), (t_x + c2, b_x),
+    (t_{x+1} + c2, b_{x+1})), each read from G as `_block_indices` says.
     """
     rows = len(out)
     acc = out.reshape((rows,) + np.broadcast_shapes(*(index.shape for index in indices)))
@@ -414,17 +407,18 @@ def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
 def _gather_cost(blocks: tuple[int, ...], work: int) -> int:
     """The price of gathering slice-operator blocks (`_slice_blocks`) into a
     stack of shape `blocks`: `work` operations a block entry, plus one per
-    byte held a block entry, 16 each for it, a gathered factor and its index."""
+    byte held a block entry, 16 each for it, a gathered factor and its index.
+    `transfer_fiber` is priced as its one K^p x K^p block, although it
+    multiplies views of its gram and holds no index."""
     return math.prod(blocks) * (work + 48)
 
 
-def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
-                  p: int, work: np.ndarray) -> list[complex]:
+def _torus_traces(values: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
+                  p: int, work: np.ndarray) -> np.ndarray:
     """Tr(T_p(Q_1) ... T_p(Q_r)) for each sample of a chunk, from its
     (r, samples, M, M, M, N) values G[i, i', k, d] = M sum_beta F_N[d, beta]
     conj(q[i, beta]) q[i', beta] q[k, beta] conj(q[k - i + i', beta]), the
-    `indices` of
-    _block_indices(M, N, min(p, r), transfer=r > p, pinned=True) and `work`,
+    `indices` of _block_indices(M, N, min(p, r), transfer=r > p) and `work`,
     three (samples, M^(n-1), M N^(n-1), M N^(n-1)) block stacks.
 
     The trace is a torus contraction of r*p four-index tensors, swept along
@@ -436,10 +430,10 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
     sum of the block traces, N^q times those of the pinned sub-blocks: only
     the M^(n-1) sub-blocks of side M N^(n-1) are built, each scaled by N,
     and multiplied. The running product, the next factor and their product
-    each have a stack of their own, and the last contraction runs per sample
-    (module docstring).
+    each have a stack of their own, and one sum over each sample's trailing
+    axes ends the chunk (module docstring).
     """
-    r, rows = grams.shape[:2]
+    r, rows = values.shape[:2]
     K, q = M * N, max(p, r)
     acc_stack, factor_stack, product_stack = work[:, :rows]
     if r <= p:
@@ -447,25 +441,26 @@ def _torus_traces(grams: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N:
         # normalisation K^(-r(p+1)) is applied factor by factor, so the
         # products stay near the moment's size instead of overflowing.
         # Multiplying by a real reciprocal is cheaper than a complex division.
-        step = _slice_blocks(list(grams), indices, N * K**-r, factor_stack)
+        step = _slice_blocks(list(values), indices, N * K**-r, factor_stack)
 
     def factor(k: int, out: np.ndarray) -> np.ndarray:
         if r <= p:
             return step
         # Fiber k's transfer matrix: the k-th slice indexes its rows, the
-        # (k+1)-th its columns, and the gram is every position's factor.
-        return _slice_blocks([grams[k]] * p, indices, N * K**-(p + 1), out)
+        # (k+1)-th its columns, and its values are every position's factor.
+        return _slice_blocks([values[k]] * p, indices, N * K**-(p + 1), out)
 
     acc = factor(0, acc_stack)
     for k in range(1, q - 1):
         acc = np.matmul(acc, factor(k, factor_stack), out=product_stack)
         acc_stack, product_stack = product_stack, acc_stack
     if q == 1:
-        traces = [complex(np.einsum("tii->", blocks)) for blocks in acc]
+        traces = acc.diagonal(axis1=2, axis2=3).sum(axis=(1, 2))
     else:
+        # The product stack is free: acc and the last factor hold the others.
         last = factor(q - 1, factor_stack)
-        traces = [complex(np.einsum("tij,tji->", x, y)) for x, y in zip(acc, last)]
-    return traces if r > p else [trace * K**-r for trace in traces]
+        traces = np.multiply(acc, last.swapaxes(2, 3), out=product_stack).sum(axis=(1, 2, 3))
+    return traces if r > p else traces * K**-r
 
 
 def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> McEstimate:
@@ -486,17 +481,19 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
                   + Fraction(math.log10(M**3 * max(1, q - 2))))
     blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
     _check_budget(what, _gather_cost(blocks, samples * (blocks[1] * max(1, q - 2) + p * r)))
-    indices = _block_indices(M, N, n, transfer=r > p, pinned=True)
+    if K == 1:  # every block is 1, and so is every trace; 2n + 3 unit axes pass numpy's 64
+        return McEstimate(1.0, 0.0)
+    indices = _block_indices(M, N, n, transfer=r > p)
     # A sample holds its r phase arrays, four-phase products and values G, three
     # block stacks and two gathered factors, 16 bytes an entry; its value and draws.
     sample_bytes = 16 * (r * (K + 2 * M**3 * N) + 5 * math.prod(blocks)) + 80 + _DRAW_BYTES * r * K
     rows = _chunk_rows(samples, sample_bytes)
     work = np.empty((3, rows) + blocks, dtype=complex)
 
-    def traces(phases: np.ndarray) -> list[float]:
+    def traces(phases: np.ndarray) -> np.ndarray:
         # Fiber-major, so that each fiber's values are one contiguous stack.
         values = _pair_values(np.ascontiguousarray(phases.swapaxes(0, 1)))
-        return [trace.real for trace in _torus_traces(values, indices, M, N, p, work)]
+        return _torus_traces(values, indices, M, N, p, work).real
 
     estimate = _mean_and_error(_sample_values(key, samples, rows, sample_bytes, (r, M, N), traces))
     # At p = 1 or r = 1 every sample is the moment itself: any spread is rounding.

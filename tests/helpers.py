@@ -409,14 +409,15 @@ def _one_sample_blocks(factors, indices, scale: float):
 
 
 def _one_sample_trace(stacks) -> complex:
-    import numpy as np
-
+    """The sum of the block traces of the product of `stacks`, each one
+    sample's (blocks, side, side) stack: its diagonal sums for one stack,
+    else the sum of the running product times the transposed last stack."""
     if len(stacks) == 1:
-        return complex(np.einsum("tii->", stacks[0]))
+        return complex(stacks[0].diagonal(axis1=1, axis2=2).sum())
     acc = stacks[0]
     for m in stacks[1:-1]:
         acc = acc @ m
-    return complex(np.einsum("tij,tji->", acc, stacks[-1]))
+    return complex((acc * stacks[-1].swapaxes(1, 2)).sum())
 
 
 def sample_generator(seed: int, sample: int):
@@ -446,7 +447,7 @@ def mc_sample_values_c(M: int, N: int, p: int, r: int, samples: int, seed: int):
     scaled_dft = M * model.fourier_matrix(N).entries
     m = np.arange(M)
     i, i2, k = np.meshgrid(m, m, m, indexing="ij")
-    indices = model._block_indices(M, N, n, pinned=True)
+    indices = model._block_indices(M, N, n)
     values = np.empty(samples)
     for s in range(samples):
         rng = sample_generator(seed, s)

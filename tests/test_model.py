@@ -144,8 +144,8 @@ def test_transfer_fiber_structure():
 
 
 def test_transfer_fiber_matches_dense_block_products():
-    # the torus trace builds its r > p transfer matrices the same way, so
-    # this is the check of that builder against plain block products
+    # transfer_fiber against plain block products; the torus trace's r > p
+    # transfer matrices are checked against transfer_fiber's products
     rng = np.random.default_rng(17)
     for M, N, p in ((2, 2, 2), (2, 2, 3), (2, 3, 2), (1, 3, 2), (3, 1, 2)):
         unit = magic_unitary(dita_deform(random_phase_matrix(M, N, rng)))
@@ -171,6 +171,15 @@ def test_flat_fiber_trace_identity():
             for _ in range(3):
                 acc = acc @ mat
                 assert abs(np.trace(acc) - (M * N)**(p - 1)) < 1e-9
+
+
+def test_a_fiber_of_side_one_gives_one_at_every_size():
+    # K = 1: the one block is 1, so every transfer matrix and trace is 1,
+    # also where a frame of one unit axis per slice would pass numpy's 64
+    unit = magic_unitary(fourier_matrix(1))
+    for p in (1, 20, 31, 40):
+        assert transfer_fiber(unit, p).tolist() == [[1]], p
+    assert mc_estimate_c(1, 1, 40, 40, samples=3, seed=1) == (1.0, 0.0)
 
 
 def test_transfer_budget():
@@ -204,15 +213,17 @@ def test_transfer_budget_bounds_memory():
 
 
 def test_transfer_fiber_keeps_no_gather_indices():
-    # at M = 1 the indices are as large as the K^4 matrix: 13 MB at K = 30
+    # at p = 2 the matrix holds K^4 entries, 13 MB at K = 30, and so does the
+    # gram whose views it multiplies; gather indices would add as much again
     unit = magic_unitary(dita_deform(flat_phase_matrix(5, 6)))
     tracemalloc.start()
     try:
         transfer_fiber(unit, 2)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held < 2**20
+    assert peak <= 2.5 * 16 * 30**4
 
 
 def test_pair_gram_of_a_deformed_fiber_takes_m3n_values():
@@ -323,7 +334,7 @@ def test_torus_trace_matches_transfer_products():
         n = min(p, r)
         work = np.empty((3, 1, M**(n - 1), M * N**(n - 1), M * N**(n - 1)), dtype=complex)
         (fast,) = _torus_traces(np.stack(values)[:, None],
-                                _block_indices(M, N, n, r > p, pinned=True), M, N, p, work)
+                                _block_indices(M, N, n, r > p), M, N, p, work)
         assert abs(fast - oracle) <= 1e-12 * abs(oracle), (M, N, p, r)
         assert abs(fast - dense) < 1e-9 * max(1.0, abs(dense)), (M, N, p, r)
         # moment of a self-adjoint element: real for every sampled tuple
