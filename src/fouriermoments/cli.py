@@ -30,7 +30,7 @@ from fractions import Fraction
 import fouriermoments
 
 from . import __version__
-from .closed import _check_bits, alpha, beta, c_from_d, closed_form_is_exact, d42_closed
+from .closed import alpha, beta, c_from_d, closed_form_is_exact, d42_closed
 from .errors import (DEFAULT_BUDGET, BudgetError, CrossCheckError, ParameterError, _check_budget,
                      _name, _validate_pos, budget)
 
@@ -292,14 +292,19 @@ def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> int:
     int-to-str limit, as a longer value may stop the ladder, unless
     delta = 1, which makes every value 1. closed._check_bits prices a b-bit
     Fraction at (b / 300)^2, so the rule summed over the Fractions is the
-    rule at the root of the sum of their squared bits."""
+    rule at the root of the sum of their squared bits. Each rung adds its
+    fixed work, the whole price at M = 1, where b(r) stays small."""
     step = (M - 1).bit_length()  # b(r) = first + step r
     first, limit, rungs = p * (step + (N - 1).bit_length()) + 1, sys.get_int_max_str_digits(), r_max
     if limit and delta != 1:  # so M > 1 and step > 0
         rungs = min(r_max, max(0, (math.ceil(limit * math.log2(10)) - first - 1) // step))
     squares = (rungs * first**2 + first * step * rungs * (rungs + 1)
                + step**2 * rungs * (rungs + 1) * (2 * rungs + 1) // 6)
-    _check_bits(f"converge ladder of {_name(rungs)} rungs", math.isqrt(4 * squares))
+    # A rung's fixed work (two cache reads, beta's call, four records) took
+    # about 40 us: 10^5 rungs at (1, 2, 1) in 4.3 s on 2 shared x86 cores.
+    # That is 4 000 operations at 10^8 a second, within the kernels' measured rates.
+    _check_budget(f"converge ladder of {_name(rungs)} rungs",
+                  (math.isqrt(4 * squares) // 300)**2 + 4000 * rungs)
     return rungs
 
 

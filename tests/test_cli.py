@@ -431,6 +431,9 @@ PRICED_BEFORE_FORMED = [
      "--samples", str(10**12), "--seed", "1"],
     ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "3", "--samples", str(10**12),
      "--seed", "1"],
+    # a frame of 2 min(p, r) + 3 unit axes would pass numpy's 64
+    ["mc", "--kind", "model", "--M", "1", "--N", "1", "--p", "40", "--r", "40", "--samples", "3",
+     "--seed", "1"],
     *DRAWS_OVER_BUDGET,
     *PRICED_BEFORE_FORMED,
 ])
@@ -451,6 +454,8 @@ def test_huge_arguments_end_in_an_exit_code(argv):
     ["converge", "--M", "2", "--N", "2", "--p", "3", "--r-max", "14000"],
     # values stay 1, but each rung forms integers of size M^(r+1)
     ["converge", "--M", "3", "--N", "12", "--p", "1", "--r-max", "30000"],
+    # values stay 1 and small, but 10^5 rungs of fixed work took 4.3 s
+    ["converge", "--M", "1", "--N", "2", "--p", "1", "--r-max", "10000000"],
 ])
 def test_long_converge_ladders_end_at_once(argv):
     src = Path(__file__).resolve().parents[1] / "src"
