@@ -300,9 +300,8 @@ def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> int:
         rungs = min(r_max, max(0, (math.ceil(limit * math.log2(10)) - first - 1) // step))
     squares = (rungs * first**2 + first * step * rungs * (rungs + 1)
                + step**2 * rungs * (rungs + 1) * (2 * rungs + 1) // 6)
-    # A rung's fixed work (two cache reads, beta's call, four records) took
-    # about 40 us: 10^5 rungs at (1, 2, 1) in 4.3 s on 2 shared x86 cores.
-    # That is 4 000 operations at 10^8 a second, within the kernels' measured rates.
+    # A rung's fixed work (cache reads, beta, four records) took about 40 us, 10^5 rungs
+    # at (1, 2, 1) in 4.3 s on 2 shared x86 cores: 4 000 operations at 10^8 a second.
     _check_budget(f"converge ladder of {_name(rungs)} rungs",
                   (math.isqrt(4 * squares) // 300)**2 + 4000 * rungs)
     return rungs

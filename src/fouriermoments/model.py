@@ -234,9 +234,8 @@ def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
 
     Each block is a rank-one projection, so a product trace collapses to a
     cyclic product of p scalar inner products of quotient vectors: K^-(p+1)
-    prod_x gram[I_x, J_x, I_(x+1), J_(x+1)], indices mod p. Each factor is a
-    broadcast view of the K^4 pair gram on the frame (I_1 .. I_p, J_1 .. J_p),
-    multiplied in place: no block products and no index arrays are formed.
+    prod_x gram[I_x, J_x, I_(x+1), J_(x+1)], indices mod p, each factor a
+    broadcast view of the K^4 pair gram, multiplied in place: no index arrays.
     """
     _validate_pos(p=p)
     K = len(U.quotients)
@@ -342,25 +341,27 @@ def _sample_values(key: int, samples: int, rows: int, sample_bytes: int,
 def _block_indices(M: int, N: int, n: int, transfer: bool = False) -> tuple[np.ndarray, ...]:
     """Flat indices that gather the diagonal sub-blocks at a_0 = b_0 = 0, of
     side M N^(n-1), of a slice operator on n slices from its factors, each a
-    fiber's (M, M, M, N) values G; the module docstring says why the
-    operator is block-diagonal and why these sub-blocks suffice. Class t,
-    the M-tuples t + c, has t[0] = 0, and inside it block row (c1, a) has
-    M-tuple t + c1 and N-tuple a. Entry x indexes factor x on the frame (t,
-    c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}), with unit axes where factor x
-    does not depend on the frame axis (a_0 and b_0 among them). Factor x is
-    read at (u, v, w, z) = (row_x, row_{x+1}, col_x, col_{x+1}), or with
-    `transfer` at (row_x, col_x, row_{x+1}, col_{x+1}), at flat index
+    fiber's (M, M, M, N) values G; the module docstring says why these
+    suffice. Class t, the M-tuples t + c, has t[0] = 0, and inside it block
+    row (c1, a) has M-tuple t + c1 and N-tuple a. Entry x indexes factor x
+    on the frame (t, c1, a_0 .. a_{n-1}, c2, b_0 .. b_{n-1}) less its axes of
+    size 1 (every axis at K = 1), so that no n passes numpy's limits on
+    axes, with unit axes where factor x does not depend on a frame axis.
+    Factor x is read at (u, v, w, z) = (row_x, row_{x+1}, col_x, col_{x+1}),
+    or with `transfer` at (row_x, col_x, row_{x+1}, col_{x+1}), at flat index
     ((i(u) M + i(v)) M + i(w)) N + d, d = (a(w) - a(z)) - (a(u) - a(v)) mod N.
 
     `transfer` reads a factor in place; a transposed one (as
     `tests/helpers.mc_sample_values_c` builds) copies each fiber's values
     every sample."""
-    def on_axis(values: np.ndarray, position: int) -> np.ndarray:
-        shape = [1] * (2 * n + 3)
-        shape[position] = -1
-        return values.reshape(shape)
+    sizes = [M**(n - 1), M, 1] + [N] * (n - 1) + [M, 1] + [N] * (n - 1)
+    frame = [axis for axis, size in enumerate(sizes) if size > 1]
 
-    classes = np.indices((1,) + (M,) * (n - 1)).reshape(n, -1)
+    def on_axis(values: np.ndarray, position: int) -> np.ndarray:
+        return values.reshape([-1 if axis == position else 1 for axis in frame])
+
+    # classes[x][flat t] is digit x of the flat t, t[0] = 0
+    classes = [np.arange(M**(n - 1)) // M**(n - 1 - x) % M for x in range(n)]
     c1, c2 = on_axis(np.arange(M), 1), on_axis(np.arange(M), n + 2)
     labels = [np.arange(1)] + [np.arange(N)] * (n - 1)
     out = []
@@ -481,8 +482,6 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
                   + Fraction(math.log10(M**3 * max(1, q - 2))))
     blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
     _check_budget(what, _gather_cost(blocks, samples * (blocks[1] * max(1, q - 2) + p * r)))
-    if K == 1:  # every block is 1, and so is every trace; 2n + 3 unit axes pass numpy's 64
-        return McEstimate(1.0, 0.0)
     indices = _block_indices(M, N, n, transfer=r > p)
     # A sample holds its r phase arrays, four-phase products and values G, three
     # block stacks and two gathered factors, 16 bytes an entry; its value and draws.

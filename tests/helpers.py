@@ -394,18 +394,18 @@ def pair_gram_from_values(G):
 
 def _one_sample_blocks(factors, indices, scale: float):
     """The diagonal blocks of `scale` times one sample's slice operator, by
-    gathering each factor on the frame of `model._block_indices`, whose
-    shape the indices give."""
+    gathering each factor, one fiber's (M, M, M, N) values, on the frame of
+    `model._block_indices`, whose shape the indices give."""
     import numpy as np
 
-    frame = np.broadcast_shapes(*(index.shape for index in indices))
-    acc = np.empty(frame, dtype=complex)
+    acc = np.empty(np.broadcast_shapes(*(index.shape for index in indices)), dtype=complex)
     acc[...] = factors[0].take(indices[0])
     for factor, index in zip(factors[1:], indices[1:]):
         acc *= factor.take(index)
     acc *= scale
-    side = math.isqrt(acc.size // frame[0])
-    return acc.reshape(frame[0], side, side)
+    blocks = len(factors[0])**(len(indices) - 1)  # M^(n-1)
+    side = math.isqrt(acc.size // blocks)
+    return acc.reshape(blocks, side, side)
 
 
 def _one_sample_trace(stacks) -> complex:

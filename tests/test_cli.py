@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
+import random
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -708,3 +710,73 @@ def test_runtime_ms_times_the_kernel_after_its_import():
     for argv, (code, _, err, timed_loads) in zip(commands, probe["runs"]):
         assert code == 0, (argv, err)
         assert timed_loads == [], argv
+
+
+# Boundary values of the exit-code contract: a negative, zero, small primes
+# and composites, and sizes near int64's top and past the float range.
+FUZZ_VALUES = [-1, 0, 1, 2, 3, 4, 6, 7, 40, 10**6, 10**18, 10**400]
+# Each subcommand's integer options; asymptotic's --N is a comma list.
+FUZZ_COMMANDS = {
+    ("truncated",): ("--M", "--N", "--p", "--r"),
+    ("limit",): ("--M", "--N", "--p"),
+    ("converge",): ("--M", "--N", "--p", "--r-max"),
+    ("mc", "--kind", "model"): ("--M", "--N", "--p", "--r", "--samples", "--seed"),
+    ("mc", "--kind", "gram"): ("--M", "--N", "--p", "--samples", "--seed"),
+    ("asymptotic",): ("--t", "--p", "--N"),
+    ("estimate", "--kind", "decay"): ("--N", "--p"),
+    ("estimate", "--kind", "rs"): ("--N", "--k"),
+}
+FUZZ_METHODS = {"truncated": ("direct", "alpha", "beta", "d42"),
+                "limit": ("direct", "partition", "binomial", "bound")}
+
+
+def _fuzz_argv(rng, command, options, option, value):
+    """One call of `command`: `option` at `value`, every other option at a
+    boundary value, a method list where the command takes one, and the
+    contract's largest budget, 10^6, which admits the most work."""
+    argv = list(command)
+    for name in options:
+        chosen = value if name == option else rng.choice(FUZZ_VALUES)
+        if name == "--N" and command == ("asymptotic",):
+            chosen = ",".join(map(str, [chosen] + rng.sample(FUZZ_VALUES, rng.randrange(3))))
+        argv += [name, str(chosen)]
+    if command[0] in FUZZ_METHODS:
+        methods = FUZZ_METHODS[command[0]]
+        argv += ["--method", ",".join(rng.sample(methods, rng.randrange(1, len(methods) + 1)))]
+    return argv + ["--budget", str(10**6)]
+
+
+class _Stall(BaseException):
+    """Raised by the alarm: main turns an OSError, TimeoutError among them,
+    into exit 2, and no handler catches a BaseException."""
+
+
+def test_fuzzed_commands_end_in_an_exit_code(capsys, monkeypatch):
+    # every subcommand with every boundary value in each of its options, the
+    # others drawn by a seeded generator: each call ends in 0, 2, 3 or 4, in
+    # process and within the alarm, never in a traceback or a stall. This
+    # seed draws `converge --M 1 --N 4 --p 2 --r-max 1000000`, whose rungs
+    # are small: only their fixed work's price refuses it at once
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    rng = random.Random(16)
+
+    def stall(signum, frame):
+        raise _Stall("the call ran past its alarm")
+
+    previous = signal.signal(signal.SIGALRM, stall)
+    try:
+        for command, options in FUZZ_COMMANDS.items():
+            for option in options:
+                for value in FUZZ_VALUES:
+                    argv = _fuzz_argv(rng, command, options, option, value)
+                    signal.setitimer(signal.ITIMER_REAL, 3.0)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse refuses a malformed option
+                        code = exc.code
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                    capsys.readouterr()
+                    assert code in (0, 2, 3, 4), shlex.join(argv)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

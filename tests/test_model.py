@@ -173,13 +173,17 @@ def test_flat_fiber_trace_identity():
                 assert abs(np.trace(acc) - (M * N)**(p - 1)) < 1e-9
 
 
-def test_a_fiber_of_side_one_gives_one_at_every_size():
-    # K = 1: the one block is 1, so every transfer matrix and trace is 1,
-    # also where a frame of one unit axis per slice would pass numpy's 64
+def test_many_slices_stay_within_numpys_axes():
+    # a frame of one axis per slice index passes numpy's 64 axes at K = 1,
+    # where the one block is 1 and so is every transfer matrix, and the 32
+    # of np.broadcast at N = 1, where every sample is the exact moment
     unit = magic_unitary(fourier_matrix(1))
     for p in (1, 20, 31, 40):
         assert transfer_fiber(unit, p).tolist() == [[1]], p
-    assert mc_estimate_c(1, 1, 40, 40, samples=3, seed=1) == (1.0, 0.0)
+    for M, N, p, r in ((1, 1, 40, 40), (2, 1, 15, 15)):
+        exact = float(c_from_d(count_d(M, N, p, r), M, N, p))
+        est = mc_estimate_c(M, N, p, r, samples=3, seed=1)
+        assert abs(est.mean - exact) < 1e-12 * exact, (M, N, p, r)
 
 
 def test_transfer_budget():
