@@ -174,9 +174,10 @@ def test_flat_fiber_trace_identity():
 
 
 def test_many_slices_stay_within_numpys_axes():
-    # a frame of one axis per slice index passes numpy's 64 axes at K = 1,
-    # where the one block is 1 and so is every transfer matrix, and the 32
-    # of np.broadcast at N = 1, where every sample is the exact moment
+    # a frame of one axis per slice index passes np.broadcast's 32 axes from
+    # 15 slices, and numpy's 64 from 31: at K = 1, where the one block is 1
+    # and so is every transfer matrix, and at N = 1, where every sample is
+    # the exact moment
     unit = magic_unitary(fourier_matrix(1))
     for p in (1, 20, 31, 40):
         assert transfer_fiber(unit, p).tolist() == [[1]], p
