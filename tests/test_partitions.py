@@ -28,6 +28,7 @@ from fouriermoments.partitions import (
 
 from helpers import (
     _difference_tables,
+    _first_occurrence,
     assert_codes_name_rows,
     bell_numbers,
     catalan,
@@ -337,6 +338,51 @@ def test_rotation_orbits_partition_the_rgs_rows():
             reps, sizes = _rgs_orbits(p, s)
             assert {tuple(rep): int(size) for rep, size in zip(reps.tolist(), sizes)} \
                 == {rep: len(orbit) for rep, orbit in orbits.items()}
+
+
+def test_rgs_rows_are_the_stream_in_order():
+    for p in range(1, 10):
+        for b in range(1, p + 1):
+            rows, counts = _rgs_array(p, b)
+            assert rows.dtype == np.int64 and rows.shape[1] == p
+            assert rows.tolist() == [list(row) for row in partitions._rgs_stream(p, b)], (p, b)
+            assert (counts == rows.max(axis=1) + 1).all(), (p, b)
+
+
+def test_relabelled_rotation_permutes_the_rgs_rows():
+    # a row rotated one place and relabelled to first-occurrence order is
+    # again a row; the base-p codes increase along the rows, so searchsorted
+    # finds it, and the rows' successors are a permutation of them
+    for p in range(1, 10):
+        digits = p ** np.arange(p - 1, -1, -1, dtype=np.int64)
+        for s in range(1, p + 1):
+            rows = _rgs_array(p, s)[0]
+            codes = rows @ digits
+            assert (np.diff(codes) > 0).all(), (p, s)
+            rotated = np.array([_first_occurrence(row[1:] + row[:1]) for row in rows.tolist()])
+            successor = np.searchsorted(codes, rotated @ digits)
+            assert (np.sort(successor) == np.arange(len(rows))).all(), (p, s)
+            assert (rows[successor] == rotated).all(), (p, s)
+
+
+def test_table_of_a_sigma_at_its_own_block_count():
+    # the a-side twin of the truncated tests' width check: sigma's labels
+    # stay below its block count t, so rows t..T-1 of its table against any
+    # pi are zero, and the width-t table vanishes exactly when the width-T
+    # one does; the kernel's codes at M = t are the first t rows of those at T
+    for p in range(2, 8):
+        rows, counts = _rgs_array(p, p)
+        weights, W = partitions._code_weights(_rgs_orbits(p, p)[0], p)
+        for t in range(1, p + 1):
+            sigmas = rows[counts == t]
+            for pi in _rgs_orbits(p, p)[0]:
+                wide = _difference_tables(sigmas, pi[None, :], p, p)
+                own = _difference_tables(sigmas, pi[None, :], t, p)
+                assert not wide[:, t:].any() and (wide[:, :t] == own).all(), (p, t, pi)
+                assert (own.any(axis=(1, 2)) == wide.any(axis=(1, 2))).all(), (p, t, pi)
+            wide = partitions._row_codes(sigmas, weights, p, W)
+            own = partitions._row_codes(sigmas, weights, t, W)
+            assert not wide[:, t:].any() and (wide[:, :t] == own).all(), (p, t)
 
 
 def test_partition_table_caches_are_bounded():
