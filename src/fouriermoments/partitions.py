@@ -6,7 +6,12 @@ of an (a, b) pair row by row as integer codes (_row_codes), zero or equal
 exactly when the rows are, and a pair's solution set is the subgroup H of
 Z_M of periods of f in m (_pair_periods). One loop (_orbit_scan) codes one b
 per rotation orbit of set partitions, in one float64 product per block of a,
-for the pair table (f = 0) and the histogram of |H| (_order_histogram).
+for the pair table (f = 0) and the histogram of |H| (_order_histogram). The
+partitions are numpy tables: _rgs_array extends every prefix row by one
+column at a time, and _rgs_orbits follows one relabelled rotation, a
+successor map found by searchsorted on the rows' codes, to each orbit's
+least row. The pair table scans the sigmas of each block count t at M = t,
+since their tables have no nonzero row m >= t.
 All values are immutable after construction. Enumeration streams are
 single-consumer, but independent streams may run concurrently; the streams,
 the pair scan, the period histogram and the Stirling counts are refused by
@@ -97,8 +102,8 @@ class SetPartition:
 
 
 def _check_stream(kind: str, p: int, length) -> None:
-    # length(p) partitions at the p^2 a row that _pair_table charges for
-    # _rgs_array rows. Each stream holds the Catalan(p) >= 4^p / ((p + 1)(2p + 1))
+    # length(p) partitions at p^2 each, for the Python loops that build and
+    # check each SetPartition. Each stream holds the Catalan(p) >= 4^p / ((p + 1)(2p + 1))
     # non-crossing partitions, a floor checked from its logarithm first.
     _validate_pos(p=p)
     what = f"stream of the {kind} partitions of p={_name(p)}"
@@ -254,28 +259,38 @@ def _narayana_profile(p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def _rgs_array(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """All restricted growth strings with at most `max_blocks` blocks, as an
-    (n, p) int array, plus the per-row block counts."""
-    rows = np.array(list(_rgs_stream(p, max_blocks)), dtype=np.int64)
-    counts = rows.max(axis=1) + 1
-    return rows, counts
+    (n, p) int array in lexicographic order, plus the per-row block counts.
+    Built one column at a time: a prefix whose labels reach `top` has the
+    children 0..min(top + 1, max_blocks - 1), in that order."""
+    rows, top = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(1, p):
+        fan = np.minimum(top + 1, max_blocks - 1) + 1
+        parent = np.repeat(np.arange(len(rows)), fan)
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        rows, top = np.column_stack((rows[parent], label)), np.maximum(top[parent], label)
+    return rows, top + 1
 
 
 @lru_cache(maxsize=64)
 def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """The least row of each rotation orbit of _rgs_array(p, max_blocks), and
-    the orbit sizes: each roll of a row, relabelled to first-occurrence order
-    and read in base p, is a code, and the least code names the orbit."""
+    the orbit sizes. A row read in base p is a code, increasing along the
+    rows, so the codes of the rows rotated one place and relabelled to
+    first-occurrence order give, by searchsorted, the successor of each row,
+    and p - 1 gathers through it give each orbit's least code."""
     rows, _ = _rgs_array(p, max_blocks)
     digits = p ** np.arange(p - 1, -1, -1, dtype=np.int64)
-    least = rows @ digits
-    labels = rows.astype(np.int8)  # small temporaries; labels stay below p
-    for shift in range(1, p):
-        rolled = np.roll(labels, -shift, axis=1)
-        first = np.full_like(labels, p)  # where each label first occurs
-        np.minimum.at(first, (np.arange(len(rows))[:, None], rolled), np.arange(p, dtype=np.int8))
-        rank = np.argsort(np.argsort(first, axis=1), axis=1)
-        np.minimum(least, np.take_along_axis(rank, rolled, axis=1) @ digits, out=least)
-    is_rep = least == rows @ digits  # rows, and so their codes, come in increasing order
+    codes = rows @ digits
+    # The rotated row ends in its old label 0. The labels 1..c before its
+    # first 0 come in order, so they move down one, and 0 becomes c. Small
+    # labels, a row per position, so that each step runs along the rows.
+    rolled = np.roll(np.ascontiguousarray(rows.T, dtype=np.int8), -1, axis=0)
+    c = (rolled * np.logical_and.accumulate(rolled != 0)).max(axis=0)
+    successor = np.searchsorted(codes, digits @ np.where(rolled == 0, c, rolled - (rolled <= c)))
+    least = codes
+    for _ in range(1, p):
+        least = np.minimum(least, least[successor])
+    is_rep = least == codes
     return rows[is_rep], np.bincount(np.searchsorted(least[is_rep], least))
 
 
@@ -400,14 +415,15 @@ def _order_histogram(M: int, N: int, p: int) -> dict[int, int]:
     if M == 1 or N == 1 or p == 1:  # Z_M is trivial, or f vanishes: H = Z_M
         return {M: (M * N)**(p - 1)}
     T, what = min(N, p), f"period histogram of ({_name(M)},{_name(N)},{_name(p)})"
-    # R partitions: R p^2 to find their orbits, then about R / p of them, each
-    # against a_rows pinned a at 2p + M^2 T (a pair's table and its M shifts).
+    # R partitions: R p to build their rows and R p to find their orbits, then
+    # about R / p of them, each against a_rows pinned a at 2p + M^2 T (a
+    # pair's table and its M shifts).
     # Its floor at R = 1 comes first, so a_rows = M^(p-1) and R are formed after.
     _check_budget(what, None, (p - 1) * Fraction(math.log10(M))
                   + Fraction(math.log10(2 * p + M * M * T) - math.log10(p)))
     a_rows = M**(p - 1)
     R = sum(_stirling_row(p)[1:T + 1])
-    _check_budget(what, R * p * p + a_rows * R * (2 * p + M * M * T) // p)
+    _check_budget(what, 2 * R * p + a_rows * R * (2 * p + M * M * T) // p)
     by_t = _orbit_scan(  # [t, |H|] over the pinned a, each row index read in base M
         lambda index: np.column_stack((0 * index, *np.unravel_index(index, (M,) * (p - 1)))),
         a_rows, M, p, T, lambda codes, index: _code_periods(codes).sum(axis=1))
@@ -451,18 +467,20 @@ def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
     row = _stirling_row(p)
     if min(smax, tmax) == 1:
         return {(s, t): row[s] * row[t] for s in range(1, smax + 1) for t in range(1, tmax + 1)}
-    # R_x rows (R_x: partitions with <= x blocks) at p^2 each, 5 R_s p^2 to
+    # R_x rows (R_x: partitions with <= x blocks) at p each, R_s p more to
     # find orbits, R_s / p orbits times R_t sigmas; _stirling_row priced its row.
     R_s, R_t = (sum(row[1:x + 1]) for x in (smax, tmax))
     _check_budget(f"partition-pair scan of ({p},{smax},{tmax})",
-                  R_s * R_t + (5 * R_s + R_t) * p * p)
+                  R_s * R_t + (2 * R_s + R_t) * p)
     sigmas, sigma_counts = _rgs_array(p, tmax)
-    # A table whose codes all vanish counts in its sigma's block count, others in 0.
-    tally = _orbit_scan(lambda index: sigmas[index], len(sigmas), tmax, p, smax,
-                        lambda codes, index: np.where(codes.any(axis=(1, 2)), 0,
-                                                      sigma_counts[index, None]))
-    return {(s, t): int(tally[s, t]) for s in range(1, smax + 1) for t in range(1, tmax + 1)}
-
+    table = np.zeros((smax + 1, tmax + 1), dtype=np.int64)
+    # A sigma with t blocks has zero table rows m >= t, so its pairs are
+    # scanned at M = t; class 1 counts the tables whose codes all vanish.
+    for t in range(1, tmax + 1):
+        own = sigmas[sigma_counts == t]
+        table[:, t] = _orbit_scan(lambda index: own[index], len(own), t, p, smax,
+                                  lambda codes, index: ~codes.any(axis=(1, 2)))[:, 1]
+    return {(s, t): int(table[s, t]) for s in range(1, smax + 1) for t in range(1, tmax + 1)}
 
 triangle_pair_counts.cache_info = _pair_table.cache_info
 triangle_pair_counts.cache_clear = _pair_table.cache_clear

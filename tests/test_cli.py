@@ -61,7 +61,7 @@ def test_budget_exit_code(capsys):
         ["truncated", "--M", "4", "--N", "4", "--p", "9", "--r", "2"], capsys)
     assert code == 3
     assert "budget" in err
-    assert "6.600e+09" in err  # the estimated operation count is named
+    assert "6.599e+09" in err  # the estimated operation count is named
 
 
 def test_pair_scan_budget_exit_code(capsys):
@@ -75,14 +75,15 @@ def test_pair_scan_budget_exit_code(capsys):
     code, _, err = run_cli(["limit", "--M", "4", "--N", "4", "--p", "10",
                             "--method", "partition"], capsys)
     assert code == 3
-    assert "partition-pair scan of (10,4,4) needs ~1.958e+09" in err
+    assert "partition-pair scan of (10,4,4) needs ~1.933e+09" in err
 
 
 @pytest.mark.parametrize("argv", [
     ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "bound", "--budget", "1"],
-    # the direct route fits 200 operations (110); the decomposition's scan (236) does not
-    ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "direct",
-     "--report", "decomposition", "--budget", "200"],
+    # the bound route fits 40 operations (its Stirling row, 4); the
+    # decomposition's scan (52) does not
+    ["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "bound",
+     "--report", "decomposition", "--budget", "40"],
     ["asymptotic", "--t", "1", "--p", "3", "--N", "4,8,16", "--budget", "1"],
     ["estimate", "--kind", "decay", "--N", "3", "--p", "40000", "--budget", "1"],
     # alpha's gcd is priced at (8004 // 300)^2 = 676 operations

@@ -70,7 +70,7 @@ def test_delta_partition_budget():
     with pytest.raises(BudgetError) as info:
         delta_partition(4, 4, 10)
     R = 43947  # partitions of 10 with at most 4 blocks
-    assert info.value.estimated_ops == R * R + 6 * R * 100
+    assert info.value.estimated_ops == R * R + 3 * R * 10
     assert "partition-pair scan of (10,4,4)" in str(info.value)
     triangle_pair_counts.cache_clear()  # a cached table is never refused
     with budget(1000), pytest.raises(BudgetError):
@@ -417,7 +417,7 @@ def test_delta_exact_falls_back_when_histogram_refused():
     with pytest.raises(BudgetError) as info:
         delta_direct(2, 2, 18)
     assert info.value.estimated_ops == \
-        2**17 * 18**2 + 2**17 * 2**17 * (2 * 18 + 2 * 2 * 2) // 18
+        2 * 2**17 * 18 + 2**17 * 2**17 * (2 * 18 + 2 * 2 * 2) // 18
     assert delta_exact(2, 2, 18) == delta_m2(2, 18)
 
 

@@ -264,10 +264,10 @@ def test_one_block_tables_come_from_stirling_numbers(monkeypatch):
 
 
 def test_pair_scan_budget():
-    # R_s R_t + (5 R_s + R_t) p^2, with R = 2^(p-1) at two blocks; the
+    # R_s R_t + (2 R_s + R_t) p, with R = 2^(p-1) at two blocks; the
     # Stirling row is priced by its own gate
     R = 2**9
-    cost = R * R + 6 * R * 100
+    cost = R * R + 3 * R * 10
     # refused before it is admitted, since a cached table is never refused
     triangle_pair_counts.cache_clear()
     with budget(cost - 1), pytest.raises(BudgetError) as info:

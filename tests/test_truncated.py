@@ -299,11 +299,11 @@ def test_count_d_thread_invariance():
 
 def test_count_d_budget_guard():
     # the lumped kernel's work: R = 11051 partitions of 9 with at most 4
-    # blocks, R p^2 to find their orbits, then R / p representatives against
-    # M^(p-1) pinned a at 2p + M^2 min(N, p) each
+    # blocks, R p to build their rows and R p to find their orbits, then R / p
+    # representatives against M^(p-1) pinned a at 2p + M^2 min(N, p) each
     with pytest.raises(BudgetError) as info:
         count_d(4, 4, 9, 2)
-    assert info.value.estimated_ops == 11051 * 9**2 + 4**8 * 11051 * (2 * 9 + 4 * 4 * 4) // 9
+    assert info.value.estimated_ops == 2 * 11051 * 9 + 4**8 * 11051 * (2 * 9 + 4 * 4 * 4) // 9
     # an estimate beyond the float range is still named, not an OverflowError;
     # past one partition's cost it is the lower bound R = 1
     with pytest.raises(BudgetError, match=r"~4\.177e\+180 "):
