@@ -325,11 +325,12 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
         else:
             d, _ = _d_for(M, N, p, r, cache)
             exact = c_from_d(d, M, N, p)
-        gap = record.value_float - float(exact)
+        exact = float(exact)
     except (BudgetError, ParameterError):
         return [record]  # estimate stands alone, no z column
-    if record.std_error == 0:
-        record.z = 0.0 if abs(gap) < 1e-9 else float("inf")
+    gap = record.value_float - exact
+    if record.std_error == 0:  # every sample was exact: a gap is rounding or a fault
+        record.z = 0.0 if abs(gap) <= 1e-9 * max(1.0, abs(exact)) else float("inf")
     else:
         record.z = gap / record.std_error
     return [record]

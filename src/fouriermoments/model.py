@@ -495,8 +495,10 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
         return _torus_traces(values, indices, M, N, p, work).real
 
     estimate = _mean_and_error(_sample_values(key, samples, rows, sample_bytes, (r, M, N), traces))
-    # At p = 1 or r = 1 every sample is the moment itself: any spread is rounding.
-    return estimate._replace(std_error=0.0) if p == 1 or r == 1 else estimate
+    # At p = 1 or r = 1 every sample is the moment itself, and so at M = 1 or
+    # N = 1, where the phases only rescale rows of a Fourier matrix, which
+    # cancels in every quotient block: any spread is rounding.
+    return estimate._replace(std_error=0.0) if min(M, N, p, r) == 1 else estimate
 
 
 def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEstimate:
@@ -520,8 +522,9 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
         return np.trace(np.linalg.matrix_power(gram, p), axis1=-2, axis2=-1).real
 
     estimate = _mean_and_error(_sample_values(key, samples, rows, sample_bytes, (M, N), traces))
-    # At p = 1 every sample is Tr(G / MN) = 1, the moment itself: any spread is rounding.
-    return estimate._replace(std_error=0.0) if p == 1 else estimate
+    # At p = 1 every sample is Tr(G / MN) = 1, the moment itself, and so at
+    # M = 1 or N = 1, where G / MN is a projection of rank 1: any spread is rounding.
+    return estimate._replace(std_error=0.0) if min(M, N, p) == 1 else estimate
 
 
 def _mean_and_error(values: np.ndarray) -> McEstimate:

@@ -368,6 +368,29 @@ def test_mc_gram_z_column(capsys):
     assert abs(float(row["z"])) < 6
 
 
+# At min(M, N) = 1 every sample is the moment itself: the phases only
+# rescale rows of a Fourier matrix. A spread made of rounding would read
+# z = -19.4 and -3.64 at the first two, and the last moment, 2^39 - 1, is
+# off by about 1e-3 in floats.
+EXACT_MC_COMMANDS = [
+    ["mc", "--kind", "gram", "--M", "3", "--N", "1", "--p", "4", "--samples", "200", "--seed", "1"],
+    ["mc", "--kind", "model", "--M", "2", "--N", "1", "--p", "6", "--r", "6",
+     "--samples", "50", "--seed", "1"],
+    ["mc", "--kind", "model", "--M", "1", "--N", "3", "--p", "3", "--r", "3",
+     "--samples", "50", "--seed", "1"],
+    ["mc", "--kind", "model", "--M", "1", "--N", "2", "--p", "40", "--r", "3",
+     "--samples", "5", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", EXACT_MC_COMMANDS)
+def test_mc_reports_no_spread_where_every_sample_is_exact(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert (row["std_error"], row["z"]) == ("0.0", "0.0"), row
+
+
 def test_asymptotic_error_column_decreases(capsys):
     code, out, _ = run_cli(
         ["asymptotic", "--t", "1", "--p", "3", "--N", "4,8,16"], capsys)
@@ -764,20 +787,24 @@ def test_fuzzed_commands_end_in_an_exit_code(capsys, monkeypatch):
     def stall(signum, frame):
         raise _Stall("the call ran past its alarm")
 
+    calls = [_fuzz_argv(rng, command, options, option, value)
+             for command, options in FUZZ_COMMANDS.items()
+             for option in options for value in FUZZ_VALUES]
     previous = signal.signal(signal.SIGALRM, stall)
     try:
-        for command, options in FUZZ_COMMANDS.items():
-            for option in options:
-                for value in FUZZ_VALUES:
-                    argv = _fuzz_argv(rng, command, options, option, value)
-                    signal.setitimer(signal.ITIMER_REAL, 3.0)
-                    try:
-                        code = main(argv)
-                    except SystemExit as exc:  # argparse refuses a malformed option
-                        code = exc.code
-                    finally:
-                        signal.setitimer(signal.ITIMER_REAL, 0)
-                    capsys.readouterr()
-                    assert code in (0, 2, 3, 4), shlex.join(argv)
+        for argv in calls + [argv + ["--budget", str(10**6)] for argv in EXACT_MC_COMMANDS]:
+            signal.setitimer(signal.ITIMER_REAL, 3.0)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed option
+                code = exc.code
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            out = capsys.readouterr().out
+            assert code in (0, 2, 3, 4), shlex.join(argv)
+            # an estimate at a unit side is exact: no spread, and no z but 0
+            row = parse_csv(out)[0] if code == 0 and argv[0] == "mc" else None
+            if row and min(int(row["M"]), int(row["N"])) == 1:
+                assert row["std_error"] == "0.0" and row["z"] in ("0.0", ""), shlex.join(argv)
     finally:
         signal.signal(signal.SIGALRM, previous)

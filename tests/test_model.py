@@ -503,15 +503,18 @@ def test_mc_estimate_c_p1_exact():
 
 
 def test_std_error_is_zero_where_every_sample_is_exact():
-    # at p = 1, and at r = 1 for the model, every sample is the moment itself:
-    # their spread is rounding alone (about 3e-18), so the error reads 0
+    # at p = 1, at r = 1 for the model, and at M = 1 or N = 1, every sample
+    # is the moment itself: their spread is rounding alone (about 3e-18 at
+    # p = 1, and up to 6e-15 at (2, 1, 6, 6)), so the error reads 0
     seed = 20260808  # criterion 7's
-    for M, N, p, r in ((2, 2, 1, 3), (3, 3, 1, 2), (2, 3, 3, 1)):
+    for M, N, p, r in ((2, 2, 1, 3), (3, 3, 1, 2), (2, 3, 3, 1), (2, 1, 6, 6), (1, 3, 3, 3),
+                       (3, 1, 4, 5), (1, 1, 3, 3)):
         est = mc_estimate_c(M, N, p, r, samples=2000, seed=seed)
         exact = float(c_from_d(count_d(M, N, p, r), M, N, p))
-        assert est.std_error == 0.0 and abs(est.mean - exact) < 1e-12, (M, N, p, r)
-    est = mc_estimate_delta(2, 2, 1, samples=5000, seed=seed)
-    assert est.std_error == 0.0 and abs(est.mean - 1) < 1e-12
+        assert est.std_error == 0.0 and abs(est.mean - exact) < 1e-12 * exact, (M, N, p, r)
+    for M, N, p in ((2, 2, 1), (3, 1, 4), (1, 3, 4), (5, 1, 7)):
+        est = mc_estimate_delta(M, N, p, samples=5000, seed=seed)
+        assert est.std_error == 0.0 and abs(est.mean - 1) < 1e-12, (M, N, p)
     # a point whose samples are random keeps its spread
     assert mc_estimate_c(2, 2, 3, 3, samples=200, seed=seed).std_error > 0
     assert mc_estimate_delta(2, 2, 3, samples=200, seed=seed).std_error > 0
