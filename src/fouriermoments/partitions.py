@@ -6,12 +6,10 @@ of an (a, b) pair row by row as integer codes (_row_codes), zero or equal
 exactly when the rows are, and a pair's solution set is the subgroup H of
 Z_M of periods of f in m (_pair_periods). One loop (_orbit_scan) codes one b
 per rotation orbit of set partitions, in one float64 product per block of a,
-for the pair table (f = 0) and the histogram of |H| (_order_histogram). The
-partitions are numpy tables: _rgs_array extends every prefix row by one
-column at a time, and _rgs_orbits follows one relabelled rotation, a
-successor map found by searchsorted on the rows' codes, to each orbit's
-least row. The pair table scans the sigmas of each block count t at M = t,
-since their tables have no nonzero row m >= t.
+for the pair table (f = 0) and the histogram of |H| (_order_histogram). Its
+partition rows grow one column at a time (_rgs_array), its orbits follow one
+relabelled rotation to their least row (_rgs_orbits), and the pair table
+scans the sigmas with t blocks at M = t, as their rows m >= t are zero.
 All values are immutable after construction. Enumeration streams are
 single-consumer, but independent streams may run concurrently; the streams,
 the pair scan, the period histogram and the Stirling counts are refused by
@@ -481,6 +479,7 @@ def _pair_table(p: int, smax: int, tmax: int) -> dict[tuple[int, int], int]:
         table[:, t] = _orbit_scan(lambda index: own[index], len(own), t, p, smax,
                                   lambda codes, index: ~codes.any(axis=(1, 2)))[:, 1]
     return {(s, t): int(table[s, t]) for s in range(1, smax + 1) for t in range(1, tmax + 1)}
+
 
 triangle_pair_counts.cache_info = _pair_table.cache_info
 triangle_pair_counts.cache_clear = _pair_table.cache_clear
