@@ -272,12 +272,14 @@ def _rgs_array(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _rgs_orbits(p: int, max_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """The least row of each rotation orbit of _rgs_array(p, max_blocks), and
-    the orbit sizes. A row read in base p is a code, increasing along the
-    rows, so the codes of the rows rotated one place and relabelled to
-    first-occurrence order give, by searchsorted, the successor of each row,
-    and p - 1 gathers through it give each orbit's least code."""
+    the orbit sizes. A row read in base max_blocks is a code, increasing
+    along the rows, so the codes of the rows rotated one place and
+    relabelled to first-occurrence order give, by searchsorted, the
+    successor of each row, and p - 1 gathers through it give each orbit's
+    least code. Base max_blocks keeps the codes below 2^63 wherever the
+    rows fit in memory (base p would pass it from p = 18)."""
     rows, _ = _rgs_array(p, max_blocks)
-    digits = p ** np.arange(p - 1, -1, -1, dtype=np.int64)
+    digits = max_blocks ** np.arange(p - 1, -1, -1, dtype=np.int64)
     codes = rows @ digits
     # The rotated row ends in its old label 0. The labels 1..c before its
     # first 0 come in order, so they move down one, and 0 becomes c. Small

@@ -338,6 +338,10 @@ def test_rotation_orbits_partition_the_rgs_rows():
             reps, sizes = _rgs_orbits(p, s)
             assert {tuple(rep): int(size) for rep, size in zip(reps.tolist(), sizes)} \
                 == {rep: len(orbit) for rep, orbit in orbits.items()}
+    # rows of 19 labels read in base 19 would pass 2^63; 19 is prime, so
+    # the one-block row is fixed and the other 2^18 - 1 rows make orbits of 19
+    reps, sizes = _rgs_orbits(19, 2)
+    assert len(reps) == 1 + (2**18 - 1) // 19 and sizes.tolist() == [1] + [19] * (len(reps) - 1)
 
 
 def test_rgs_rows_are_the_stream_in_order():
