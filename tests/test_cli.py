@@ -370,8 +370,8 @@ def test_mc_gram_z_column(capsys):
 
 # At min(M, N) = 1 every sample is the moment itself: the phases only
 # rescale rows of a Fourier matrix. A spread made of rounding would read
-# z = -19.4 and -3.64 at the first two, and the last moment, 2^39 - 1, is
-# off by about 1e-3 in floats.
+# z = -19.4 and -3.64 at the first two, and the last moment, 2^39, is
+# off by about 1.5e-3 in floats.
 EXACT_MC_COMMANDS = [
     ["mc", "--kind", "gram", "--M", "3", "--N", "1", "--p", "4", "--samples", "200", "--seed", "1"],
     ["mc", "--kind", "model", "--M", "2", "--N", "1", "--p", "6", "--r", "6",
