@@ -3,7 +3,9 @@ serialization, result caching, and the cross-method verification drivers.
 
 Exit codes: 0 success, 2 parameter error or unusable output/cache path,
 3 budget error, 4 cross-check failure (two exact methods disagreeing aborts
-with both records printed).
+with both records printed). The budget is the one size rule: it prices
+every value written, so `main` lifts the interpreter's int-to-str limit
+while it runs a command, and a library caller keeps the limit.
 
 At module level it imports the standard library, the package, `errors` and
 `closed` alone. A route reads its kernel as `fouriermoments.<module>.<name>`
@@ -68,25 +70,15 @@ class RunRecord:
 
 
 def _ratio_str(value: Fraction) -> str:
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:  # a term longer than the interpreter's int-to-str limit
-        bits = max(abs(value.numerator), value.denominator).bit_length()
-        raise ParameterError(
-            f"the exact value has about {round(bits * math.log10(2))} digits, over "
-            f"the limit of {sys.get_int_max_str_digits()} on printing an integer") from None
+    """The text of an exact value, in a record and in a cache entry."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _print_cost(value: Fraction) -> int:
     """The price of writing `value`: CPython turns an int of d digits of its
     own base into decimal in about d^2 steps, so each term costs the square
-    of its digits past the first, read from its bit length. A term past the
-    interpreter's int-to-str limit, which str refuses before converting,
-    raises the ParameterError of printing it instead."""
+    of its digits past the first, read from its bit length."""
     top, bottom = abs(value.numerator).bit_length(), value.denominator.bit_length()
-    limit = sys.get_int_max_str_digits()
-    if limit and max(top, bottom) >= limit * math.log2(10):
-        _ratio_str(value)
     return (top // sys.int_info.bits_per_digit)**2 + (bottom // sys.int_info.bits_per_digit)**2
 
 
@@ -111,7 +103,10 @@ def _emit(records: list[RunRecord], fmt: str, out_path: str | None) -> None:
 
 class Cache:
     """One JSON document per exact value, keyed by a hash of the quantity
-    key, with the engine version pinned; stale versions are recomputed."""
+    key, with the engine version pinned; stale versions are recomputed.
+    An entry is written at the price of printing its value, and parsed
+    under the int-to-str limit that `main` lifts: it is the CLI's own priced
+    output, and `json.load` reads a whole entry with no bound anyway."""
 
     def __init__(self, directory: str | None):
         self.directory = directory
@@ -144,6 +139,7 @@ class Cache:
     def store(self, key: tuple, value: Fraction) -> None:
         if not self.directory:
             return
+        _check_budget(f"storing {key}", _print_cost(value))
         doc = {"key": list(key), "value": _ratio_str(value),
                "engine_version": __version__}
         path = self._path(key)
@@ -265,46 +261,39 @@ def cmd_converge(args, cache: Cache) -> list[RunRecord]:
     M, N, p = args.M, args.N, args.p
     _validate_pos(r_max=args.r_max)
     delta, _ = _delta_for(M, N, p, cache)
-    # Where every rung surely prints, the ladder ends in _emit, so _emit's
-    # price is checked as the text grows, not only after the last rung.
-    whole = _check_ladder(M, N, p, args.r_max, delta) == args.r_max
+    _check_ladder(M, N, p, args.r_max, delta)
     records, printed = [], 0
-    # Values grow with r: stop at the first rung too long to print, not after the last.
     for r in range(1, args.r_max + 1):
         d, ms = _d_for(M, N, p, r, cache)
         b, beta_ms = _timed(beta, M, N, p, r, delta)
         common = dict(M=M, N=N, p=p, r=r, runtime_ms=ms + beta_ms)
         for method, value in (("direct", d), ("beta", b), ("delta", delta), ("gap", d - delta)):
-            printed += _print_cost(value)  # raises the ParameterError of a value too long to print
+            printed += _print_cost(value)
             records.append(RunRecord("converge", method, value_exact=value, **common))
-        if whole:
-            _check_budget(f"writing {len(records)} records", printed)
+        _check_budget(f"writing {len(records)} records", printed)  # _emit's price, as it grows
     return records
 
 
-def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> int:
-    """Refuse the converge ladder before its first rung, and return how many
-    rungs surely print. Rung r forms four Fractions (count_d's, beta's
-    product and sum, the gap) of up to b(r) = (p + r) ceil(log2 M) +
-    p ceil(log2 N) + 1 bits, the bits of M^(p+r) N^p, which every value's
-    denominator divides (every value lies in [0, 1]). The rungs counted are
-    those that surely print: to r_max, but only while b(r) is under the
-    int-to-str limit, as a longer value may stop the ladder, unless
-    delta = 1, which makes every value 1. closed._check_bits prices a b-bit
-    Fraction at (b / 300)^2, so the rule summed over the Fractions is the
-    rule at the root of the sum of their squared bits. Each rung adds its
-    fixed work, the whole price at M = 1, where b(r) stays small."""
+def _check_ladder(M: int, N: int, p: int, r_max: int, delta: Fraction) -> None:
+    """Refuse the converge ladder before its first rung. Rung r forms four
+    Fractions (count_d's, beta's product and sum, the gap) of up to b(r) =
+    (p + r) ceil(log2 M) + p ceil(log2 N) + 1 bits, the bits of M^(p+r)
+    N^p, which every value's denominator divides (every value lies in
+    [0, 1]); at delta = 1, that is at M, N or p = 1, every value is 1, of
+    one bit. closed._check_bits prices a b-bit Fraction at (b / 300)^2, so
+    the rule summed over the Fractions is the rule at the root of the sum of
+    their squared bits. Each rung adds its fixed work, the whole price where
+    b(r) stays small."""
     step = (M - 1).bit_length()  # b(r) = first + step r
-    first, limit, rungs = p * (step + (N - 1).bit_length()) + 1, sys.get_int_max_str_digits(), r_max
-    if limit and delta != 1:  # so M > 1 and step > 0
-        rungs = min(r_max, max(0, (math.ceil(limit * math.log2(10)) - first - 1) // step))
-    squares = (rungs * first**2 + first * step * rungs * (rungs + 1)
-               + step**2 * rungs * (rungs + 1) * (2 * rungs + 1) // 6)
+    first = p * (step + (N - 1).bit_length()) + 1
+    if delta == 1:
+        first, step = 1, 0
+    squares = (r_max * first**2 + first * step * r_max * (r_max + 1)
+               + step**2 * r_max * (r_max + 1) * (2 * r_max + 1) // 6)
     # A rung's fixed work (cache reads, beta, four records) took about 40 us, 10^5 rungs
     # at (1, 2, 1) in 4.3 s on 2 shared x86 cores: 4 000 operations at 10^8 a second.
-    _check_budget(f"converge ladder of {_name(rungs)} rungs",
-                  (math.isqrt(4 * squares) // 300)**2 + 4000 * rungs)
-    return rungs
+    _check_budget(f"converge ladder of {_name(r_max)} rungs",
+                  (math.isqrt(4 * squares) // 300)**2 + 4000 * r_max)
 
 
 def cmd_mc(args, cache: Cache) -> list[RunRecord]:
@@ -328,6 +317,8 @@ def cmd_mc(args, cache: Cache) -> list[RunRecord]:
         exact = float(exact)
     except (BudgetError, ParameterError):
         return [record]  # estimate stands alone, no z column
+    except OverflowError:
+        raise ParameterError("the exact moment is past the float range: no z is formed") from None
     gap = record.value_float - exact
     if record.std_error == 0:  # every sample was exact: a gap is rounding or a fault
         record.z = 0.0 if abs(gap) <= 1e-9 * max(1.0, abs(exact)) else float("inf")
@@ -457,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         needed = {"decay": "p", "rs": "k"}[args.kind]
         if getattr(args, needed) is None:
             parser.error(f"estimate --kind {args.kind} requires --{needed}")
+    # Every value written is priced (_print_cost): argparse read argv under the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         cache = Cache(args.cache or os.environ.get(CACHE_ENV_VAR))
         with budget(args.budget):
@@ -470,6 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -106,21 +106,15 @@ def test_budget_value_is_checked(capsys):
         assert "budget must be a nonnegative integer, got -1" in err
 
 
-def test_converge_stops_at_the_first_rung_too_long_to_print(capsys):
-    # the values pass the int-to-str limit near r = 14 300; counting all 10^5
-    # rungs before printing failed took about 100 s
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        start = time.perf_counter()
-        code, out, err = run_cli(["converge", "--M", "2", "--N", "2", "--p", "3",
-                                  "--r-max", "100000"], capsys)
-        elapsed = time.perf_counter() - start
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert code == 2 and out == ""
-    assert "about 4301 digits, over the limit of 4300" in err
-    assert elapsed < 10
+def test_converge_ladder_past_the_int_to_str_limit_is_refused_at_once(capsys):
+    # the values pass the interpreter's 4300-digit int-to-str limit near
+    # r = 14 300; the ladder is priced whole, all 10^5 rungs, before its first
+    start = time.perf_counter()
+    code, out, err = run_cli(["converge", "--M", "2", "--N", "2", "--p", "3",
+                              "--r-max", "100000"], capsys)
+    assert code == 3 and out == ""
+    assert "converge ladder of 100000 rungs needs ~1.522e+10" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parameter_exit_code(capsys):
@@ -163,14 +157,62 @@ def test_cache_path_is_a_file_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--cache", "cache"]],
                          ids=["csv", "json", "cache"])
 def test_value_too_long_to_print_exit_code(extra, tmp_path, capsys, monkeypatch):
-    # d_3^15000(2, 2) has a 2^15000 denominator, over the interpreter's
-    # 4300-digit limit on int-to-str conversion
+    # d_3^15000(2, 2) has a 2^15006 denominator, past the interpreter's
+    # 4300-digit int-to-str limit, which main lifts for the values it prices
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(
-        ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "15000"] + extra, capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "4516 digits" in err
-    assert not any(tmp_path.glob("cache/*"))  # no cache entry written
+    argv = ["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "15000"] + extra
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    rows = json.loads(out) if extra == ["--format", "json"] else parse_csv(out)
+    assert [len(term) for term in rows[0]["value"].split("/")] == [4516, 4517]
+    if extra == ["--cache", "cache"]:
+        warm_code, warm_out, warm_err = run_cli(argv, capsys)
+        assert warm_code == 0 and "# cache hit" in warm_err
+        assert mask_runtime(parse_csv(warm_out)) == mask_runtime(rows)
+
+
+def test_cache_entry_is_priced_before_it_is_written(tmp_path, capsys):
+    # d_3^(3 * 10^6)(2, 2) passes count_d's price; its 900 000-digit entry,
+    # formatted before _emit prices the record, took 28 s unpriced
+    start = time.perf_counter()
+    code, out, err = run_cli(["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "3000000",
+                              "--cache", str(tmp_path)], capsys)
+    assert code == 3 and out == ""
+    assert "storing ('d:direct', 2, 2, 3, 3000000) needs ~2.000e+10" in err
+    assert time.perf_counter() - start < 1.0
+    assert not any(tmp_path.iterdir())
+
+
+def test_main_restores_the_int_to_str_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        for argv, expected in (
+                (["limit", "--M", "2", "--N", "2", "--p", "3"], 0),
+                (["limit", "--M", "2", "--N", "2", "--p", "3", "--method", "nonsense"], 2),
+                (["truncated", "--M", "2", "--N", "2", "--p", "2000", "--r", "2",
+                  "--method", "alpha", "--budget", "1"], 3)):
+            assert run_cli(argv, capsys)[0] == expected
+            assert sys.get_int_max_str_digits() == 4321, argv
+        with pytest.raises(SystemExit):
+            main(["limit", "--M", "2"])
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
+    capsys.readouterr()
+
+
+def test_arguments_are_read_under_the_int_to_str_limit(capsys):
+    # argparse runs int() on argv before main lifts the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["truncated", "--M", "2", "--N", "2", "--p", "3", "--r", "7" * 5000])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_argparse_error_exit_code(capsys):
@@ -226,15 +268,10 @@ def test_binomial_budget_prices_bigint_digits(capsys):
 
 
 def test_binomial_route_answers_p_20000_at_n_3(capsys):
-    # under the default budget; the value has about 15 600 digits, so it
-    # prints with the interpreter's int-to-str limit lifted
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        code, out, err = run_cli(
-            ["limit", "--M", "2", "--N", "3", "--p", "20000", "--method", "binomial"], capsys)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # under the default budget; the value has about 15 600 digits, past the
+    # interpreter's int-to-str limit, which main lifts for the values it prices
+    code, out, err = run_cli(
+        ["limit", "--M", "2", "--N", "3", "--p", "20000", "--method", "binomial"], capsys)
     assert code == 0, err
     (row,) = parse_csv(out)
     assert 0 < float(row["value_float"]) < limits.delta_m2_float(3, 19998)
@@ -424,9 +461,6 @@ TEN_400 = str(10**400)
 # can be formed: priced from a logarithm or by bit lengths.
 PRICED_BEFORE_FORMED = [
     ["truncated", "--M", TEN_400, "--N", "3", "--p", "2", "--r", "2"],
-    ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9), "--method", "beta",
-     "--budget", "1"],
-    ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9)],
     ["mc", "--kind", "model", "--M", str(10**18), "--N", "5", "--p", str(10**6),
      "--r", TEN_400, "--samples", "1", "--seed", "1", "--budget", "1000"],
     ["estimate", "--kind", "decay", "--N", "2", "--p", str(10**9)],
@@ -434,6 +468,15 @@ PRICED_BEFORE_FORMED = [
     # delta = 1, so every rung prints and all 10^400 are priced
     ["converge", "--M", "1", "--N", "5", "--p", "3", "--r-max", TEN_400],
 ]
+# At p = 1 every value is 1, answered before any price: no power of r is formed.
+ANSWERED_AS_ONE = [
+    ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9), "--method", "beta",
+     "--budget", "1"],
+    ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9)],
+]
+# The moment (MN)^(p-1) = 4^599 is past the float range, so no z is formed.
+MOMENT_PAST_THE_FLOAT_RANGE = ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "600",
+                               "--r", "1", "--samples", "2", "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,24 +505,38 @@ PRICED_BEFORE_FORMED = [
      "--seed", "1"],
     *DRAWS_OVER_BUDGET,
     *PRICED_BEFORE_FORMED,
+    *ANSWERED_AS_ONE,
+    MOMENT_PAST_THE_FLOAT_RANGE,
 ])
 def test_huge_arguments_end_in_an_exit_code(argv):
+    # in a subprocess, numpy's overflow RuntimeWarning is a warning, not an error
     src = Path(__file__).resolve().parents[1] / "src"
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "fouriermoments.cli", *argv],
                           capture_output=True, text=True, timeout=10,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert time.perf_counter() - start < 1.0
-    refused = argv in DRAWS_OVER_BUDGET + PRICED_BEFORE_FORMED
-    assert done.returncode in ((3,) if refused else (0, 2, 3)), done.stderr
+    expected = ((3,) if argv in DRAWS_OVER_BUDGET + PRICED_BEFORE_FORMED else
+                (0,) if argv in ANSWERED_AS_ONE else
+                (2,) if argv == MOMENT_PAST_THE_FLOAT_RANGE else (0, 2, 3))
+    assert done.returncode in expected, done.stderr
     assert "Traceback" not in done.stderr
+    if argv == MOMENT_PAST_THE_FLOAT_RANGE:
+        assert "error: the exact moment is past the float range" in done.stderr
+
+
+@pytest.mark.parametrize("argv", ANSWERED_AS_ONE)
+def test_values_of_one_are_answered_at_any_r(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert [row["value"] for row in parse_csv(out)] == ["1/1"]
 
 
 @pytest.mark.parametrize("argv", [
     # 14 000 rungs print 150 MB, formatting integers of up to 4200 digits
     ["converge", "--M", "2", "--N", "2", "--p", "3", "--r-max", "14000"],
-    # values stay 1, but each rung forms integers of size M^(r+1)
-    ["converge", "--M", "3", "--N", "12", "--p", "1", "--r-max", "30000"],
+    # each rung forms integers of size M^(r+2)
+    ["converge", "--M", "3", "--N", "12", "--p", "2", "--r-max", "30000"],
     # values stay 1 and small, but 10^5 rungs of fixed work took 4.3 s
     ["converge", "--M", "1", "--N", "2", "--p", "1", "--r-max", "10000000"],
 ])
@@ -491,6 +548,17 @@ def test_long_converge_ladders_end_at_once(argv):
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert time.perf_counter() - start < 2.0
     assert done.returncode in (2, 3) and done.stdout == "", done.stderr
+
+
+def test_converge_ladder_of_ones_is_answered(capsys):
+    # at p = 1 every value is 1 (the gap 0), one bit each; only the rungs'
+    # fixed work is priced
+    code, out, err = run_cli(["converge", "--M", "3", "--N", "12", "--p", "1",
+                              "--r-max", "30000"], capsys)
+    assert code == 0, err
+    rows = parse_csv(out)
+    assert len(rows) == 4 * 30000
+    assert {row["value"] for row in rows} == {"1/1", "0/1"}
 
 
 def _run_beta_at(M, *argv):
@@ -645,7 +713,7 @@ def test_readme_commands(capsys):
     blocks = readme.split("```sh")[1:]
     commands = [line for block in blocks for line in block.split("```")[0].splitlines()
                 if line.startswith("fouriermoments ")]
-    assert len(commands) == 9
+    assert len(commands) == 10
     for line in commands:
         code, out, err = run_cli(shlex.split(line)[1:], capsys)
         assert code == 0, (line, err)

@@ -209,6 +209,20 @@ def test_no_size_cap_raises_a_parameter_error():
     assert problems == []
 
 
+def test_only_cli_main_lifts_the_int_to_str_limit():
+    # the CLI prices every value it writes, so its `main` alone lifts the
+    # interpreter's int-to-str limit, and restores it; a library caller keeps it
+    places = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        functions = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for line, name in _names(path):
+            if name == "set_int_max_str_digits":
+                owners = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
+                places.append((path.stem, owners[-1] if owners else None))
+    assert places == [("cli", "main")] * 2
+
+
 def test_only_errors_checks_integers():
     # every integer argument goes through `errors._validate_int`, so no module
     # keeps an isinstance check on int or bool of its own
