@@ -4,7 +4,9 @@ Fourier matrix models.
 The exact side counts index configurations with big-integer rational
 arithmetic; the numerical side builds the matrix model (Hadamard fibers,
 magic unitaries, transfer matrices) and estimates the same quantities by
-seeded Monte Carlo, so each route cross-validates the other.
+seeded Monte Carlo, so each route cross-validates the other. The package
+holds what its routes call; the per-pair counting condition and the
+non-crossing lattice are the tests' oracles, in `tests/`.
 
 The package loads lazily: `import fouriermoments` puts each of its modules
 in `sys.modules` unexecuted, and a module runs, once, when it is imported or
@@ -25,12 +27,9 @@ from types import ModuleType
 _MODULE_OF = {name: module for module, names in (
     ("errors", ("BudgetError", "CrossCheckError", "ParameterError", "ValidationError",
                 "budget")),
-    ("partitions", ("SetPartition", "enumerate_partitions", "noncrossing_partitions",
-                    "is_noncrossing", "kreweras_complement", "shift_block",
-                    "triangle_relation")),
+    ("partitions", ("SetPartition", "enumerate_partitions", "triangle_relation")),
     ("closed", ("c_from_d", "alpha", "beta", "d42_closed", "closed_form_is_exact")),
-    ("truncated", ("counting_condition", "count_d", "solution_set", "base_condition",
-                   "i_tuple_probability")),
+    ("truncated", ("count_d",)),
     ("limits", ("DecompositionReport", "delta_direct", "delta_partition", "delta_exact",
                 "delta_binomial", "epsilon", "decompose", "moment_integral", "delta_m2",
                 "delta_m2_float", "delta_upper_bound")),

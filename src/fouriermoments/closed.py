@@ -52,12 +52,12 @@ def beta(M: int, N: int, p: int, r: int, delta_p: Fraction) -> Fraction:
 
 def d42_closed(M: int, N: int) -> Fraction:
     """Closed form for d_4^2(M, N): beta_4^2 plus, for even M, a correction
-    (M-2)(N-1) / (M^4 N^3), the excess of the pairs whose solution set is
-    the order-two subgroup {0, M/2}. delta_4 is closed too: (MN)^4 delta_4
-    sums perm(M, s) perm(N, t) pairs(4, s, t) over the nonzero (s, t) of the
-    p = 4 pair table, 1 at (1,1), (1,4), (4,1); 7 at (1,2), (2,1); 6 at
-    (1,3), (2,3), (3,1), (3,2); 20 at (2,2). Expanded, that is MN times the
-    numerator below."""
+    (M-2)(N-1) / (M^4 N^3), the excess of the pairs whose difference table
+    has exactly the periods {0, M/2} in m. delta_4 is closed too: (MN)^4
+    delta_4 sums perm(M, s) perm(N, t) pairs(4, s, t) over the nonzero
+    (s, t) of the p = 4 pair table, 1 at (1,1), (1,4), (4,1); 7 at (1,2),
+    (2,1); 6 at (1,3), (2,3), (3,1), (3,2); 20 at (2,2). Expanded, that is
+    MN times the numerator below."""
     _validate_pos(M=M, N=N)
     delta_4 = Fraction(M**3 + N**3 + 6 * M * N * (M + N) - 6 * (M * M + N * N)
                        - 16 * M * N + 10 * (M + N) - 5, (M * N)**3)

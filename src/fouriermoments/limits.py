@@ -25,8 +25,9 @@ from .partitions import _order_histogram, stirling_number, triangle_pair_counts
 
 def delta_direct(M: int, N: int, p: int) -> Fraction:
     """Exact fraction of (a, b) index pairs satisfying the base multiset
-    condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, by direct enumeration:
-    the pairs whose solution set is all of Z_M."""
+    condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, read from the period
+    histogram: the pairs whose difference table has every shift of Z_M as a
+    period in m, which holds exactly when the table vanishes."""
     _validate_pos(M=M, N=N, p=p)
     if M == 1 or N == 1:
         return Fraction(1)

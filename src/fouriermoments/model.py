@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _check_budget, _name, _validate_int, _validate_pos
+from .errors import (ParameterError, ValidationError, _check_budget, _name, _validate_int,
+                     _validate_pos)
 
 UNIT_MODULUS_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-9  # scaled by K
@@ -530,6 +531,8 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
 def _mean_and_error(values: np.ndarray) -> McEstimate:
     n = values.size
     mean = float(values.mean())
+    if not math.isfinite(mean):  # a sample, or their sum, passed the float range
+        raise ParameterError("the sampled moment is past the float range: no estimate is formed")
     if n < 2:
         return McEstimate(mean, 0.0)
     # Scale to at most 1 first, so that squaring large moments cannot overflow.

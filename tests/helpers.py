@@ -238,6 +238,16 @@ def delta_m2_float_by_log_convolution(N: int, p: int) -> float:
     return math.exp(shift) * math.fsum(sorted(np.exp(log_terms - shift), reverse=True))
 
 
+def every_pair(M: int, N: int, p: int):
+    """Every (a, b) with a in Z_M^p and b in Z_N^p, one pair per row of two
+    int arrays, in lexicographic order."""
+    import numpy as np
+
+    a = np.array(list(product(range(M), repeat=p))).reshape(-1, p)
+    b = np.array(list(product(range(N), repeat=p))).reshape(-1, p)
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+
+
 def labelled_order_histogram(M: int, N: int, p: int) -> dict:
     """{|H|: pinned pairs (a_1 = b_1 = 0)}, by enumerating every labelled
     pinned pair at once: the difference tables by scatter-adds, and the

@@ -37,14 +37,13 @@ from fouriermoments.model import (
 )
 from fouriermoments.truncated import (
     alpha,
-    base_condition,
     beta,
     count_d,
     c_from_d,
     d42_closed,
-    i_tuple_probability,
-    solution_set,
 )
+
+from helpers import _difference_tables, _periods, every_pair
 
 MC_SEED = 20260808
 MC_RETRY_SEED = 424243
@@ -126,15 +125,20 @@ def test_criterion_06_convergence_bounds():
         for r in range(2, 9):
             gap = count_d(2, 2, 4, r) - delta4
             assert 0 <= gap <= Fraction(1, 2**(r - 1)), r
+        # a pair off the base condition (its table does not vanish) has a
+        # proper subgroup H of periods, and the fraction of the i-tuples whose
+        # every step lies in H is at most (|H| / M)^(r-1), which decays in r
         for M, N in itertools.product((2, 3), repeat=2):
             for p in (1, 2, 3):
-                for a in itertools.product(range(M), repeat=p):
-                    for b in itertools.product(range(N), repeat=p):
-                        if base_condition(a, b):
-                            continue
-                        bound = Fraction(len(solution_set(a, b, M, N)), M)
-                        for r in range(1, 5):
-                            assert i_tuple_probability(a, b, M, N, r) <= bound**(r - 1)
+                f = _difference_tables(*every_pair(M, N, p), M, N)
+                periodic = _periods(f[f.any(axis=(1, 2))])
+                orders = periodic.sum(axis=1)
+                assert (orders < M).all(), (M, N, p)
+                for r in range(1, 5):
+                    tuples = np.array(list(itertools.product(range(M), repeat=r)))
+                    hits = periodic[:, (tuples - np.roll(tuples, -1, axis=1)) % M].all(axis=2)
+                    for passed, order in zip(hits.sum(axis=1).tolist(), orders.tolist()):
+                        assert Fraction(passed, M**r) <= Fraction(order, M)**(r - 1)
 
 
 def _mc_point_failures(points, seed):

@@ -34,21 +34,15 @@ def _legal_arguments():
     """Arguments each function answers at once; each of its integer
     parameters is replaced in turn."""
     unit = model.magic_unitary(model.fourier_matrix(2))
-    pair = dict(a=(0, 1, 0), b=(0, 1, 1))
     return {
         "budget": dict(ops=10),
         "enumerate_partitions": dict(p=3),
-        "noncrossing_partitions": dict(p=3),
-        "shift_block": dict(beta=(0, 1), p=3),
-        "counting_condition": dict(i=(0, 1), **pair, M=2, N=2),
         "count_d": dict(M=2, N=2, p=3, r=2, threads=1),
         "c_from_d": dict(d=Fraction(1, 2), M=2, N=2, p=3),
         "alpha": dict(M=2, N=2, p=3, r=2),
         "beta": dict(M=2, N=2, p=3, r=2, delta_p=Fraction(1, 2)),
         "d42_closed": dict(M=2, N=2),
         "closed_form_is_exact": dict(method="beta", M=2, N=2, p=3, r=2),
-        "solution_set": dict(**pair, M=2, N=2),
-        "i_tuple_probability": dict(**pair, M=2, N=2, r=2),
         "delta_direct": dict(M=2, N=3, p=3),
         "delta_partition": dict(M=2, N=3, p=3),
         "delta_exact": dict(M=2, N=3, p=3),

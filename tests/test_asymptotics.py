@@ -15,9 +15,9 @@ from fouriermoments.asymptotics import (
 )
 from fouriermoments.errors import BudgetError, ParameterError, budget
 from fouriermoments.limits import moment_integral
-from fouriermoments.partitions import kreweras_complement, noncrossing_partitions
 
 from helpers import catalan, narayana
+from oracles import kreweras_complement, noncrossing_partitions
 
 
 def test_stirling_polynomial_small():

@@ -474,9 +474,12 @@ ANSWERED_AS_ONE = [
      "--budget", "1"],
     ["truncated", "--M", "3", "--N", "5", "--p", "1", "--r", str(10**9)],
 ]
-# The moment (MN)^(p-1) = 4^599 is past the float range, so no z is formed.
-MOMENT_PAST_THE_FLOAT_RANGE = ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "600",
-                               "--r", "1", "--samples", "2", "--seed", "1"]
+# The moment (MN)^(p-1) d >= 4^599 / 2 is past the float range, so the samples
+# overflow and no estimate is formed: at r = 1 the exact moment is 4^599,
+# and at r = 2 the exact count is over the budget, which left a nan estimate.
+MOMENTS_PAST_THE_FLOAT_RANGE = [
+    ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "600", "--r", r, "--samples", "2",
+     "--seed", "1"] for r in ("1", "2")]
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,7 +509,7 @@ MOMENT_PAST_THE_FLOAT_RANGE = ["mc", "--kind", "model", "--M", "2", "--N", "2", 
     *DRAWS_OVER_BUDGET,
     *PRICED_BEFORE_FORMED,
     *ANSWERED_AS_ONE,
-    MOMENT_PAST_THE_FLOAT_RANGE,
+    *MOMENTS_PAST_THE_FLOAT_RANGE,
 ])
 def test_huge_arguments_end_in_an_exit_code(argv):
     # in a subprocess, numpy's overflow RuntimeWarning is a warning, not an error
@@ -518,11 +521,11 @@ def test_huge_arguments_end_in_an_exit_code(argv):
     assert time.perf_counter() - start < 1.0
     expected = ((3,) if argv in DRAWS_OVER_BUDGET + PRICED_BEFORE_FORMED else
                 (0,) if argv in ANSWERED_AS_ONE else
-                (2,) if argv == MOMENT_PAST_THE_FLOAT_RANGE else (0, 2, 3))
+                (2,) if argv in MOMENTS_PAST_THE_FLOAT_RANGE else (0, 2, 3))
     assert done.returncode in expected, done.stderr
     assert "Traceback" not in done.stderr
-    if argv == MOMENT_PAST_THE_FLOAT_RANGE:
-        assert "error: the exact moment is past the float range" in done.stderr
+    if argv in MOMENTS_PAST_THE_FLOAT_RANGE:
+        assert "error: the sampled moment is past the float range" in done.stderr
 
 
 @pytest.mark.parametrize("argv", ANSWERED_AS_ONE)

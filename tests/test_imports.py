@@ -109,8 +109,8 @@ def test_cli_reads_each_kernel_by_its_module_and_a_name_defined_there():
 
 def test_partitions_alone_owns_the_counting_kernel():
     # the table's coding, the orbit scan and the period histogram live in
-    # `partitions`; `truncated` reads the histogram and the per-pair codes
-    # from there, and `limits` reads the histogram without `truncated`
+    # `partitions`; `truncated` reads the histogram from there, and `limits`
+    # reads it without `truncated`
     kernel = {"_word_digits", "_code_weights", "_row_codes", "_code_periods", "_orbit_scan",
               "_rgs_array", "_rgs_orbits", "_stirling_row"}
     problems = [f"{path.stem}:{line} names {name}" for path in sorted(PACKAGE.glob("*.py"))

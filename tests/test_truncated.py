@@ -14,15 +14,11 @@ from fouriermoments.limits import delta_direct, delta_partition
 from fouriermoments.truncated import (
     _order_histogram,
     alpha,
-    base_condition,
     beta,
     c_from_d,
     closed_form_is_exact,
     count_d,
-    counting_condition,
     d42_closed,
-    i_tuple_probability,
-    solution_set,
 )
 
 from helpers import (
@@ -31,6 +27,7 @@ from helpers import (
     assert_codes_name_rows,
     code_word_digits,
     counter_condition,
+    every_pair,
     labelled_order_histogram,
     table_row_codes,
 )
@@ -51,6 +48,21 @@ def _pinned_pairs(M, N, p):
 def _orders(a, b, M, N):
     """|H| of each pair (a[k], b[k]), labels in range, through the period kernel."""
     return _periods(_difference_tables(a, b, M, N)).sum(axis=1)
+
+
+def _kernel_codes(a, b, M):
+    """The library kernel's row codes of the one pair (a, b), a's labels
+    below M: _code_weights of b relabelled below its count, which permutes
+    the table's columns and so keeps its zero rows and its equal rows, then
+    _row_codes. Shape (1, M, W, 1)."""
+    labels, b_own = np.unique(b, return_inverse=True)
+    weights, W = partitions._code_weights(b_own.reshape(1, -1), len(labels))
+    return partitions._row_codes(np.reshape(a, (1, -1)), weights, M, W)
+
+
+def _kernel_periods(a, b, M):
+    """Whether each shift of Z_M is a period of the pair's table, by _code_periods."""
+    return partitions._code_periods(_kernel_codes(a, b, M))[0, :, 0]
 
 
 STRUCTURE_POINTS = ((4, 3, 4), (6, 2, 4), (3, 4, 4), (4, 4, 3), (2, 3, 5))
@@ -132,7 +144,9 @@ def test_base_condition_on_rows_of_two_words():
         for a, b in _segment_pairs(M, M, p, p, 100):
             assert len(set(b.tolist())) > code_word_digits(p)
             expected = not _difference_tables(a[None], b[None], p, p).any()
-            assert base_condition(a.tolist(), b.tolist()) == expected, (a, b)
+            codes = _kernel_codes(a, b, M)
+            assert codes.shape[2] == 2
+            assert (not codes.any()) == expected, (a, b)
             hits += expected
     assert hits >= 50
 
@@ -145,7 +159,7 @@ def test_solution_set_on_rows_of_two_words():
             assert len(set(b.tolist())) > code_word_digits(p)
             f = _difference_tables(a[None], b[None], M, N)[0]
             expected = {s for s in range(M) if (np.roll(f, -s, axis=0) == f).all()}
-            assert solution_set(a.tolist(), b.tolist(), M, N) == expected, (a, b)
+            assert set(np.flatnonzero(_kernel_periods(a, b, M)).tolist()) == expected, (a, b)
             orders[M, len(expected)] += 1
     assert orders[4, 2] and orders[6, 3] and orders[5, 5]
 
@@ -186,74 +200,57 @@ def test_scans_blocked_over_representatives_keep_their_counts(monkeypatch):
 
 
 def test_counting_condition_trivial_families():
-    # equal i indices, constant a, or constant b always satisfy the condition
+    # equal i indices, constant a, or constant b always satisfy the condition,
+    # and every shift is a period of the kernel's table for a constant a or b
     for a in itertools.product(range(3), repeat=3):
         for b in itertools.product(range(2), repeat=3):
-            assert counting_condition((1, 1), a, b, 3, 2)
+            assert counter_condition((1, 1), a, b, 3, 2)
     for i in itertools.product(range(3), repeat=2):
-        assert counting_condition(i, (2, 2, 2), (0, 1, 1), 3, 2)
-        assert counting_condition(i, (0, 2, 1), (1, 1, 1), 3, 2)
+        assert counter_condition(i, (2, 2, 2), (0, 1, 1), 3, 2)
+        assert counter_condition(i, (0, 2, 1), (1, 1, 1), 3, 2)
+    for a, b in (((2, 2, 2), (0, 1, 1)), ((0, 2, 1), (1, 1, 1))):
+        assert _kernel_periods(a, b, 3).all(), (a, b)
 
 
 def test_counting_condition_hand_example():
-    assert not counting_condition((0, 1), (0, 1), (0, 1), 2, 2)
+    assert not counter_condition((0, 1), (0, 1), (0, 1), 2, 2)
+    assert _kernel_periods((0, 1), (0, 1), 2).tolist() == [True, False]
 
 
 def test_counting_condition_matches_counter_oracle():
+    # the kernel's periods of a pair decide the condition for every i
     for M, N in ((2, 2), (2, 3), (3, 2)):
-        for i in itertools.product(range(M), repeat=2):
-            for a in itertools.product(range(M), repeat=2):
-                for b in itertools.product(range(N), repeat=2):
-                    assert counting_condition(i, a, b, M, N) == \
-                        counter_condition(i, a, b, M, N)
+        for a in itertools.product(range(M), repeat=2):
+            for b in itertools.product(range(N), repeat=2):
+                periodic = _kernel_periods(a, b, M)
+                for i in itertools.product(range(M), repeat=2):
+                    rule = periodic[(i[0] - i[1]) % M] and periodic[(i[1] - i[0]) % M]
+                    assert rule == counter_condition(i, a, b, M, N), (i, a, b)
 
 
 def test_solution_set_is_subgroup():
-    # the shifts that solve a pair are closed under addition mod M
+    # the shifts that solve a pair contain 0 and are closed under addition mod M
     for M, N, p in itertools.product(range(1, 7), range(1, 4), range(1, 5)):
         if (M * N)**p > 2 * 10**5:
             continue
-        for a, b in _grid_pairs(M, N, p):
-            shifts = solution_set(a, b, M, N)
-            assert {(s + t) % M for s in shifts for t in shifts} == shifts, (a, b)
+        periodic = _periods(_difference_tables(*every_pair(M, N, p), M, N))
+        both = periodic[:, :, None] & periodic[:, None, :]
+        total = (np.arange(M)[:, None] + np.arange(M)) % M
+        assert periodic[:, 0].all() and (periodic[:, total] | ~both).all(), (M, N, p)
 
 
 def test_counting_condition_is_difference_rule():
-    # the condition holds iff every cyclic difference i_x - i_{x+1} solves (a, b)
+    # the condition holds iff every cyclic difference i_x - i_{x+1} solves
+    # (a, b), so M |H|^(r-1) of the i-tuples pass
     for M, N, p, r in ((2, 2, 3, 3), (3, 2, 3, 2), (4, 2, 2, 3), (4, 3, 2, 2),
                        (6, 2, 2, 2)):
-        for a, b in _grid_pairs(M, N, p):
-            shifts = solution_set(a, b, M, N)
-            hits = 0
-            for i in itertools.product(range(M), repeat=r):
-                rule = all((i[x] - i[(x + 1) % r]) % M in shifts for x in range(r))
-                assert counting_condition(i, a, b, M, N) == rule, (i, a, b)
-                assert counter_condition(i, a, b, M, N) == rule, (i, a, b)
-                hits += rule
-            assert i_tuple_probability(a, b, M, N, r) == Fraction(hits, M**r), (a, b)
-
-
-def test_per_pair_wrappers_reduce_labels():
-    # labels below 0 or at least M (or N) act as their residues
-    for M, N, p in ((3, 2, 3), (2, 3, 3), (4, 3, 2)):
-        for a, b in _grid_pairs(M, N, p):
-            wide_a = tuple(x + M * k for x, k in zip(a, (-2, 1, 3)))
-            wide_b = tuple(y + N * k for y, k in zip(b, (2, -1, -3)))
-            assert solution_set(wide_a, wide_b, M, N) == solution_set(a, b, M, N)
-            for i in ((0, 1), (2, 0, 1)):
-                assert counting_condition(i, wide_a, wide_b, M, N) == \
-                    counting_condition(i, a, b, M, N), (i, a, b)
-            assert i_tuple_probability(wide_a, wide_b, M, N, 2) == \
-                i_tuple_probability(a, b, M, N, 2)
-
-
-def test_counting_condition_validation():
-    with pytest.raises(ParameterError):
-        counting_condition((0,), (0, 1), (0,), 2, 2)
-    with pytest.raises(ParameterError):
-        counting_condition((), (0,), (0,), 2, 2)
-    with pytest.raises(ParameterError):
-        solution_set((0, 1), (0,), 2, 2)
+        a, b = every_pair(M, N, p)
+        periodic = _periods(_difference_tables(a, b, M, N))
+        tuples = np.array(list(itertools.product(range(M), repeat=r)))
+        rule = periodic[:, (tuples - np.roll(tuples, -1, axis=1)) % M].all(axis=2)
+        for pair, row in zip(zip(a.tolist(), b.tolist()), rule.tolist()):
+            assert [counter_condition(i, *pair, M, N) for i in tuples.tolist()] == row, pair
+        assert (rule.sum(axis=1) == M * periodic.sum(axis=1)**(r - 1)).all(), (M, N, p, r)
 
 
 def test_count_d_trivial_values():
@@ -276,17 +273,17 @@ def test_count_d_matches_literal_enumeration():
         for i in itertools.product(range(M), repeat=r):
             for a in itertools.product(range(M), repeat=p):
                 for b in itertools.product(range(N), repeat=p):
-                    hits += counting_condition(i, a, b, M, N)
+                    hits += counter_condition(i, a, b, M, N)
         assert count_d(M, N, p, r) == Fraction(hits, M**(p + r) * N**p)
 
 
 def test_count_d_agrees_with_i_tuple_average():
-    M, N, p = 2, 2, 2
-    for r in (1, 2, 3):
-        total = sum(i_tuple_probability(a, b, M, N, r)
-                    for a in itertools.product(range(M), repeat=p)
-                    for b in itertools.product(range(N), repeat=p))
-        assert count_d(M, N, p, r) == total / (M * N)**p
+    # count_d is the mean over the pairs of (|H| / M)^(r-1)
+    for M, N, p in ((2, 2, 2), (4, 2, 3), (3, 3, 3), (6, 2, 3)):
+        orders = _orders(*every_pair(M, N, p), M, N).tolist()
+        for r in (1, 2, 3):
+            total = sum(Fraction(h, M)**(r - 1) for h in orders)
+            assert count_d(M, N, p, r) == total / (M * N)**p, (M, N, p, r)
 
 
 def test_count_d_thread_invariance():
@@ -517,61 +514,34 @@ def test_even_M_excess_is_order_two_class():
 
 
 def test_base_condition_and_solution_set():
-    assert base_condition((0, 0), (1, 1))
-    assert not base_condition((0, 1), (0, 1))
+    # the base condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y is a vanishing
+    # table; 0 is always a period, and every shift is one exactly then
+    def table(a, b, M, N):
+        return _difference_tables(np.array([a]), np.array([b]), M, N)
+
+    assert not table((0, 0), (1, 1), 2, 2).any()
+    assert table((0, 1), (0, 1), 2, 2).any()
     # constant a makes every shift a solution
-    assert solution_set((1, 1, 1), (0, 2, 1), 4, 3) == set(range(4))
+    assert _periods(table((1, 1, 1), (0, 2, 1), 4, 3)).all()
     for M, N, p in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)):
-        for a in itertools.product(range(M), repeat=p):
-            for b in itertools.product(range(N), repeat=p):
-                shifts = solution_set(a, b, M, N)
-                assert 0 in shifts
-                assert (len(shifts) == M) == base_condition(a, b)
+        f = _difference_tables(*every_pair(M, N, p), M, N)
+        periodic = _periods(f)
+        assert periodic[:, 0].all(), (M, N, p)
+        assert (periodic.all(axis=1) == ~f.any(axis=(1, 2))).all(), (M, N, p)
 
 
 def test_i_tuple_probability_bounds():
-    for M, N in ((2, 2), (2, 3)):
+    # at prime M = 2 the periods are {0} or Z_2: a pair admits every i-tuple
+    # when its table vanishes, and else 1 / M^(r-1) of them
+    M = 2
+    for N in (2, 3):
         for p in (2, 3):
-            for a in itertools.product(range(M), repeat=p):
-                for b in itertools.product(range(N), repeat=p):
-                    shifts = solution_set(a, b, M, N)
-                    for r in (1, 2, 3):
-                        value = i_tuple_probability(a, b, M, N, r)
-                        if base_condition(a, b):
-                            assert value == 1
-                        else:
-                            assert value <= Fraction(len(shifts), M)**(r - 1)
-                            assert value == Fraction(1, M**(r - 1))
-
-
-def test_i_tuple_probability_closed_form():
-    # 10^12 tuples, refused when they were enumerated: the solution set of
-    # this pair is {0}, so (1/10)^11 of them pass
-    assert solution_set((0, 1), (0, 1), 10, 2) == {0}
-    assert i_tuple_probability((0, 1), (0, 1), 10, 2, 12) == Fraction(1, 10**11)
-    for args in (((), (), 2, 2, 2), ((0, 1), (0,), 2, 2, 2), ((0, 1), (0, 1), True, 2, 2),
-                 ((0, 1), (0, 1), 2, 2, True)):
-        with pytest.raises(ParameterError):
-            i_tuple_probability(*args)
-
-
-def test_single_pair_work_is_priced():
-    # Each is refused before it is formed: the M^2 W shift comparisons
-    # (4e10 at M = 200000), the M p one-hot rows (745 GiB at M = 10^11) and
-    # the power of r, priced by its bits.
-    calls = [lambda: solution_set((0, 1, 0, 1), (0, 1, 1, 0), 200000, 2),
-             lambda: solution_set((0, 1, 0, 1), (0, 1, 1, 0), 10**11, 2),
-             lambda: counting_condition((0, 1), (0, 1, 0, 1), (0, 1, 1, 0), 10**11, 2),
-             lambda: i_tuple_probability((0, 1), (0, 1), 2, 2, 10**400)]
-    for call in calls:
-        start = time.perf_counter()
-        with pytest.raises(BudgetError):
-            call()
-        assert time.perf_counter() - start < 0.1
-    with budget(10**6):
-        assert solution_set((0, 1, 0, 1), (0, 1, 1, 0), 400, 2) == set(range(400))
-        with pytest.raises(BudgetError):
-            base_condition(range(1001), range(1001))
+            for a, b in _grid_pairs(M, N, p):
+                base = not _difference_tables(np.array([a]), np.array([b]), M, N).any()
+                for r in (1, 2, 3):
+                    hits = sum(counter_condition(i, a, b, M, N)
+                               for i in itertools.product(range(M), repeat=r))
+                    assert Fraction(hits, M**r) == (1 if base else Fraction(1, M**(r - 1)))
 
 
 def test_parameter_validation():
