@@ -106,6 +106,32 @@ def test_delta_direct_budget():
         delta_direct(4, 4, 9)
 
 
+def test_the_smaller_side_as_m_never_prices_the_histogram_higher(monkeypatch):
+    # delta_direct reads the histogram with the smaller side as M, so it must
+    # never be refused where the other orientation would be admitted
+    class Priced(Exception):
+        pass
+
+    def record(what, cost, log10_cost=None):
+        if what.startswith("period histogram") and cost is not None:
+            raise Priced(cost)
+
+    def estimate(M, N, p):
+        try:
+            partitions._order_histogram.__wrapped__(M, N, p)
+        except Priced as priced:
+            return priced.args[0]
+        raise AssertionError("the histogram was not priced")
+
+    monkeypatch.setattr(partitions, "_check_budget", record)
+    for M, N in itertools.combinations(range(2, 21), 2):
+        for p in range(2, 41):
+            assert estimate(M, N, p) <= estimate(N, M, p), (M, N, p)
+    monkeypatch.undo()
+    for M, N, p in itertools.product(range(2, 5), range(2, 5), range(1, 7)):
+        assert delta_direct(M, N, p) == delta_direct(N, M, p), (M, N, p)
+
+
 def test_delta_direct_reads_the_other_orientation_when_refused():
     # delta is symmetric in (M, N): the histogram of (3, 2, 9) is priced at
     # ~6.739e6, over this budget, and that of (2, 3, 9) under it
