@@ -243,7 +243,9 @@ def transfer_fiber(U: MagicUnitary, p: int) -> np.ndarray:
     what = f"transfer matrix at K={K}, p={_name(p)}"
     # Its K^(2p) entries are a floor under the price, checked before it is formed.
     _check_budget(what, None, 2 * p * Fraction(math.log10(K)))
-    _check_budget(what, _gather_cost((1, K**p, K**p), p))
+    # p operations an entry of the larger of the matrix and the K^4 pair gram,
+    # plus one per byte held, 48 an entry (the matrix, the gram, a factor).
+    _check_budget(what, max(K**(2 * p), K**4) * (p + 48))
     if K == 1:  # the one block is 1, and so is every trace; 2p unit axes pass numpy's 64
         return np.ones((1, 1), dtype=complex)
     gram, out = _pair_gram(U.quotients), np.full((K,) * (2 * p), K**-(p + 1), dtype=complex)
@@ -406,15 +408,6 @@ def _slice_blocks(factors: list[np.ndarray], indices: tuple[np.ndarray, ...],
     return out
 
 
-def _gather_cost(blocks: tuple[int, ...], work: int) -> int:
-    """The price of gathering slice-operator blocks (`_slice_blocks`) into a
-    stack of shape `blocks`: `work` operations a block entry, plus one per
-    byte held a block entry, 16 each for it, a gathered factor and its index.
-    `transfer_fiber` is priced as its one K^p x K^p block, although it
-    multiplies views of its gram and holds no index."""
-    return math.prod(blocks) * (work + 48)
-
-
 def _torus_traces(values: np.ndarray, indices: tuple[np.ndarray, ...], M: int, N: int,
                   p: int, work: np.ndarray) -> np.ndarray:
     """Tr(T_p(Q_1) ... T_p(Q_r)) for each sample of a chunk, from its
@@ -472,22 +465,23 @@ def mc_estimate_c(M: int, N: int, p: int, r: int, samples: int, seed: int) -> Mc
     _validate_pos(M=M, N=N, p=p, r=r, samples=samples)
     key = _philox_key(seed)
     K, n, q = M * N, min(p, r), max(p, r)
-    # One op per byte of the values, and the kernel's for each of r K draws.
-    _check_budget(f"{_name(samples)} sample values and draws",
-                  samples * (8 + _DRAW_OPS * r * K))
-    # The block loop over all samples (a sample's max(1, q - 2) block products
-    # and p*r factor gathers); its floor at one sample, from logarithms, is
-    # checked before the price is formed.
+    # One sample's block products, from logarithms, are a floor under the
+    # price, checked before its blocks are formed.
     what = f"{_name(samples)} samples of the trace statistic"
     _check_budget(what, None, (n - 1) * Fraction(math.log10(M * N**3))
                   + Fraction(math.log10(M**3 * max(1, q - 2))))
     blocks = (M**(n - 1), M * N**(n - 1), M * N**(n - 1))
-    _check_budget(what, _gather_cost(blocks, samples * (blocks[1] * max(1, q - 2) + p * r)))
-    indices = _block_indices(M, N, n, transfer=r > p)
     # A sample holds its r phase arrays, four-phase products and values G, three
     # block stacks and two gathered factors, 16 bytes an entry; its value and draws.
     sample_bytes = 16 * (r * (K + 2 * M**3 * N) + 5 * math.prod(blocks)) + 80 + _DRAW_BYTES * r * K
     rows = _chunk_rows(samples, sample_bytes)
+    # A sample's operations: its r K draws, the r (M^3, N) x (N, N) products
+    # that form G, and the block loop (max(1, q - 2) block products and p r
+    # factor gathers); then one a byte of its value, of a chunk and of F_N.
+    ops = (_DRAW_OPS * r * K + r * M**3 * N * N
+           + math.prod(blocks) * (blocks[1] * max(1, q - 2) + p * r))
+    _check_budget(what, samples * (8 + ops) + rows * sample_bytes + 16 * N * N)
+    indices = _block_indices(M, N, n, transfer=r > p)
     work = np.empty((3, rows) + blocks, dtype=complex)
 
     def traces(phases: np.ndarray) -> np.ndarray:
@@ -508,13 +502,15 @@ def mc_estimate_delta(M: int, N: int, p: int, samples: int, seed: int) -> McEsti
     phase matrix Q."""
     _validate_pos(M=M, N=N, p=p, samples=samples)
     key = _philox_key(seed)
-    # The values' bytes and the kernel's ops for M N draws a sample, a gram, its power.
-    cost = samples * (8 + _DRAW_OPS * M * N) + M * M * N + M**3 * p.bit_length()
-    _check_budget(f"{_name(samples)} gram samples at ({_name(M)},{_name(N)},{_name(p)})", cost)
     # A sample holds its phases and their conjugates, its gram and the
     # products of its power, 16 bytes an entry.
     sample_bytes = 16 * (2 * M * N + 4 * M * M)
     rows = _chunk_rows(samples, sample_bytes)
+    # A sample's operations: its M N draws, its gram and its matrix power;
+    # then one a byte of its value and of a chunk.
+    ops = _DRAW_OPS * M * N + M * M * N + M**3 * p.bit_length()
+    _check_budget(f"{_name(samples)} gram samples at ({_name(M)},{_name(N)},{_name(p)})",
+                  samples * (8 + ops) + rows * sample_bytes)
 
     def traces(Q: np.ndarray) -> np.ndarray:
         # G / MN has trace 1 and no negative eigenvalue, so its powers

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fouriermoments import cli, limits
+from fouriermoments import cli, limits, model
 from fouriermoments.cli import CSV_HEADER, main
 from fouriermoments.limits import delta_partition
 from fouriermoments.partitions import triangle_pair_counts
@@ -363,6 +364,17 @@ def test_mc_model_beyond_count_budget(capsys):
     assert math.isfinite(float(row["std_error"]))
 
 
+def test_mc_exact_moment_past_the_float_range(capsys, monkeypatch):
+    # at r = 1 the exact moment is 4^599, past the float range; the estimator,
+    # whose samples overflow first, is stubbed to a finite estimate
+    monkeypatch.setattr(model, "mc_estimate_c", lambda *args: model.McEstimate(1.0, 0.5))
+    code, out, err = run_cli(
+        ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "600", "--r", "1",
+         "--samples", "2", "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "the exact moment is past the float range" in err
+
+
 def test_mc_gram_budget_exit_code(capsys):
     argv = ["mc", "--kind", "gram", "--M", "2", "--N", "2", "--p", "3",
             "--samples", "100", "--seed", "1"]
@@ -373,16 +385,16 @@ def test_mc_gram_budget_exit_code(capsys):
 
 
 def test_mc_model_prices_every_sample(capsys):
-    # the gate prices the block loop over all samples: 400 000 samples at
-    # (3,3,3,3), 9 * 27^3 + 9 * 27^2 * 9 = 236 196 operations each, are refused
-    # at once; priced by one sample's loop, they were admitted and ran for
-    # about 17 minutes
+    # the gate prices every sample: 400 000 samples at (3,3,3,3), each of
+    # 9 * 27^3 + 9 * 27^2 * 9 = 236 196 operations in the block loop beside its
+    # draws and values G, are refused at once; priced by one sample's loop,
+    # they were admitted and ran for about 17 minutes
     start = time.perf_counter()
     code, out, err = run_cli(
         ["mc", "--kind", "model", "--M", "3", "--N", "3", "--p", "3", "--r", "3",
          "--samples", "400000", "--seed", "1"], capsys)
     assert code == 3 and out == ""
-    assert "400000 samples of the trace statistic needs ~9.448e+10" in err
+    assert "400000 samples of the trace statistic needs ~9.573e+10" in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -458,7 +470,9 @@ DRAWS_OVER_BUDGET = [
 
 TEN_400 = str(10**400)
 # Each is over the budget before its estimate, or the integers it prices,
-# can be formed: priced from a logarithm or by bit lengths.
+# can be formed: priced from a logarithm or by bit lengths. The last three
+# are priced before their arrays are formed: a run of about 9 minutes, and
+# the 2 GB of F_N and values G at N = 8000, and at M = 300.
 PRICED_BEFORE_FORMED = [
     ["truncated", "--M", TEN_400, "--N", "3", "--p", "2", "--r", "2"],
     ["mc", "--kind", "model", "--M", str(10**18), "--N", "5", "--p", str(10**6),
@@ -467,6 +481,12 @@ PRICED_BEFORE_FORMED = [
     ["estimate", "--kind", "decay", "--N", "3", "--p", TEN_400],
     # delta = 1, so every rung prints and all 10^400 are priced
     ["converge", "--M", "1", "--N", "5", "--p", "3", "--r-max", TEN_400],
+    ["mc", "--kind", "gram", "--M", "300", "--N", "2", "--p", "1000000", "--samples", "8000",
+     "--seed", "1"],
+    ["mc", "--kind", "model", "--M", "2", "--N", "8000", "--p", "2", "--r", "1", "--samples", "2",
+     "--seed", "1"],
+    ["mc", "--kind", "model", "--M", "300", "--N", "2", "--p", "2", "--r", "1", "--samples", "1",
+     "--seed", "1"],
 ]
 # At p = 1 every value is 1, answered before any price: no power of r is formed.
 ANSWERED_AS_ONE = [
@@ -480,6 +500,24 @@ ANSWERED_AS_ONE = [
 MOMENTS_PAST_THE_FLOAT_RANGE = [
     ["mc", "--kind", "model", "--M", "2", "--N", "2", "--p", "600", "--r", r, "--samples", "2",
      "--seed", "1"] for r in ("1", "2")]
+
+
+def _run_module(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "fouriermoments.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@functools.cache
+def _startup_seconds() -> float:
+    """The best of 3 runs of `--version`: start-up, the imports and no work."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _run_module(["--version"])
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 @pytest.mark.parametrize("argv", [
@@ -512,13 +550,11 @@ MOMENTS_PAST_THE_FLOAT_RANGE = [
     *MOMENTS_PAST_THE_FLOAT_RANGE,
 ])
 def test_huge_arguments_end_in_an_exit_code(argv):
-    # in a subprocess, numpy's overflow RuntimeWarning is a warning, not an error
-    src = Path(__file__).resolve().parents[1] / "src"
+    # in a subprocess, numpy's overflow RuntimeWarning is a warning, not an error;
+    # the bound is on the time past the interpreter's start-up
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "fouriermoments.cli", *argv],
-                          capture_output=True, text=True, timeout=10,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert time.perf_counter() - start < 1.0
+    done = _run_module(argv)
+    assert time.perf_counter() - start < _startup_seconds() + 1.0
     expected = ((3,) if argv in DRAWS_OVER_BUDGET + PRICED_BEFORE_FORMED else
                 (0,) if argv in ANSWERED_AS_ONE else
                 (2,) if argv in MOMENTS_PAST_THE_FLOAT_RANGE else (0, 2, 3))

@@ -13,7 +13,6 @@ from fouriermoments.model import (
     MAGIC_SUM_TOL,
     PROJECTION_TOL,
     _block_indices,
-    _gather_cost,
     _pair_gram,
     _row_quotients,
     _sample_angles,
@@ -207,14 +206,15 @@ def test_transfer_budget_limit():
 
 def test_transfer_budget_bounds_memory():
     # K = 66 is the largest fiber the default budget admits at p = 2: its
-    # 66^4 complex entries take 304 MB. At K = 149 they would take 7.9 GB.
-    assert _gather_cost((1, 66**2, 66**2), 2) <= DEFAULT_BUDGET
+    # 66^4 complex entries take 304 MB. At K = 149 they would take 7.9 GB, and
+    # so would its K^4 pair gram at p = 1.
+    assert 66**4 * (2 + 48) <= DEFAULT_BUDGET
     # the gate reads only the fiber's size: a broadcast array holds no K^3 entries
-    for K in (67, 149):
+    for K, p in ((67, 2), (149, 2), (149, 1)):
         unit = model.MagicUnitary(np.broadcast_to(np.complex128(1), (K, K, K)))
         with pytest.raises(BudgetError) as info:
-            transfer_fiber(unit, 2)
-        assert info.value.estimated_ops == _gather_cost((1, K**2, K**2), 2)
+            transfer_fiber(unit, p)
+        assert info.value.estimated_ops == K**4 * (p + 48)
 
 
 def test_transfer_fiber_keeps_no_gather_indices():
@@ -568,12 +568,16 @@ def test_mc_estimate_delta_smoke():
 
 def test_torus_budget_limit():
     # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^(n-1) = 4, so
-    # 2 * 4^3 * 1 + 2 * 4^2 * (6 + 48) = 1856 operations and bytes for one sample
-    with budget(1856):
+    # one sample takes 8 K draws, r M^3 N^2 = 64 operations for G and
+    # 2 * 4^3 * 1 + 2 * 4^2 * 6 = 320 in the block loop, and 8 bytes its value,
+    # 4560 its chunk and 16 N^2 = 64 F_N
+    cost = 8 + 8 * model._DRAW_OPS + 64 + 320 + 4560 + 64
+    assert cost == 5728
+    with budget(cost):
         mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
-    with budget(1855), pytest.raises(BudgetError) as info:
+    with budget(cost - 1), pytest.raises(BudgetError) as info:
         mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
-    assert info.value.estimated_ops == 1856
+    assert info.value.estimated_ops == cost
 
 
 def test_mc_budget_and_validation():
