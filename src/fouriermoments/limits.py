@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError, _check_budget, _name, _validate_int, _validate_pos
+from .errors import ParameterError, _check_budget, _name, _validate_int, _validate_pos
 from .partitions import _order_histogram, stirling_number, triangle_pair_counts
 
 
@@ -27,21 +27,15 @@ def delta_direct(M: int, N: int, p: int) -> Fraction:
     """Exact fraction of (a, b) index pairs satisfying the base multiset
     condition {(a_y, b_y)}_y = {(a_y, b_{y+1})}_y, read from the period
     histogram: the pairs whose difference table has every shift of Z_M as a
-    period in m, which holds exactly when the table vanishes."""
+    period in m, which holds exactly when the table vanishes. delta is
+    symmetric in (M, N), and the histogram with the smaller side as M is
+    never priced higher than the other, so it is the one read."""
     _validate_pos(M=M, N=N, p=p)
     if M == 1 or N == 1:
         return Fraction(1)
     # The histogram counts the pairs with a_1 = b_1 = 0; the condition is
     # translation invariant in a and in b separately, so scale by M*N.
-    try:
-        hits = _order_histogram(M, N, p).get(M, 0)
-    except BudgetError as refused:
-        # delta is symmetric in (M, N): a histogram refused on (M, N) may be
-        # admitted on (N, M); if not, the first refusal stands.
-        try:
-            hits = _order_histogram(N, M, p).get(N, 0)
-        except BudgetError:
-            raise refused from None
+    hits = _order_histogram(min(M, N), max(M, N), p).get(min(M, N), 0)
     return Fraction(hits * M * N, (M * N)**p)
 
 
@@ -125,7 +119,7 @@ def moment_integral(N: int, k: int) -> Fraction:
 def _squared_multinomial_row(N: int, k: int) -> list[int]:
     """A_N(m) for m = 0..k: the sum over compositions of m into N parts of
     the squared multinomial coefficient, by a dynamic program over N. The
-    routes take N = 3 and 4 from _walk_terms, and the tests take this
+    routes take N = 2, 3 and 4 from _walk_terms, and the tests take this
     program as its oracle there."""
     # About N (k + 1)^2 bigint products, each of integers of up to 2k log2 N
     # bits (A_N(m) <= N^(2m)), which the interpreter multiplies digit by digit.
@@ -150,18 +144,20 @@ def _squared_multinomial_row(N: int, k: int) -> list[int]:
 
 # (P, Q, R) of R(k) A(k + 1) = P(k) A(k) - Q(k) A(k - 1), by N (_walk_terms)
 _WALK_RECURRENCES = {
+    2: lambda k: (2 * (2 * k + 1), 0, k + 1),
     3: lambda k: (10 * k * k + 10 * k + 3, 9 * k * k, (k + 1)**2),
     4: lambda k: (2 * (2 * k + 1) * (5 * k * k + 5 * k + 2), 64 * k**3, (k + 1)**3),
 }
 
 
 def _walk_terms(N: int, k: int, p: int = 0) -> Iterator[int]:
-    """Yield C(p, 2m) A_N(m) for m = 0..k at N = 3 or 4, each from the two
+    """Yield C(p, 2m) A_N(m) for m = 0..k at N = 2, 3 or 4, each from the two
     before it; with p = 0, A_N(m) itself. A_N(m) = W_N(2m) is the 2m-th
     moment of the distance from its start at which an N-step planar walk of
-    unit steps in uniform random directions ends, and at N = 3 and 4 it
+    unit steps in uniform random directions ends, and at N = 2, 3 and 4 it
     satisfies R(m) A(m + 1) = P(m) A(m) - Q(m) A(m - 1), A(0) = 1, A(1) = N,
-    with (P, Q, R) in _WALK_RECURRENCES: for N = 3, Borwein, Nuyens, Straub
+    with (P, Q, R) in _WALK_RECURRENCES: for N = 2, A(m) = C(2m, m), whose
+    ratio gives a recurrence of one term; for N = 3, Borwein, Nuyens, Straub
     and Wan, "Some arithmetic properties of short random walk integrals"
     (Ramanujan J., 2011); for N = 4, the Domb numbers, Borwein, Straub, Wan
     and Zudilin, "Densities of short uniform random walks" (Canad. J. Math.,

@@ -215,10 +215,10 @@ def test_walk_recurrences_equal_the_dynamic_program():
         assert walk_moments_by_recurrence(N, 400) == _squared_multinomial_row(N, 400), N
 
 
-def test_the_binomial_route_takes_n_3_and_4_from_the_recurrence():
+def test_the_binomial_route_takes_n_2_3_and_4_from_the_recurrence():
     # the routes' terms, with and without the weights C(p, 2m), against the
     # dynamic program, and delta_m2 against its definition on that row
-    for N in (3, 4):
+    for N in (2, 3, 4):
         row = _squared_multinomial_row(N, 400)
         assert list(limits._walk_terms(N, 400)) == row, N
         assert moment_integral(N, 400) == Fraction(row[400], N**800)
