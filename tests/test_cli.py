@@ -471,8 +471,9 @@ DRAWS_OVER_BUDGET = [
 TEN_400 = str(10**400)
 # Each is over the budget before its estimate, or the integers it prices,
 # can be formed: priced from a logarithm or by bit lengths. The last three
-# are priced before their arrays are formed: a run of about 9 minutes, and
-# the 2 GB of F_N and values G at N = 8000, and at M = 300.
+# are priced before their arrays are formed: about 9 minutes of gram
+# samples, the 1 GB of F_N at N = 8000, and 1.7 GB of four-phase products
+# and values G at M = 300.
 PRICED_BEFORE_FORMED = [
     ["truncated", "--M", TEN_400, "--N", "3", "--p", "2", "--r", "2"],
     ["mc", "--kind", "model", "--M", str(10**18), "--N", "5", "--p", str(10**6),

@@ -568,16 +568,15 @@ def test_mc_estimate_delta_smoke():
 
 def test_torus_budget_limit():
     # M = N = 2, p = 3, r = 2: M^(n-1) = 2 blocks of side M N^(n-1) = 4, so
-    # one sample takes 8 K draws, r M^3 N^2 = 64 operations for G and
-    # 2 * 4^3 * 1 + 2 * 4^2 * 6 = 320 in the block loop, and 8 bytes its value,
-    # 4560 its chunk and 16 N^2 = 64 F_N
-    cost = 8 + 8 * model._DRAW_OPS + 64 + 320 + 4560 + 64
-    assert cost == 5728
-    with budget(cost):
+    # one sample takes r K = 8 draws of 89 operations, r M^3 N^2 = 64 for G
+    # and 2 * 4^3 * 1 + 2 * 4^2 * 6 = 320 in the block loop, and it holds
+    # 8 bytes of value and 4560 of chunk, beside the 16 N^2 = 64 of F_N:
+    # 8 + 712 + 64 + 320 + 4560 + 64 = 5728
+    with budget(5728):
         mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
-    with budget(cost - 1), pytest.raises(BudgetError) as info:
+    with budget(5727), pytest.raises(BudgetError) as info:
         mc_estimate_c(2, 2, 3, 2, samples=1, seed=0)
-    assert info.value.estimated_ops == cost
+    assert info.value.estimated_ops == 5728
 
 
 def test_mc_budget_and_validation():
